@@ -37,13 +37,12 @@ from .dynamics import (
     schedule_from_json,
 )
 from .errors import TrichainError
-from .model import SystemParams, initial_state, params_from_config
+from .model import SystemParams, _csv, _fmt, initial_state, params_from_config
 from .spectrum import (
     DEFAULT_DEGENERACY_TOL,
-    DegenerateSpectrumError,
+    _nonequidistance_or_none,
     degeneracy_discriminant,
     eigenfrequencies,
-    nonequidistance_error,
     sweep_rows_to_csv,
     sweep_spectrum,
     sweep_spectrum_values,
@@ -58,18 +57,9 @@ class UsageError(Exception):
     """Invalid flag combination or missing required option."""
 
 
-def _verbose() -> bool:
-    value = os.environ.get("TRICHAIN_VERBOSE", "")
-    return value not in ("", "0")
-
-
 def _progress(message: str) -> None:
-    if _verbose():
+    if os.environ.get("TRICHAIN_VERBOSE", "") not in ("", "0"):
         print(message, file=sys.stderr)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -89,8 +79,6 @@ def _add_common_output(parser: argparse.ArgumentParser, formats=("csv", "json"))
     if formats:
         parser.add_argument("--format", choices=formats, default=None,
                             help=f"output format (default {formats[0]})")
-    parser.add_argument("--config", default=None,
-                        help="JSON file of option defaults (explicit flags win)")
 
 
 def _add_params_options(parser: argparse.ArgumentParser) -> None:
@@ -111,16 +99,33 @@ def _apply_config(args: argparse.Namespace) -> None:
     config_path = getattr(args, "config", None)
     if not config_path:
         return
-    with open(config_path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise UsageError(f"config {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {config_path} must contain a JSON object")
+    options = {action.dest: action for action in args.options if hasattr(args, action.dest)}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"config {config_path}: unknown option {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, _config_value(config_path, key, action, value))
+
+
+def _config_value(config_path: str, key: str, action: argparse.Action, value):
+    """A config value, checked as the text of the matching flag would be."""
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise UsageError(f"config {config_path}: option {key!r}: invalid value {value!r}") from None
+    elif not isinstance(value, str):
+        raise UsageError(f"config {config_path}: option {key!r} takes a string, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config {config_path}: option {key!r}: {value!r} is not one of {tuple(action.choices)}")
+    return value
 
 
 def _resolve_params(args: argparse.Namespace) -> SystemParams:
@@ -138,14 +143,12 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
         return solve_comb_params(args.g, args.comb).params
     values: dict[str, float] = {}
     if args.params is not None:
-        with open(args.params, "r", encoding="utf-8") as handle:
-            file_params = params_from_config(handle.read())
+        file_params = params_from_config(Path(args.params).read_text(encoding="utf-8"))
         values = {key: getattr(file_params, key) for key in ("g", "delta", "f1", "f2", "omega0")}
     for key in ("g", "delta", "f1", "f2", "omega0"):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    values.setdefault("omega0", 0.0)
     missing = [key for key in ("g", "delta", "f1", "f2") if key not in values]
     if missing:
         raise UsageError(f"missing parameters: {', '.join('--' + m for m in missing)}")
@@ -156,19 +159,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     tol = args.degeneracy_tol if args.degeneracy_tol is not None else DEFAULT_DEGENERACY_TOL
     spectrum = eigenfrequencies(params, tol)
-    try:
-        delta_err = nonequidistance_error(spectrum)
-        degenerate = False
-    except DegenerateSpectrumError:
-        delta_err = None
-        degenerate = True
+    delta_err = _nonequidistance_or_none(spectrum)
     report = degeneracy_discriminant(params)
     fmt = args.format or "csv"
     if fmt == "json":
         payload = {
             "frequencies": list(spectrum.frequencies),
             "delta": delta_err,
-            "degenerate": degenerate,
+            "degenerate": delta_err is None,
             "discriminant": report.discriminant,
             "zero_frequency_pair": report.zero_frequency_pair,
             "clusters": [[value, mult] for value, mult in spectrum.clusters],
@@ -178,7 +176,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         row = ",".join(
             [_fmt(w) for w in spectrum.frequencies]
             + ["" if delta_err is None else _fmt(delta_err)]
-            + ["true" if degenerate else "false"]
+            + ["true" if delta_err is None else "false"]
             + [_fmt(report.discriminant)]
             + ["true" if report.zero_frequency_pair else "false"]
         )
@@ -236,8 +234,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     schedule_text = None
     if args.schedule is not None:
-        with open(args.schedule, "r", encoding="utf-8") as handle:
-            schedule_text = handle.read()
+        schedule_text = Path(args.schedule).read_text(encoding="utf-8")
     try:
         params = _resolve_params(args)
     except UsageError:
@@ -300,10 +297,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         solution = solve_comb_params(coupling, branch)
         trajectory = evolve_spectral(solution.params, v0, times)
         columns.append(np.abs(trajectory.states[:, 1]) ** 2)
-    lines = ["t,E_x2_qubit,E_x2_qutrit"]
-    for t, e_qubit, e_qutrit in zip(times, columns[0], columns[1]):
-        lines.append(f"{_fmt(t)},{_fmt(e_qubit)},{_fmt(e_qutrit)}")
-    (outdir / "fig5.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fig5 = _csv("t,E_x2_qubit,E_x2_qutrit", zip(times, *columns))
+    (outdir / "fig5.csv").write_text(fig5, encoding="utf-8")
 
     print(f"wrote fig2.csv fig3.csv fig4.csv fig5.csv to {outdir}")
     return 0
@@ -359,10 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="write the four reference CSV datasets")
     p.add_argument("--outdir", default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON file of option defaults (explicit flags win)")
     p.set_defaults(func=cmd_figures)
 
+    for command in sub.choices.values():
+        command.add_argument("--config", default=None,
+                             help="JSON file of option defaults (explicit flags win)")
+        command.set_defaults(options=command._actions)
     return parser
 
 

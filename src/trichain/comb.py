@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dynamics
 from .errors import (
@@ -224,54 +223,43 @@ def energy_at_pi(g: float) -> float:
     return inner * inner / 9.0
 
 
-def solve_g_for_energy(
-    target: float,
-    g_min: float = 1e-6,
-    grid_points: int = 10_000,
-) -> EnergyProgram:
+def solve_g_for_energy(target: float) -> EnergyProgram:
     """All couplings in (0, 1] whose half-period energy equals ``target``.
 
-    The energy is a perfect square E = h(g)^2 / 9, so roots are bracketed on
-    the signed inner function h at the levels +-3*sqrt(target); a direct scan
-    of E - target would miss the tangential root at target = 0.  Brackets
-    come from a dense grid and are refined with Brent's method; interval
-    endpoints are accepted when they match the target outright (the boundary
-    root at g = 1 for target = 1/9).  An unattainable target yields an empty
+    The energy is a perfect square E = h(g)^2 / 9, so roots are those of the
+    signed inner function h at the levels L = +-3*sqrt(target); a direct
+    search on E - target would miss the tangential root at target = 0.  With
+    v = 1 - g^2, h = v^2 - 1 + v sqrt(v (8 + v)) rises strictly from -1 at
+    g = 1 to 3 at g = 0, and squaring h = L gives the cubic
+    8 v^3 + 2 (L + 1) v^2 - (L + 1)^2 = 0.  Its real roots in [0, 1) that
+    squaring did not add (L + 1 >= v^2) are Newton-polished on h(g).  The
+    endpoint g = 1, a triple root at target = 1/9, is accepted when it
+    matches the target outright.  An unattainable target yields an empty
     solution list, not an error.
     """
     if not isinstance(target, (int, float)) or not math.isfinite(target):
         raise DomainError(f"target must be a finite real number, got {target!r}")
     target = float(target)
-    if target < 0.0 or target > 1.0:
+    # E < 1 for every g > 0, so target 1 is reached only at the excluded g = 0.
+    if target < 0.0 or target >= 1.0:
         return EnergyProgram(target_e2=target, g_solutions=())
-    levels = [3.0 * math.sqrt(target)]
-    if target > 0.0:
-        levels.append(-3.0 * math.sqrt(target))
-    grid = np.linspace(g_min, 1.0, grid_points)
-    inner_vals = np.array([_energy_inner(g) for g in grid])
     roots: list[float] = []
-    for level in levels:
-        f_vals = inner_vals - level
-        for i in range(len(grid) - 1):
-            a, b = f_vals[i], f_vals[i + 1]
-            if a == 0.0:
-                roots.append(float(grid[i]))
-            elif a * b < 0.0:
-                roots.append(
-                    float(
-                        brentq(
-                            lambda x, lvl=level: _energy_inner(x) - lvl,
-                            grid[i],
-                            grid[i + 1],
-                            xtol=1e-15,
-                        )
-                    )
-                )
-        if f_vals[-1] == 0.0:
-            roots.append(float(grid[-1]))
-    for endpoint in (g_min, 1.0):
-        if abs(energy_at_pi(endpoint) - target) <= _RESIDUAL_TOL:
-            roots.append(float(endpoint))
+    for level in {3.0 * math.sqrt(target), -3.0 * math.sqrt(target)}:
+        m = level + 1.0
+        for root in np.polynomial.polynomial.polyroots([-m * m, 0.0, 2.0 * m, 8.0]):
+            if root.imag != 0.0 or not 0.0 <= root.real < 1.0 or m < root.real * root.real:
+                continue
+            g = math.sqrt(1.0 - root.real)
+            for _ in range(3):  # Newton on h(g), with dh/dg = -2 g dh/dv
+                v = 1.0 - g * g
+                slope = -4.0 * g * (v + math.sqrt(v) * (6.0 + v) / math.sqrt(8.0 + v))
+                residual = _energy_inner(g) - level
+                if residual == 0.0 or slope == 0.0:
+                    break
+                g = min(1.0, g - residual / slope)
+            roots.append(g)
+    if abs(energy_at_pi(1.0) - target) <= _RESIDUAL_TOL:
+        roots.append(1.0)
     roots.sort()
     unique: list[float] = []
     for root in roots:

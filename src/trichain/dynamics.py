@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     ScheduleError,
 )
-from .model import N_MODES, SystemParams, build_coupling_matrix, params_from_config
+from .model import N_MODES, SystemParams, _csv, _params_from_values, build_coupling_matrix
 
 _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
@@ -68,9 +68,17 @@ def _check_times(times) -> np.ndarray:
     t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise InvalidParameterError("times must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(t)):
+        raise InvalidParameterError("times must be finite")
     if np.any(np.diff(t) < 0.0):
         raise InvalidParameterError("times must be ascending")
     return t
+
+
+def _eigh_phases(params: SystemParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors V of M = V diag(w) V^T and the phase rows exp(-i w t_k)."""
+    w, vecs = np.linalg.eigh(build_coupling_matrix(params))
+    return vecs, np.exp(-1j * np.outer(t, w))
 
 
 def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
@@ -81,17 +89,14 @@ def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
     """
     v = _check_state(v0)
     t = _check_times(times)
-    w, vecs = np.linalg.eigh(build_coupling_matrix(params))
-    coeffs = vecs.T @ v
-    phases = np.exp(-1j * np.outer(t, w))
-    states = (phases * coeffs) @ vecs.T
-    return Trajectory(times=t, states=states)
+    vecs, phases = _eigh_phases(params, t)
+    return Trajectory(times=t, states=(phases * (vecs.T @ v)) @ vecs.T)
 
 
 def propagator(params: SystemParams, t: float) -> np.ndarray:
     """The unitary U(t) = exp(-i M t) as a dense 6x6 matrix."""
-    w, vecs = np.linalg.eigh(build_coupling_matrix(params))
-    return (vecs * np.exp(-1j * w * float(t))) @ vecs.T
+    vecs, phases = _eigh_phases(params, [float(t)])
+    return (vecs * phases[0]) @ vecs.T
 
 
 def evolve_rk4(
@@ -202,15 +207,18 @@ def schedule_from_json(text: str, base: SystemParams | None = None) -> Schedule:
     object {"t_start": ..., "t_end": ..., "g": ...}; the base object uses the
     flat parameter keys g, delta, f1, f2 and optional omega0.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ScheduleError(f"schedule is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         raw_segments = data.get("segments")
         if raw_segments is None:
             raise ScheduleError("schedule JSON object must contain a 'segments' array")
         if "base" in data:
-            base_obj = data["base"]
-            config = "\n".join(f"{k} = {v}" for k, v in base_obj.items())
-            base = params_from_config(config)
+            if not isinstance(data["base"], dict):
+                raise ScheduleError("schedule 'base' must be an object of parameters")
+            base = _params_from_values(data["base"], "schedule base")
     elif isinstance(data, list):
         raw_segments = data
     else:
@@ -245,20 +253,17 @@ def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
     cursor = 0
     segment_state = v
     for index, seg in enumerate(schedule.segments):
-        w, vecs = np.linalg.eigh(build_coupling_matrix(schedule.params_for(seg)))
+        if index == len(schedule.segments) - 1:
+            stop = int(np.searchsorted(t, seg.t_end + _BOUNDARY_TOL, side="right"))
+        else:
+            stop = max(cursor, int(np.searchsorted(t, seg.t_end, side="left")))
+        # the extra last phase row carries the state across the quench boundary
+        local = np.append(t[cursor:stop], seg.t_end) - seg.t_start
+        vecs, phases = _eigh_phases(schedule.params_for(seg), local)
         coeffs = vecs.T @ segment_state
-        is_last = index == len(schedule.segments) - 1
-        upper = seg.t_end + (_BOUNDARY_TOL if is_last else 0.0)
-        stop = cursor
-        while stop < t.size and (t[stop] < upper if not is_last else t[stop] <= upper):
-            stop += 1
-        if stop > cursor:
-            local = t[cursor:stop] - seg.t_start
-            phases = np.exp(-1j * np.outer(local, w))
-            states[cursor:stop] = (phases * coeffs) @ vecs.T
-            cursor = stop
-        # carry the state across the quench boundary
-        segment_state = vecs @ (np.exp(-1j * w * (seg.t_end - seg.t_start)) * coeffs)
+        states[cursor:stop] = (phases[:-1] * coeffs) @ vecs.T
+        segment_state = vecs @ (phases[-1] * coeffs)
+        cursor = stop
     return Trajectory(times=t, states=states)
 
 
@@ -270,15 +275,8 @@ def energies(trajectory: Trajectory) -> np.ndarray:
     return table
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def energies_to_csv(trajectory: Trajectory) -> str:
-    table = energies(trajectory)
-    lines = [_ENERGY_CSV_HEADER]
-    lines.extend(",".join(_fmt(x) for x in row) for row in table)
-    return "\n".join(lines) + "\n"
+    return _csv(_ENERGY_CSV_HEADER, energies(trajectory))
 
 
 def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> float:

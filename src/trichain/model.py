@@ -122,6 +122,14 @@ def spectral_mirror_operator() -> np.ndarray:
     return d @ p
 
 
+def _fmt(x: float) -> str:  # every CSV number the package writes
+    return format(x, ".12g")
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(_fmt(x) for x in row) for row in rows)]) + "\n"
+
+
 def params_to_config(params: SystemParams) -> str:
     """Serialize parameters to the flat ``key = value`` config format."""
     lines = [f"{key} = {getattr(params, key)!r}" for key in _CONFIG_KEYS]
@@ -143,16 +151,24 @@ def params_from_config(text: str) -> SystemParams:
             raise InvalidParameterError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise InvalidParameterError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise InvalidParameterError(f"config line {lineno}: duplicate key {key!r}")
         try:
             values[key] = float(value.strip())
         except ValueError as exc:
             raise InvalidParameterError(f"config line {lineno}: bad number {value.strip()!r}") from exc
+    return _params_from_values(values, "config")
+
+
+def _params_from_values(values: dict, source: str) -> SystemParams:
+    """Parameters from a mapping of the flat config keys; ``source`` names it in errors."""
+    unknown = [key for key in values if key not in _CONFIG_KEYS]
+    if unknown:
+        raise InvalidParameterError(f"{source} has unknown keys: {', '.join(map(repr, unknown))}")
     missing = [key for key in ("g", "delta", "f1", "f2") if key not in values]
     if missing:
-        raise InvalidParameterError(f"config missing required keys: {', '.join(missing)}")
-    values.setdefault("omega0", 0.0)
+        raise InvalidParameterError(f"{source} missing required keys: {', '.join(missing)}")
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidParameterError(f"{source}: {key} must be a number, got {value!r}")
     return SystemParams(**values)

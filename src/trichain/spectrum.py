@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import SystemParams, build_coupling_matrix
+from .model import SystemParams, _fmt, build_coupling_matrix
 
 #: Absolute tolerance (in comb-spacing units) used to cluster equal
 #: eigenfrequencies.  Well above eigensolver error for a 6x6 matrix, well
@@ -191,8 +191,8 @@ def eigenfrequencies(
     eigensolver result is returned because it stays orthonormal at
     degeneracies.
     """
-    if degeneracy_tol <= 0.0:
-        raise InvalidParameterError(f"degeneracy_tol must be positive, got {degeneracy_tol}")
+    if not 0.0 < degeneracy_tol < math.inf:
+        raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
     closed = frequencies_from_charpoly(char_poly(params))
     numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
     gap = float(np.max(np.abs(numeric - np.asarray(closed))))
@@ -225,6 +225,14 @@ def nonequidistance_error(spectrum: Spectrum) -> float:
             f"lowest positive frequency {w1} is below the degeneracy tolerance"
         )
     return abs(w2 / w1 - 3.0) + abs(w3 / w1 - 5.0)
+
+
+def _nonequidistance_or_none(spectrum: Spectrum) -> float | None:
+    """The non-equidistance error, or None where it is undefined."""
+    try:
+        return nonequidistance_error(spectrum)
+    except DegenerateSpectrumError:
+        return None
 
 
 def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
@@ -369,18 +377,13 @@ def sweep_spectrum_values(
         if constraint is not None:
             params = constraint(params)
         spectrum = eigenfrequencies(params, degeneracy_tol)
-        try:
-            delta_err: float | None = nonequidistance_error(spectrum)
-            degenerate = False
-        except DegenerateSpectrumError:
-            delta_err = None
-            degenerate = True
+        delta_err = _nonequidistance_or_none(spectrum)
         rows.append(
             SweepRow(
                 param=float(value),
                 frequencies=spectrum.frequencies,
                 delta_err=delta_err,
-                degenerate=degenerate,
+                degenerate=delta_err is None,
             )
         )
     return rows
@@ -402,10 +405,6 @@ def sweep_spectrum(
         raise InvalidParameterError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, n)
     return sweep_spectrum_values(base, vary, grid, constraint, degeneracy_tol)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trichain
 from trichain.cli import main
 
 
@@ -199,6 +204,33 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"gg": 1.0}))
         assert run(["spectrum", "--config", str(config)]) == 2
+
+    def test_config_not_json_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text('{"g": 0.0,')
+        assert run(["spectrum", "--config", str(config)]) == 2
+        assert "trichain: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [{"n": "x"}, {"n": 2.5}, {"lo": True}, {"lo": [0]},
+                                         {"out": 3}, {"format": "xml"}])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, options):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lo": 0, "hi": 1, "n": 3, "delta": 0, "f1": 1, "f2": 1} | options))
+        assert run(["sweep", "--vary", "g", "--config", str(config)]) == 2
+        assert "trichain: error:" in capsys.readouterr().err
+
+    def test_config_string_for_typed_flag_accepted(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lo": "0", "hi": 1, "n": 3, "delta": 0, "f1": 1, "f2": 1}))
+        assert run(["sweep", "--vary", "g", "--config", str(config)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, trichain.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(trichain.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestVerbosity:

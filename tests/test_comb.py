@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trichain import (
     BranchInfeasibleError,
@@ -165,6 +167,14 @@ class TestSolveGForEnergy:
             assert program.g_solutions, f"no root found for target {target}"
             for root in program.g_solutions:
                 assert abs(energy_at_pi(root) - target) <= 1e-10
+
+    # Below g ~ 1e-8 the energy 1 - 40 g^2 / 9 rounds to 1 and g cannot be
+    # recovered; 1e-6 is the lower end of the domain the solver always covered.
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-6, max_value=1.0))
+    def test_round_trip_from_coupling(self, g):
+        roots = solve_g_for_energy(energy_at_pi(g)).g_solutions
+        assert any(abs(root - g) <= 1e-9 for root in roots), (g, roots)
 
     def test_json_shape(self):
         program = solve_g_for_energy(0.0)

@@ -77,6 +77,9 @@ class TestEvolveSpectral:
             evolve_spectral(RABI, initial_state(2), [1.0, 0.5])
         with pytest.raises(InvalidParameterError):
             evolve_spectral(RABI, np.ones(5, complex), [0.0])
+        for bad_time in (math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                evolve_spectral(RABI, initial_state(2), [0.0, bad_time])
 
 
 class TestPropagator:
@@ -246,6 +249,26 @@ class TestSchedule:
         schedule = schedule_from_json(text, base=RABI)
         assert schedule.segments[0].g == 0.3
         with pytest.raises(ScheduleError):
+            schedule_from_json(text)
+
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}, "segments": [', ScheduleError),
+            ('{"base": [0.5, 0, 1, 1], "segments": []}', ScheduleError),
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1, "zeta": 3}, "segments": []}',
+             InvalidParameterError),
+            ('{"base": {"g": 0.5, "f1": 1, "f2": 1}, "segments": []}', InvalidParameterError),
+            ('{"base": {"g": 0.5, "delta": true, "f1": 1, "f2": 1}, "segments": []}', InvalidParameterError),
+            # a string value must not smuggle in a key of its own
+            ('{"base": {"g": "0.5\\ndelta = 0.1", "f1": 1, "f2": 1}, "segments": []}',
+             InvalidParameterError),
+        ],
+        ids=["not_json", "base_not_object", "unknown_key", "missing_key", "bool_value", "string_value"],
+    )
+    def test_schedule_json_rejects_malformed_text(self, text, error):
+        with pytest.raises(error):
             schedule_from_json(text)
 
 

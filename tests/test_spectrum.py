@@ -108,8 +108,9 @@ class TestEigenfrequencies:
             assert abs(freqs.sum()) <= 1e-9
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(InvalidParameterError):
-            eigenfrequencies(RESONANT, degeneracy_tol=0.0)
+        for bad_tol in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                eigenfrequencies(RESONANT, degeneracy_tol=bad_tol)
 
 
 class TestNonequidistanceError:
