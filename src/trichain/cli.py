@@ -50,6 +50,9 @@ from .spectrum import (
 
 _PRESETS = {"qubit": QUBIT_COUPLING, "qutrit": QUTRIT_COUPLING}
 
+# Destinations of the options _add_params_options adds.
+_PARAM_OPTIONS = ("g", "delta", "f1", "f2", "omega0", "params", "comb", "preset")
+
 _SPECTRUM_CSV_HEADER = "w1,w2,w3,w4,w5,w6,delta,degenerate,discriminant,zero_frequency_pair"
 
 
@@ -68,6 +71,13 @@ def _write_output(path: str | None, text: str) -> None:
     else:
         Path(path).write_text(text, encoding="utf-8")
         _progress(f"wrote {path}")
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def _json_dumps(obj) -> str:
@@ -99,8 +109,9 @@ def _apply_config(args: argparse.Namespace) -> None:
     config_path = getattr(args, "config", None)
     if not config_path:
         return
+    text = _read_text(config_path, "config")
     try:
-        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except ValueError as exc:
         raise UsageError(f"config {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -143,7 +154,7 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
         return solve_comb_params(args.g, args.comb).params
     values: dict[str, float] = {}
     if args.params is not None:
-        file_params = params_from_config(Path(args.params).read_text(encoding="utf-8"))
+        file_params = params_from_config(_read_text(args.params, "params file"))
         values = {key: getattr(file_params, key) for key in ("g", "delta", "f1", "f2", "omega0")}
     for key in ("g", "delta", "f1", "f2", "omega0"):
         flag = getattr(args, key)
@@ -234,14 +245,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     schedule_text = None
     if args.schedule is not None:
-        schedule_text = Path(args.schedule).read_text(encoding="utf-8")
-    try:
-        params = _resolve_params(args)
-    except UsageError:
-        if schedule_text is None:
-            raise
-        params = None
+        schedule_text = _read_text(args.schedule, "schedule")
+    given = [name for name in _PARAM_OPTIONS if getattr(args, name) is not None]
+    # Parameter flags are optional with a schedule, whose file may hold the base,
+    # but flags that are given must resolve as they do without one.
+    params = None if schedule_text is not None and not given else _resolve_params(args)
     t_end = args.t_end if args.t_end is not None else 2.0 * math.pi
+    if not math.isfinite(t_end):
+        raise UsageError(f"--t-end must be finite, got {t_end}")
     n = args.n if args.n is not None else 2001
     if n < 2:
         raise UsageError("--n must be at least 2")

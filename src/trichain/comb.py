@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -44,8 +43,8 @@ from .errors import (
     DomainError,
     InvalidParameterError,
 )
-from .model import SystemParams, initial_state
-from .spectrum import DEFAULT_DEGENERACY_TOL, char_poly, eigenfrequencies
+from .model import SystemParams, _scalarwise, initial_state
+from .spectrum import DEFAULT_DEGENERACY_TOL, SweepConstraint, char_poly, eigenfrequencies
 
 BRANCHES = ("A", "B")
 
@@ -133,7 +132,13 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
     return (cp.c4 - 5.0 * k2, cp.c2 - 4.0 * k2 * k2, cp.c0)
 
 
-def _check_coupling_domain(g: float) -> float:
+def _check_coupling_domain(g):
+    """g as a float, or a float array whose points all lie in (0, 1]."""
+    if isinstance(g, np.ndarray):
+        outside = ~((g > 0.0) & (g <= 1.0))
+        if outside.any():
+            _check_coupling_domain(float(g.flat[np.argmax(outside)]))  # raises that point's error
+        return g
     if not isinstance(g, (int, float)) or not math.isfinite(g):
         raise DomainError(f"coupling g must be a finite real number, got {g!r}")
     g = float(g)
@@ -142,15 +147,22 @@ def _check_coupling_domain(g: float) -> float:
     return g
 
 
-def _branch_squares(g: float, branch: str) -> tuple[float, float]:
-    """(f2^2, f1^2) for the requested branch at coupling g."""
+def _radicand(g):
+    """g^4 - 10 g^2 + 9, with the C library's pow also on arrays (see _scalarwise)."""
+    return _scalarwise(lambda x: x**4 - 10.0 * x**2 + 9.0, g)
+
+
+def _branch_squares(g, branch: str):
+    """(f2^2, f1^2) for the requested branch at coupling g, a float or a float array.
+
+    On an array, the first failing point raises the error it raises alone.
+    """
     if branch not in BRANCHES:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
     g = _check_coupling_domain(g)
-    radicand = g**4 - 10.0 * g**2 + 9.0
-    if radicand < 0.0:
-        raise DomainError(f"inner square root is imaginary at g={g}")
-    s = math.sqrt(radicand)
+    radicand = _radicand(g)
+    array = isinstance(g, np.ndarray)
+    s = np.sqrt(np.maximum(radicand, 0.0)) if array else math.sqrt(max(radicand, 0.0))
     g2 = g * g
     if branch == "A":
         f2_sq = ((5.0 - g2) - s) / 8.0
@@ -158,7 +170,13 @@ def _branch_squares(g: float, branch: str) -> tuple[float, float]:
     else:
         f2_sq = ((5.0 - g2) + s) / 8.0
         f1_sq = (5.0 - 3.0 * g2 - s) / 2.0
-    if f2_sq < 0.0 or f1_sq < 0.0:
+    if array:
+        failed = (radicand < 0.0) | (f2_sq < 0.0) | (f1_sq < 0.0)
+        if failed.any():
+            _branch_squares(float(g.flat[np.argmax(failed)]), branch)  # raises that point's error
+    elif radicand < 0.0:
+        raise DomainError(f"inner square root is imaginary at g={g}")
+    elif f2_sq < 0.0 or f1_sq < 0.0:
         raise BranchInfeasibleError(
             f"branch {branch} infeasible at g={g}: f2^2={f2_sq}, f1^2={f1_sq}"
         )
@@ -195,24 +213,26 @@ def solve_comb_params(g: float, branch: str) -> CombSolution:
     )
 
 
-def branch_constraint(branch: str) -> Callable[[SystemParams], SystemParams]:
-    """Sweep constraint that re-derives f1 and f2 from the current g.
+def branch_constraint(branch: str) -> SweepConstraint:
+    """Sweep constraint that re-derives f1 and f2 from g at every grid point.
 
-    Only the atom-field couplings are replaced; g and delta pass through, so
-    a detuning sweep at fixed g probes departures from the designed comb.
+    It maps the columns (g, delta, f1, f2), equal-length arrays, to new
+    columns.  Only the atom-field couplings are replaced; g and delta pass
+    through, so a detuning sweep at fixed g probes departures from the
+    designed comb.
     """
     if branch not in BRANCHES:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
-    def apply(params: SystemParams) -> SystemParams:
-        f2_sq, f1_sq = _branch_squares(params.g, branch)
-        return params.replace(f1=math.sqrt(f1_sq), f2=math.sqrt(f2_sq))
+    def apply(g, delta, f1, f2):
+        f2_sq, f1_sq = _branch_squares(np.asarray(g, dtype=float), branch)
+        return g, delta, np.sqrt(f1_sq), np.sqrt(f2_sq)
 
     return apply
 
 
 def _energy_inner(g: float) -> float:
-    s = math.sqrt(g**4 - 10.0 * g**2 + 9.0)
+    s = math.sqrt(_radicand(g))
     return g**4 - 2.0 * g**2 + (1.0 - g**2) * s
 
 

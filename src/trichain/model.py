@@ -75,22 +75,45 @@ class SystemParams:
 
 def build_coupling_matrix(params: SystemParams) -> np.ndarray:
     """Return the 6x6 real symmetric generator M of d/dt v = -i M v."""
-    m = np.zeros((N_MODES, N_MODES))
-    m[0, 0] = params.delta
-    m[2, 2] = -params.delta
-    m[3, 3] = params.delta
-    m[5, 5] = -params.delta
-    pairs = (
-        (0, 3, params.f2),  # atom 1 <-> field 1
-        (1, 4, params.f1),  # atom 2 <-> field 2
-        (2, 5, params.f2),  # atom 3 <-> field 3
-        (3, 4, params.g),   # field 1 <-> field 2
-        (4, 5, params.g),   # field 2 <-> field 3
-    )
-    for i, j, value in pairs:
-        m[i, j] = value
-        m[j, i] = value
-    return m
+    return _generator(params.g, params.delta, params.f1, params.f2)
+
+
+# Flat positions in M of the entries _generator lists, then of their mirror images.
+_UPPER = ((0, 0), (2, 2), (3, 3), (5, 5), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5))
+_POSITIONS = np.array([N_MODES * i + j for i, j in _UPPER] + [N_MODES * j + i for i, j in _UPPER])
+
+
+def _generator(g, delta, f1, f2) -> np.ndarray:
+    """M for floats, or the (n, 6, 6) stack of M for length-n parameter arrays."""
+    upper = [
+        delta, -delta, delta, -delta,  # detunings of sites 1 and 3, atoms then fields
+        f2, f1, f2,                    # atom n <-> field n
+        g, g,                          # field 1 <-> field 2 <-> field 3
+    ]
+    values = np.array(upper + upper)
+    m = np.zeros(values.shape[1:] + (N_MODES * N_MODES,))
+    m.T[_POSITIONS] = values
+    return m.reshape(values.shape[1:] + (N_MODES, N_MODES))
+
+
+def _scalarwise(fn, x):
+    """fn on a float, or on every element of an array as a Python float.
+
+    Batched routes call it where numpy's vectorized kernels (power, acos)
+    round differently from the C library in the last bit; near a zero or
+    repeated root that bit grows far past the dual-route tolerance, so the
+    batched and single-point routes must round alike.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return fn(x)
+
+
+def _first_invalid(g, delta, f1, f2) -> int:
+    """Index of the first row of parameter arrays that SystemParams rejects, else their length."""
+    columns = np.array([g, delta, f1, f2])
+    bad = ~np.isfinite(columns).all(axis=0) | (columns[[0, 2, 3]] < 0.0).any(axis=0)
+    return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
 def initial_state(excited_index: int) -> np.ndarray:

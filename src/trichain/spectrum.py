@@ -19,7 +19,9 @@ pair that produces the central degeneracy of a designed comb).
 
 Eigenfrequencies are always computed twice, from the cubic in closed form and
 from a symmetric eigensolver, and the two routes must agree; a disagreement
-raises ConsistencyError because it can only come from a bug.
+raises ConsistencyError because it can only come from a bug.  A single
+point runs the scalar cubic; a sweep runs both routes on all its points at
+once (one batched eigensolver call, the cubic vectorized over the grid).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import SystemParams, _fmt, build_coupling_matrix
+from .model import SystemParams, _first_invalid, _fmt, _generator, _scalarwise, build_coupling_matrix
 
 #: Absolute tolerance (in comb-spacing units) used to cluster equal
 #: eigenfrequencies.  Well above eigensolver error for a 6x6 matrix, well
@@ -46,6 +48,13 @@ DEFAULT_DEGENERACY_TOL = 1e-7
 _DUAL_ROUTE_TOL = 1e-9
 
 _SWEEPABLE = ("g", "delta", "f1", "f2")
+
+#: Maps the parameter columns (g, delta, f1, f2), equal-length float arrays
+#: over a sweep grid, to corrected columns in the same order.
+SweepConstraint = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+]
 
 _SWEEP_CSV_HEADER = "param,w1,w2,w3,w4,w5,w6,delta,degenerate"
 
@@ -106,14 +115,23 @@ class DegeneracyReport:
 
 def char_poly(params: SystemParams) -> CharPoly:
     """Closed-form characteristic-polynomial coefficients."""
-    d2 = params.delta * params.delta
-    g2 = params.g * params.g
-    f12 = params.f1 * params.f1
-    f22 = params.f2 * params.f2
+    return CharPoly(*_char_poly_coeffs(params.g, params.delta, params.f1, params.f2))
+
+
+def _char_poly_coeffs(g, delta, f1, f2):
+    """(c4, c2, c0) for floats or for parameter arrays."""
+    d2 = delta * delta
+    g2 = g * g
+    f12 = f1 * f1
+    f22 = f2 * f2
     c4 = 2.0 * d2 + 2.0 * g2 + f12 + 2.0 * f22
     c2 = d2 * d2 + 2.0 * (g2 + f12 - f22) * d2 + 2.0 * (g2 + f12) * f22 + f22 * f22
-    c0 = f12 * (params.delta - params.f2) ** 2 * (params.delta + params.f2) ** 2
-    return CharPoly(c4=c4, c2=c2, c0=c0)
+    c0 = f12 * _scalarwise(_pow2, delta - f2) * _scalarwise(_pow2, delta + f2)
+    return c4, c2, c0
+
+
+def _pow2(x: float) -> float:
+    return x**2  # the C library's pow, which is not always x * x
 
 
 def _real_quadratic_roots(b: float, c: float) -> list[float]:
@@ -130,13 +148,21 @@ def _real_quadratic_roots(b: float, c: float) -> list[float]:
     return sorted((q, c / q))
 
 
+#: A cubic root q this much smaller than the middle one is taken from the
+#: product of the roots, -c0.  The trigonometric form leaves it an absolute
+#: error ~eps*c4, which w = sqrt(-q) turns into a frequency error above the
+#: dual-route tolerance as w -> 0 (delta -> +-f2, next to a designed comb).
+_SMALL_ROOT = 1e-3
+
+
 def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
     """Ascending real roots of x^3 + b x^2 + c x + d.
 
     Uses the trigonometric form for the three-real-roots case, which is
     guaranteed here because the cubic comes from a real symmetric matrix.
     A vanishing constant term is factored out exactly so that designed combs
-    keep their zero root exact.
+    keep their zero root exact; a small but nonzero root is taken from the
+    product of the roots (see _SMALL_ROOT).
     """
     if d == 0.0:
         return sorted([0.0] + _real_quadratic_roots(b, c))
@@ -155,7 +181,10 @@ def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
         cosarg = min(1.0, max(-1.0, cosarg))
         theta = math.acos(cosarg) / 3.0
         roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return sorted(t - shift for t in roots)
+    lo, mid, hi = sorted(t - shift for t in roots)
+    if abs(hi) < _SMALL_ROOT * abs(mid):
+        hi = -d / (lo * mid)
+    return [lo, mid, hi]
 
 
 def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
@@ -171,6 +200,50 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     return tuple(sorted(freqs))
 
 
+_THIRDS = 2.0 * math.pi * np.arange(3) / 3.0
+
+
+def _closed_form_rows(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``frequencies_from_charpoly`` on arrays of (c4, c2, c0), row by row.
+
+    Each row takes the scalar route's case with the same arithmetic: the
+    exact factorization when c0 == 0, the cbrt of a (near-)triple root, or
+    the trigonometric form, then the small-root product.  Returns the (n, 6) ascending frequencies and
+    the mask of rows the scalar route refuses (complex quadratic factor or
+    a root q > 0); refused rows hold meaningless values.
+    """
+    qs = np.empty((len(b), 3))
+    refused = np.zeros(len(b), dtype=bool)
+    # c0 == 0: q = 0 plus the roots of q^2 + b q + c.
+    z = d == 0.0
+    bz, cz = b[z], c[z]
+    disc = bz * bz - 4.0 * cz
+    refused[z] = disc < -1e-10 * np.maximum(np.maximum(1.0, bz * bz), np.abs(cz))
+    root = np.sqrt(np.maximum(disc, 0.0))
+    q = np.where(bz != 0.0, -0.5 * (bz + np.copysign(root, bz)), 0.5 * root)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qs[z] = np.stack([np.zeros_like(q), q, np.where(q == 0.0, 0.0, cz / q)], axis=1)
+    # c0 != 0: the depressed cubic t^3 + p t + r with q = t - b/3.
+    bn, cn, dn = b[~z], c[~z], d[~z]
+    p = cn - bn * bn / 3.0
+    r = dn + bn * (2.0 * bn * bn - 9.0 * cn) / 27.0
+    triple = p >= -1e-14 * np.maximum(np.maximum(1.0, np.abs(bn) * np.abs(bn)), np.abs(cn))
+    t = np.empty((len(bn), 3))
+    t[triple] = -np.cbrt(r[triple])[:, None]
+    p, r = p[~triple], r[~triple]
+    m = 2.0 * np.sqrt(-p / 3.0)
+    theta = _scalarwise(math.acos, np.clip(3.0 * r / (p * m), -1.0, 1.0)) / 3.0
+    t[~triple] = m[:, None] * _scalarwise(math.cos, theta[:, None] - _THIRDS)
+    qs[~z] = t - (bn / 3.0)[:, None]
+    qs.sort(axis=1)
+    lo, mid, hi = qs.T
+    small = ~z & (np.abs(hi) < _SMALL_ROOT * np.abs(mid))
+    qs[small, 2] = -d[small] / (lo[small] * mid[small])
+    refused |= (qs > 1e-9 * (1.0 + b)[:, None]).any(axis=1)
+    w = np.sqrt(np.maximum(-qs, 0.0))
+    return np.sort(np.concatenate([-w, w], axis=1), axis=1), refused
+
+
 def _cluster(frequencies: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
     groups: list[list[float]] = []
     for f in frequencies:
@@ -178,7 +251,14 @@ def _cluster(frequencies: Sequence[float], tol: float) -> tuple[tuple[float, int
             groups[-1].append(f)
         else:
             groups.append([f])
-    return tuple((float(np.mean(group)), len(group)) for group in groups)
+    return tuple(
+        (float(group[0]) if len(group) == 1 else float(np.mean(group)), len(group)) for group in groups
+    )
+
+
+def _check_degeneracy_tol(degeneracy_tol: float) -> None:
+    if not 0.0 < degeneracy_tol < math.inf:
+        raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
 
 
 def eigenfrequencies(
@@ -191,8 +271,7 @@ def eigenfrequencies(
     eigensolver result is returned because it stays orthonormal at
     degeneracies.
     """
-    if not 0.0 < degeneracy_tol < math.inf:
-        raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
+    _check_degeneracy_tol(degeneracy_tol)
     closed = frequencies_from_charpoly(char_poly(params))
     numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
     gap = float(np.max(np.abs(numeric - np.asarray(closed))))
@@ -297,9 +376,11 @@ def inverse_laplace_s2(
 
     Returns an array of complex s2 values, one per requested time.
     """
+    t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise InvalidParameterError("times must be finite")
     spectrum = eigenfrequencies(params, degeneracy_tol)
     numerator = np.poly1d(_s2_numerator_coeffs(params))
-    t = np.asarray(times, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     clusters = spectrum.clusters
     for index, (w_rep, mult) in enumerate(clusters):
@@ -356,37 +437,75 @@ class SweepRow:
     degenerate: bool
 
 
+def _batched_spectra(g, delta, f1, f2) -> tuple[np.ndarray, np.ndarray]:
+    """Both spectral routes on every row of the parameter arrays at once.
+
+    Returns the eigensolver frequencies, (n, 6) ascending, and the mask of
+    rows on which the closed-form route agrees with them within
+    ``_DUAL_ROUTE_TOL``.
+    """
+    numeric = np.linalg.eigvalsh(_generator(g, delta, f1, f2))
+    closed, refused = _closed_form_rows(*_char_poly_coeffs(g, delta, f1, f2))
+    gap = np.max(np.abs(numeric - closed), axis=1)
+    return numeric, ~refused & (gap <= _DUAL_ROUTE_TOL)
+
+
 def sweep_spectrum_values(
     base: SystemParams,
     vary: str,
     values: Sequence[float],
-    constraint: Callable[[SystemParams], SystemParams] | None = None,
+    constraint: SweepConstraint | None = None,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> list[SweepRow]:
     """Spectrum sweep over an explicit list of parameter values.
 
-    ``constraint``, when given, maps the per-point parameters to a corrected
-    set (e.g. re-deriving f1 and f2 from g for a designed comb) before the
-    spectrum is computed.
+    ``constraint``, when given, maps the parameter columns (g, delta, f1, f2)
+    of the whole grid, equal-length float arrays, to corrected columns (e.g.
+    re-deriving f1 and f2 from g for a designed comb) before the spectra are
+    computed.
+
+    All points are diagonalized in one batched eigensolver call, and every
+    point is checked against the closed-form cubic.  A failure raises the
+    error that running the points one at a time raises at the first failing
+    point, except that the constraint sees the whole grid first, so its
+    errors come before any spectrum error.
     """
     if vary not in _SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_SWEEPABLE}")
-    rows: list[SweepRow] = []
-    for value in values:
-        params = base.replace(**{vary: float(value)})
-        if constraint is not None:
-            params = constraint(params)
-        spectrum = eigenfrequencies(params, degeneracy_tol)
-        delta_err = _nonequidistance_or_none(spectrum)
-        rows.append(
-            SweepRow(
-                param=float(value),
-                frequencies=spectrum.frequencies,
-                delta_err=delta_err,
-                degenerate=delta_err is None,
-            )
-        )
-    return rows
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise InvalidParameterError(f"sweep values must be a 1-d sequence, got shape {grid.shape}")
+    columns = [grid if name == vary else np.full(len(grid), getattr(base, name)) for name in _SWEEPABLE]
+    bad = _first_invalid(*columns)
+    if bad < len(grid):
+        # The points before it go first, as they would one at a time.
+        sweep_spectrum_values(base, vary, grid[:bad], constraint, degeneracy_tol)
+        base.replace(**{vary: float(grid[bad])})  # raises that point's error
+    if len(grid) == 0:
+        return []
+    if constraint is not None:
+        columns = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in constraint(*columns)]
+        bad = _first_invalid(*columns)
+        if bad < len(grid):
+            SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
+    _check_degeneracy_tol(degeneracy_tol)
+    freqs, passed = _batched_spectra(*columns)
+    if not passed.all():
+        # The single-point route rounds alike, so it raises at the first point
+        # the batch failed, with that point's own error.
+        freqs = np.array([
+            eigenfrequencies(SystemParams(*row, omega0=base.omega0), degeneracy_tol).frequencies
+            for row in zip(*(c.tolist() for c in columns))
+        ])
+    degenerate = (np.diff(freqs, axis=1) <= degeneracy_tol).any(axis=1)  # _cluster's chaining rule
+    w1, w2, w3 = freqs[:, 3], freqs[:, 4], freqs[:, 5]
+    undefined = degenerate | (w1 <= degeneracy_tol)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
+    return [
+        SweepRow(param=param, frequencies=tuple(row), delta_err=None if undef else err, degenerate=undef)
+        for param, row, err, undef in zip(grid.tolist(), freqs.tolist(), delta_err.tolist(), undefined.tolist())
+    ]
 
 
 def sweep_spectrum(
@@ -395,7 +514,7 @@ def sweep_spectrum(
     lo: float,
     hi: float,
     n: int,
-    constraint: Callable[[SystemParams], SystemParams] | None = None,
+    constraint: SweepConstraint | None = None,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> list[SweepRow]:
     """Spectrum sweep over a uniform grid of ``n`` points in [lo, hi]."""

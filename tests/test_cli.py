@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,25 @@ class TestEvolveCommand:
         late = [float(r["E_s2"]) for r in rows if float(r["t"]) > math.pi]
         assert max(late) <= 1e-9
 
+    @pytest.mark.parametrize("flags", [["--preset", "qubit", "--g", "0.5"], ["--g", "0.5"]])
+    def test_schedule_does_not_hide_parameter_flag_errors(self, tmp_path, capsys, flags):
+        schedule = {"base": {"g": 0.5, "delta": 0.0, "f1": 1.0, "f2": 1.0},
+                    "segments": [{"t_start": 0.0, "t_end": 1.0, "g": 0.5}]}
+        sched_path = tmp_path / "s.json"
+        sched_path.write_text(json.dumps(schedule))
+        argv = ["evolve", "--schedule", str(sched_path), "--t-end", "1", "--n", "3"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + flags) == 2
+        assert capsys.readouterr().err.startswith("trichain: error:")
+
+    def test_infinite_t_end_prints_only_the_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--preset", "qubit", "--t-end", "inf", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trichain: error:") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         assert run(["evolve", "--g", "0", "--delta", "0", "--f1", "1", "--f2", "1",
                     "--t-end", "1.0", "--n", "11", "--format", "json"]) == 0
@@ -224,6 +244,19 @@ class TestConfigFile:
         config.write_text(json.dumps({"lo": "0", "hi": 1, "n": 3, "delta": 0, "f1": 1, "f2": 1}))
         assert run(["sweep", "--vary", "g", "--config", str(config)]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--params", "{path}"],
+    ["evolve", "--schedule", "{path}", "--t-end", "1", "--n", "3"],
+    ["spectrum", "--config", "{path}"],
+])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "bin.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert run([arg.format(path=path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trichain: error:") and "UTF-8" in err
 
 
 def test_import_does_not_load_scipy():

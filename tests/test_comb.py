@@ -15,6 +15,7 @@ from trichain import (
     QUBIT_COUPLING,
     QUTRIT_COUPLING,
     SystemParams,
+    branch_constraint,
     comb_constraints,
     energy_at_pi,
     evolve_spectral,
@@ -97,6 +98,31 @@ class TestSolveCombParams:
         data = sol.to_json_dict()
         assert set(data) == {"branch", "g", "delta", "f1", "f2", "residuals", "spectrum"}
         assert CombSolution.from_json_dict(json.loads(json.dumps(data))) == sol
+
+
+class TestBranchConstraint:
+    @pytest.mark.parametrize("branch", ["A", "B"])
+    def test_columns_equal_solve_comb_params_bit_for_bit(self, branch, rng):
+        g = np.concatenate([rng.uniform(1e-6, 1.0, 3000), np.linspace(0.001, 1.0, 1000)])
+        delta = rng.uniform(-1.0, 1.0, len(g))
+        out = branch_constraint(branch)(g, delta, np.ones(len(g)), np.ones(len(g)))
+        assert out[0] is g and out[1] is delta
+        solved = [solve_comb_params(x, branch) for x in g.tolist()]
+        assert out[2].tolist() == [sol.f1 for sol in solved]
+        assert out[3].tolist() == [sol.f2 for sol in solved]
+
+    @pytest.mark.parametrize("bad_g", [0.0, -0.3, 1.0 + 1e-9, float("nan")])
+    def test_first_point_outside_the_domain_raises_its_own_error(self, bad_g):
+        g = np.array([0.5, 0.7, bad_g, 2.0])
+        with pytest.raises(DomainError) as alone:
+            solve_comb_params(bad_g, "A")
+        with pytest.raises(DomainError) as batched:
+            branch_constraint("A")(g, np.zeros(4), np.ones(4), np.ones(4))
+        assert str(batched.value) == str(alone.value)
+
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            branch_constraint("C")
 
 
 class TestEnergyAtPi:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trichain import (
     ConsistencyError,
@@ -9,6 +12,7 @@ from trichain import (
     InvalidParameterError,
     PoleError,
     Spectrum,
+    SweepRow,
     SystemParams,
     build_coupling_matrix,
     char_poly,
@@ -26,8 +30,10 @@ from trichain import (
     sweep_spectrum,
     sweep_spectrum_values,
     QUBIT_COUPLING,
+    TrichainError,
+    branch_constraint,
 )
-from trichain.spectrum import _cluster
+from trichain.spectrum import _batched_spectra, _char_poly_coeffs, _closed_form_rows, _cluster
 from conftest import random_params
 
 RESONANT = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -106,6 +112,15 @@ class TestEigenfrequencies:
             freqs = np.array(eigenfrequencies(params).frequencies)
             assert np.max(np.abs(freqs + freqs[::-1])) <= 1e-9
             assert abs(freqs.sum()) <= 1e-9
+
+    def test_near_zero_frequency_pair_passes_the_dual_route_check(self):
+        # delta -> +-f2 sends a +-w pair to zero next to a designed comb; the
+        # closed form must resolve w there, not only at c0 == 0 exactly.
+        for eps in np.logspace(-13, -5, 33):
+            for sign in (1.0, -1.0):
+                params = SystemParams(g=0.5, delta=sign * (1.0 + eps), f1=1.0, f2=1.0)
+                w = eigenfrequencies(params).frequencies[3]
+                assert w == pytest.approx(math.sqrt(0.8) * eps, rel=1e-3)
 
     def test_rejects_nonpositive_tolerance(self):
         for bad_tol in (0.0, math.nan, math.inf):
@@ -203,6 +218,11 @@ class TestInverseLaplace:
         value = inverse_laplace_s2(sol.params, [math.pi])[0]
         assert abs(value) ** 2 <= 1e-7
 
+    @pytest.mark.parametrize("bad_time", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_times(self, bad_time):
+        with pytest.raises(InvalidParameterError, match="times must be finite"):
+            inverse_laplace_s2(RESONANT.replace(g=0.5), [0.0, bad_time])
+
     def test_matches_propagator_on_random_draws(self, rng):
         times = np.linspace(0.0, 4.0 * math.pi, 30)
         v0 = initial_state(2)
@@ -238,6 +258,13 @@ class TestSweep:
         assert [row.degenerate for row in rows] == [False, True, False]
         assert np.allclose(rows[1].frequencies, [-2, -1, 0, 0, 1, 2], atol=1e-7)
 
+    def test_comb_sweep_through_a_near_zero_frequency_pair(self):
+        # Branch B's f2(g) crosses delta near g = 0.8505, where a grid point
+        # lands 9e-9 from delta = f2 (w = 6e-9).
+        base = SystemParams(g=0.0361276895958315, delta=0.8507441372323128, f1=1.0, f2=1.0)
+        rows = sweep_spectrum(base, "g", base.g, 0.9464444958780593, 2021, branch_constraint("B"))
+        assert min(row.frequencies[3] for row in rows) < 1e-8
+
     def test_detuning_sweep_flags_only_the_comb_point(self):
         sol = solve_comb_params(QUBIT_COUPLING, "A")
         values = [sol.f2 - 0.1, sol.f2, sol.f2 + 0.1]
@@ -251,6 +278,8 @@ class TestSweep:
             sweep_spectrum(RESONANT, "g", 1.0, 0.0, 5)
         with pytest.raises(InvalidParameterError):
             sweep_spectrum(RESONANT, "g", 0.0, 1.0, 1)
+        with pytest.raises(InvalidParameterError):
+            sweep_spectrum_values(RESONANT, "g", [[0.1, 0.2], [0.3, 0.4]])
 
     def test_csv_format(self):
         rows = sweep_spectrum(RESONANT, "g", 0.0, 1.0, 3)
@@ -262,3 +291,136 @@ class TestSweep:
         assert first[0] == "0" and first[7] == "" and first[8] == "true"
         last = lines[3].split(",")
         assert last[8] == "false" and float(last[7]) > 0.0
+
+
+def pointwise_sweep(base, vary, values, constraint=None):
+    """The sweep through the single-point route, one grid point at a time.
+
+    Its errors follow the batched sweep's contract: the first failing point
+    in grid order raises, except that the constraint sees every point (up
+    to the first invalid parameter value) before any spectrum is computed.
+    """
+    params, invalid = [], None
+    for value in values:
+        try:
+            params.append(base.replace(**{vary: float(value)}))
+        except InvalidParameterError as exc:
+            invalid = exc
+            break
+    if constraint is not None:
+        for k, p in enumerate(params):
+            columns = constraint(*(np.array([getattr(p, name)]) for name in ("g", "delta", "f1", "f2")))
+            params[k] = SystemParams(*(float(c[0]) for c in columns), omega0=p.omega0)
+    rows = []
+    for value, p in zip(values, params):
+        spectrum = eigenfrequencies(p)
+        try:
+            delta_err = nonequidistance_error(spectrum)
+        except DegenerateSpectrumError:
+            delta_err = None
+        rows.append(SweepRow(float(value), spectrum.frequencies, delta_err, delta_err is None))
+    if invalid is not None:
+        raise invalid
+    return rows
+
+
+def outcome(sweep, *args):
+    """Rows as (param, frequency bytes, delta_err, degenerate), or the error raised."""
+    try:
+        rows = sweep(*args)
+    except TrichainError as exc:
+        return type(exc).__name__, str(exc)
+    return [(r.param, np.array(r.frequencies).tobytes(), r.delta_err, r.degenerate) for r in rows]
+
+
+def assert_batched_matches_pointwise(base, vary, values, branch=None):
+    constraint = branch_constraint(branch) if branch else None
+    batched = outcome(sweep_spectrum_values, base, vary, values, constraint)
+    assert batched == outcome(pointwise_sweep, base, vary, values, constraint)
+    return batched
+
+
+class TestBatchedSweepMatchesSinglePoint:
+    """The batched sweep equals ``eigenfrequencies`` run point by point:
+    bitwise frequencies, the same delta_err and degenerate flag, and the same
+    error (type and message) for the same first failing point."""
+
+    coupling = st.floats(min_value=0.0, max_value=2.0)
+    value = st.one_of(st.floats(min_value=-0.5, max_value=2.0), st.sampled_from([0.0, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=coupling, f1=coupling, f2=coupling,
+        delta=st.floats(min_value=-2.0, max_value=2.0),
+        vary=st.sampled_from(["g", "delta", "f1", "f2"]),
+        values=st.lists(value, min_size=1, max_size=30),
+        branch=st.sampled_from([None, "A", "B"]),
+    )
+    def test_random_bases(self, g, f1, f2, delta, vary, values, branch):
+        base = SystemParams(g=g, delta=delta, f1=f1, f2=f2)
+        if vary == "delta":  # reach the zero-frequency pair delta = +-f2 as well
+            values = values + [f2, -f2]
+        assert_batched_matches_pointwise(base, vary, values, branch)
+
+    @pytest.mark.parametrize("branch", [None, "A"])
+    def test_comb_anchor_degenerate_rows(self, branch):
+        anchor = solve_comb_params(QUBIT_COUPLING, "A")
+        values = np.unique(np.append(np.linspace(0.0, 2.0, 801), anchor.f2))
+        rows = assert_batched_matches_pointwise(anchor.params, "delta", values, branch)
+        anchor_row = rows[int(np.searchsorted(values, anchor.f2))]
+        assert anchor_row[0] == anchor.f2 and anchor_row[3] is True
+
+    def test_log_spaced_resonant_grid_fails_at_the_same_point(self):
+        # 2 172 of these 4 000 points fail the dual-route check (the
+        # trigonometric cubic near the triple |w| = 1 root).
+        error = assert_batched_matches_pointwise(RESONANT, "g", np.logspace(-8, -1, 4000))
+        assert error[0] == "ConsistencyError"
+
+    def test_batched_coefficients_round_like_the_scalar_ones(self, rng):
+        columns = rng.uniform(0.0, 2.0, (4, 20000))
+        columns[1] -= 1.0
+        batched = np.array(_char_poly_coeffs(*columns)).T
+        single = [list(astuple(char_poly(SystemParams(*row)))) for row in columns.T.tolist()]
+        assert batched.tolist() == single
+
+    def test_batched_closed_form_rounds_like_the_scalar_one(self):
+        # Near the triple |w| = 1 root the cubic turns a last-bit difference
+        # into a gap change far above the 1e-9 tolerance, so both routes must
+        # round alike to pass and fail alike; the rows near a zero-frequency
+        # pair take the small-root product in both.
+        rng = np.random.default_rng(11)
+        n = 2000
+        eps = np.exp(rng.uniform(math.log(1e-12), math.log(1e-3), n)) * rng.choice([-1.0, 1.0], n)
+        f2 = rng.uniform(0.1, 2.0, n)
+        columns = [np.concatenate(pair) for pair in (
+            (np.logspace(-8, -1, 4000), rng.uniform(0.0, 2.0, n)),  # g
+            (np.zeros(4000), f2 * (1.0 + eps)),                    # delta
+            (np.ones(4000), rng.uniform(0.0, 2.0, n)),             # f1
+            (np.ones(4000), f2),                                   # f2
+        )]
+        closed, refused = _closed_form_rows(*_char_poly_coeffs(*columns))
+        _, passed = _batched_spectra(*columns)
+        for k, row in enumerate(zip(*(c.tolist() for c in columns))):
+            params = SystemParams(*row)
+            assert not refused[k]
+            assert tuple(closed[k].tolist()) == frequencies_from_charpoly(char_poly(params))
+            try:
+                eigenfrequencies(params)
+            except ConsistencyError:
+                assert not passed[k]
+            else:
+                assert passed[k]
+        assert 0 < passed.sum() < len(passed)
+
+    @pytest.mark.parametrize("vary, values, branch", [
+        ("g", [0.5, -1.0, 0.3], None),
+        ("delta", [0.5, math.nan], None),
+        ("f1", [0.5, math.inf], "B"),
+        ("g", [0.0, 2.0408163265306123e-05, -1.0], None),
+        ("g", [0.5, 2.0408163265306123e-05, 0.0, 2.0], "A"),
+        ("g", [0.5, 1.5], "B"),
+        ("g", [-2.0, 0.0], "A"),
+    ])
+    def test_first_failing_point_raises(self, vary, values, branch):
+        error = assert_batched_matches_pointwise(RESONANT, vary, values, branch)
+        assert isinstance(error, tuple)
