@@ -198,6 +198,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.lo is None or args.hi is None or args.n is None:
         raise UsageError("sweep requires --lo, --hi and --n")
+    if args.constraint and args.vary in ("f1", "f2"):
+        raise UsageError(f"--constraint derives f1 and f2 from g; it cannot sweep {args.vary}")
     if getattr(args, args.vary) is None:
         setattr(args, args.vary, float(args.lo))
     params = _resolve_params(args)

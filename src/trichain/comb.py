@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     InvalidParameterError,
 )
-from .model import SystemParams, _scalarwise, initial_state
+from .model import SystemParams, initial_state
 from .spectrum import DEFAULT_DEGENERACY_TOL, SweepConstraint, char_poly, eigenfrequencies
 
 BRANCHES = ("A", "B")
@@ -148,8 +148,9 @@ def _check_coupling_domain(g):
 
 
 def _radicand(g):
-    """g^4 - 10 g^2 + 9, with the C library's pow also on arrays (see _scalarwise)."""
-    return _scalarwise(lambda x: x**4 - 10.0 * x**2 + 9.0, g)
+    """g^4 - 10 g^2 + 9 for a float or an array, in exact products so both round alike."""
+    g2 = g * g
+    return g2 * g2 - 10.0 * g2 + 9.0
 
 
 def _branch_squares(g, branch: str):

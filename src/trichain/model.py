@@ -96,19 +96,6 @@ def _generator(g, delta, f1, f2) -> np.ndarray:
     return m.reshape(values.shape[1:] + (N_MODES, N_MODES))
 
 
-def _scalarwise(fn, x):
-    """fn on a float, or on every element of an array as a Python float.
-
-    Batched routes call it where numpy's vectorized kernels (power, acos)
-    round differently from the C library in the last bit; near a zero or
-    repeated root that bit grows far past the dual-route tolerance, so the
-    batched and single-point routes must round alike.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    return fn(x)
-
-
 def _first_invalid(g, delta, f1, f2) -> int:
     """Index of the first row of parameter arrays that SystemParams rejects, else their length."""
     columns = np.array([g, delta, f1, f2])

@@ -22,6 +22,8 @@ from a symmetric eigensolver, and the two routes must agree; a disagreement
 raises ConsistencyError because it can only come from a bug.  A single
 point runs the scalar cubic; a sweep runs both routes on all its points at
 once (one batched eigensolver call, the cubic vectorized over the grid).
+Both cubics use the same numpy kernels and exact products, so they round
+alike and pass or fail the check on the same points.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import SystemParams, _first_invalid, _fmt, _generator, _scalarwise, build_coupling_matrix
+from .model import SystemParams, _first_invalid, _fmt, _generator, build_coupling_matrix
 
 #: Absolute tolerance (in comb-spacing units) used to cluster equal
 #: eigenfrequencies.  Well above eigensolver error for a 6x6 matrix, well
@@ -66,10 +68,6 @@ class CharPoly:
     c4: float
     c2: float
     c0: float
-
-    def coefficients(self) -> np.ndarray:
-        """Full degree-6 coefficient array in p, highest power first."""
-        return np.array([1.0, 0.0, self.c4, 0.0, self.c2, 0.0, self.c0])
 
     def eval(self, p: complex) -> complex:
         q = p * p
@@ -126,12 +124,10 @@ def _char_poly_coeffs(g, delta, f1, f2):
     f22 = f2 * f2
     c4 = 2.0 * d2 + 2.0 * g2 + f12 + 2.0 * f22
     c2 = d2 * d2 + 2.0 * (g2 + f12 - f22) * d2 + 2.0 * (g2 + f12) * f22 + f22 * f22
-    c0 = f12 * _scalarwise(_pow2, delta - f2) * _scalarwise(_pow2, delta + f2)
+    dm = delta - f2
+    dp = delta + f2
+    c0 = f12 * (dm * dm) * (dp * dp)
     return c4, c2, c0
-
-
-def _pow2(x: float) -> float:
-    return x**2  # the C library's pow, which is not always x * x
 
 
 def _real_quadratic_roots(b: float, c: float) -> list[float]:
@@ -153,6 +149,12 @@ def _real_quadratic_roots(b: float, c: float) -> list[float]:
 #: error ~eps*c4, which w = sqrt(-q) turns into a frequency error above the
 #: dual-route tolerance as w -> 0 (delta -> +-f2, next to a designed comb).
 _SMALL_ROOT = 1e-3
+
+#: The three angle offsets of the trigonometric form.  Both cubics take
+#: numpy's arccos and cos on them, whose results do not depend on how many
+#: elements one call sees, so they round alike (the C library's acos does not
+#: match numpy's vectorized one in the last bit).
+_THIRDS = 2.0 * math.pi * np.arange(3) / 3.0
 
 
 def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
@@ -179,8 +181,8 @@ def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
         m = 2.0 * math.sqrt(-p / 3.0)
         cosarg = 3.0 * r / (p * m)  # equals -4r/m^3
         cosarg = min(1.0, max(-1.0, cosarg))
-        theta = math.acos(cosarg) / 3.0
-        roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+        theta = np.arccos(cosarg) / 3.0
+        roots = (m * np.cos(theta - _THIRDS)).tolist()
     lo, mid, hi = sorted(t - shift for t in roots)
     if abs(hi) < _SMALL_ROOT * abs(mid):
         hi = -d / (lo * mid)
@@ -200,17 +202,15 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     return tuple(sorted(freqs))
 
 
-_THIRDS = 2.0 * math.pi * np.arange(3) / 3.0
-
-
 def _closed_form_rows(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``frequencies_from_charpoly`` on arrays of (c4, c2, c0), row by row.
 
-    Each row takes the scalar route's case with the same arithmetic: the
-    exact factorization when c0 == 0, the cbrt of a (near-)triple root, or
-    the trigonometric form, then the small-root product.  Returns the (n, 6) ascending frequencies and
-    the mask of rows the scalar route refuses (complex quadratic factor or
-    a root q > 0); refused rows hold meaningless values.
+    Each row takes the scalar route's case with the same operations and the
+    same numpy kernels, so it rounds alike: the exact factorization when
+    c0 == 0, the cbrt of a (near-)triple root, or the trigonometric form, then
+    the small-root product.  Returns the (n, 6) ascending frequencies and the
+    mask of rows the scalar route refuses (complex quadratic factor or a root
+    q > 0); refused rows hold meaningless values.
     """
     qs = np.empty((len(b), 3))
     refused = np.zeros(len(b), dtype=bool)
@@ -221,8 +221,7 @@ def _closed_form_rows(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.n
     refused[z] = disc < -1e-10 * np.maximum(np.maximum(1.0, bz * bz), np.abs(cz))
     root = np.sqrt(np.maximum(disc, 0.0))
     q = np.where(bz != 0.0, -0.5 * (bz + np.copysign(root, bz)), 0.5 * root)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qs[z] = np.stack([np.zeros_like(q), q, np.where(q == 0.0, 0.0, cz / q)], axis=1)
+    qs[z] = np.stack([np.zeros_like(q), q, np.where(q == 0.0, 0.0, cz / q)], axis=1)
     # c0 != 0: the depressed cubic t^3 + p t + r with q = t - b/3.
     bn, cn, dn = b[~z], c[~z], d[~z]
     p = cn - bn * bn / 3.0
@@ -232,8 +231,8 @@ def _closed_form_rows(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.n
     t[triple] = -np.cbrt(r[triple])[:, None]
     p, r = p[~triple], r[~triple]
     m = 2.0 * np.sqrt(-p / 3.0)
-    theta = _scalarwise(math.acos, np.clip(3.0 * r / (p * m), -1.0, 1.0)) / 3.0
-    t[~triple] = m[:, None] * _scalarwise(math.cos, theta[:, None] - _THIRDS)
+    theta = np.arccos(np.clip(3.0 * r / (p * m), -1.0, 1.0)) / 3.0
+    t[~triple] = m[:, None] * np.cos(theta[:, None] - _THIRDS)
     qs[~z] = t - (bn / 3.0)[:, None]
     qs.sort(axis=1)
     lo, mid, hi = qs.T
@@ -275,7 +274,7 @@ def eigenfrequencies(
     closed = frequencies_from_charpoly(char_poly(params))
     numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
     gap = float(np.max(np.abs(numeric - np.asarray(closed))))
-    if gap > _DUAL_ROUTE_TOL:
+    if not gap <= _DUAL_ROUTE_TOL:  # also refuses a NaN gap
         raise ConsistencyError(
             f"closed-form and eigensolver frequencies disagree by {gap:.3e} for {params}"
         )
@@ -442,11 +441,13 @@ def _batched_spectra(g, delta, f1, f2) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the eigensolver frequencies, (n, 6) ascending, and the mask of
     rows on which the closed-form route agrees with them within
-    ``_DUAL_ROUTE_TOL``.
+    ``_DUAL_ROUTE_TOL``.  Rows whose coefficients overflow get a NaN gap and
+    fail the check without a floating-point warning.
     """
     numeric = np.linalg.eigvalsh(_generator(g, delta, f1, f2))
-    closed, refused = _closed_form_rows(*_char_poly_coeffs(g, delta, f1, f2))
-    gap = np.max(np.abs(numeric - closed), axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        closed, refused = _closed_form_rows(*_char_poly_coeffs(g, delta, f1, f2))
+        gap = np.max(np.abs(numeric - closed), axis=1)
     return numeric, ~refused & (gap <= _DUAL_ROUTE_TOL)
 
 
@@ -468,7 +469,9 @@ def sweep_spectrum_values(
     point is checked against the closed-form cubic.  A failure raises the
     error that running the points one at a time raises at the first failing
     point, except that the constraint sees the whole grid first, so its
-    errors come before any spectrum error.
+    errors come before any spectrum error.  A point the batch fails is run
+    once through ``eigenfrequencies`` for its error; if that passes, the
+    two routes disagree and ConsistencyError is raised.
     """
     if vary not in _SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_SWEEPABLE}")
@@ -491,12 +494,9 @@ def sweep_spectrum_values(
     _check_degeneracy_tol(degeneracy_tol)
     freqs, passed = _batched_spectra(*columns)
     if not passed.all():
-        # The single-point route rounds alike, so it raises at the first point
-        # the batch failed, with that point's own error.
-        freqs = np.array([
-            eigenfrequencies(SystemParams(*row, omega0=base.omega0), degeneracy_tol).frequencies
-            for row in zip(*(c.tolist() for c in columns))
-        ])
+        params = SystemParams(*(float(c[np.argmin(passed)]) for c in columns), omega0=base.omega0)
+        eigenfrequencies(params, degeneracy_tol)  # raises that point's own error
+        raise ConsistencyError(f"batched and single-point spectral routes disagree for {params}")
     degenerate = (np.diff(freqs, axis=1) <= degeneracy_tol).any(axis=1)  # _cluster's chaining rule
     w1, w2, w3 = freqs[:, 3], freqs[:, 4], freqs[:, 5]
     undefined = degenerate | (w1 <= degeneracy_tol)

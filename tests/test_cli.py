@@ -60,6 +60,12 @@ class TestSpectrumCommand:
     def test_preset_conflicts_rejected(self, capsys):
         assert run(["spectrum", "--preset", "qubit", "--g", "0.5"]) == 2
 
+    def test_overflowing_parameters_exit_2(self, capsys):
+        argv = ["spectrum", "--g", "1e200", "--delta", "0", "--f1", "1", "--f2", "1", "--format", "json"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("trichain: error:")
+
     def test_preset_lands_on_the_comb(self, capsys):
         assert run(["spectrum", "--preset", "qubit"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]
@@ -84,6 +90,13 @@ class TestSweepCommand:
         data = json.loads(out.read_text())
         assert len(data) == 3
         assert all(not row["degenerate"] for row in data)
+
+    @pytest.mark.parametrize("vary", ["f1", "f2"])
+    def test_constraint_cannot_sweep_a_derived_coupling(self, vary, capsys):
+        assert run(["sweep", "--vary", vary, "--lo", "0.1", "--hi", "2", "--n", "3",
+                    "--g", "0.5", "--delta", "0.3", "--f1", "1", "--f2", "1", "--constraint", "A"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("trichain: error:")
 
     def test_missing_range_exits_2(self):
         assert run(["sweep", "--vary", "g", "--delta", "0", "--f1", "1", "--f2", "1"]) == 2

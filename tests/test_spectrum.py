@@ -33,6 +33,7 @@ from trichain import (
     TrichainError,
     branch_constraint,
 )
+import trichain.spectrum as spectrum_module
 from trichain.spectrum import _batched_spectra, _char_poly_coeffs, _closed_form_rows, _cluster
 from conftest import random_params
 
@@ -126,6 +127,14 @@ class TestEigenfrequencies:
         for bad_tol in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
                 eigenfrequencies(RESONANT, degeneracy_tol=bad_tol)
+
+    def test_overflowing_coefficients_fail_the_dual_route_check(self):
+        # g^2 overflows, the closed form turns NaN, and a NaN gap must fail
+        # the check (silently: a RuntimeWarning fails the test suite).
+        with pytest.raises(TrichainError):
+            eigenfrequencies(RESONANT.replace(g=1e200))
+        with pytest.raises(TrichainError):
+            sweep_spectrum_values(RESONANT, "g", [1e170, 1e200])
 
 
 class TestNonequidistanceError:
@@ -376,6 +385,29 @@ class TestBatchedSweepMatchesSinglePoint:
         error = assert_batched_matches_pointwise(RESONANT, "g", np.logspace(-8, -1, 4000))
         assert error[0] == "ConsistencyError"
 
+    @pytest.mark.parametrize("values", [np.logspace(-8, -1, 4000), np.logspace(-1, -8, 4000)])
+    def test_failing_sweep_makes_one_single_point_call(self, values, monkeypatch):
+        expected = outcome(pointwise_sweep, RESONANT, "g", values)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eigenfrequencies(*args)
+
+        monkeypatch.setattr(spectrum_module, "eigenfrequencies", counted)
+        assert outcome(sweep_spectrum_values, RESONANT, "g", values) == expected
+        assert expected[0] == "ConsistencyError" and len(calls) == 1
+
+    def test_batch_failure_the_single_point_route_passes_raises(self, monkeypatch):
+        def second_row_fails(*columns):
+            freqs, passed = _batched_spectra(*columns)
+            passed[1] = False
+            return freqs, passed
+
+        monkeypatch.setattr(spectrum_module, "_batched_spectra", second_row_fails)
+        with pytest.raises(ConsistencyError, match="routes disagree for SystemParams.g=0.5,"):
+            sweep_spectrum_values(RESONANT, "g", [0.25, 0.5, 0.75])
+
     def test_batched_coefficients_round_like_the_scalar_ones(self, rng):
         columns = rng.uniform(0.0, 2.0, (4, 20000))
         columns[1] -= 1.0
@@ -386,8 +418,9 @@ class TestBatchedSweepMatchesSinglePoint:
     def test_batched_closed_form_rounds_like_the_scalar_one(self):
         # Near the triple |w| = 1 root the cubic turns a last-bit difference
         # into a gap change far above the 1e-9 tolerance, so both routes must
-        # round alike to pass and fail alike; the rows near a zero-frequency
-        # pair take the small-root product in both.
+        # round alike to pass and fail alike: they share numpy's arccos and
+        # cos and compute powers as exact products.  The rows near a
+        # zero-frequency pair take the small-root product in both.
         rng = np.random.default_rng(11)
         n = 2000
         eps = np.exp(rng.uniform(math.log(1e-12), math.log(1e-3), n)) * rng.choice([-1.0, 1.0], n)
