@@ -209,16 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep_spectrum(params, args.vary, args.lo, args.hi, args.n, constraint, tol)
     fmt = args.format or "csv"
     if fmt == "json":
-        payload = [
-            {
-                "param": row.param,
-                "frequencies": list(row.frequencies),
-                "delta": row.delta_err,
-                "degenerate": row.degenerate,
-            }
-            for row in rows
-        ]
-        _write_output(args.out, _json_dumps(payload))
+        _write_output(args.out, _json_dumps([row.to_json_dict() for row in rows]))
     else:
         _write_output(args.out, sweep_rows_to_csv(rows))
     return 0
@@ -310,7 +301,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         solution = solve_comb_params(coupling, branch)
         trajectory = evolve_spectral(solution.params, v0, times)
         columns.append(np.abs(trajectory.states[:, 1]) ** 2)
-    fig5 = _csv("t,E_x2_qubit,E_x2_qutrit", zip(times, *columns))
+    fig5 = _csv("t,E_x2_qubit,E_x2_qutrit", np.column_stack([times, *columns]).tolist())
     (outdir / "fig5.csv").write_text(fig5, encoding="utf-8")
 
     print(f"wrote fig2.csv fig3.csv fig4.csv fig5.csv to {outdir}")

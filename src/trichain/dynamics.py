@@ -276,7 +276,7 @@ def energies(trajectory: Trajectory) -> np.ndarray:
 
 
 def energies_to_csv(trajectory: Trajectory) -> str:
-    return _csv(_ENERGY_CSV_HEADER, energies(trajectory))
+    return _csv(_ENERGY_CSV_HEADER, energies(trajectory).tolist())
 
 
 def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> float:

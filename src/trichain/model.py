@@ -132,12 +132,19 @@ def spectral_mirror_operator() -> np.ndarray:
     return d @ p
 
 
-def _fmt(x: float) -> str:  # every CSV number the package writes
-    return format(x, ".12g")
+#: Every CSV number the package writes.  ``"%.12g" % x`` and ``format(x, ".12g")``
+#: make the same C call, so either spelling gives the same bytes.
+_NUM = "%.12g"
+
+
+def _fmt(x: float) -> str:
+    return _NUM % x
 
 
 def _csv(header: str, rows) -> str:
-    return "\n".join([header, *(",".join(_fmt(x) for x in row) for row in rows)]) + "\n"
+    """Numeric CSV, one template per row as wide as the header."""
+    template = ",".join([_NUM] * (header.count(",") + 1))
+    return "\n".join([header, *(template % tuple(row) for row in rows)]) + "\n"
 
 
 def params_to_config(params: SystemParams) -> str:

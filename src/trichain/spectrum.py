@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import SystemParams, _first_invalid, _fmt, _generator, build_coupling_matrix
+from .model import _NUM, SystemParams, _first_invalid, _generator, build_coupling_matrix
 
 #: Absolute tolerance (in comb-spacing units) used to cluster equal
 #: eigenfrequencies.  Well above eigensolver error for a 6x6 matrix, well
@@ -314,19 +314,20 @@ def _nonequidistance_or_none(spectrum: Spectrum) -> float | None:
 
 
 def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
-    """Discriminant of the cubic in q = p^2 plus the c0 = 0 flag."""
+    """Discriminant of the cubic in q = p^2 plus the c0 = 0 flag.
+
+    Raises ConsistencyError when the discriminant overflows, as
+    ``eigenfrequencies`` does for the same parameters.
+    """
     cp = char_poly(params)
     c4, c2, c0 = cp.c4, cp.c2, cp.c0
-    disc = (
-        18.0 * c4 * c2 * c0
-        - 4.0 * c4**3 * c0
-        + c4**2 * c2**2
-        - 4.0 * c2**3
-        - 27.0 * c0**2
-    )
-    f22 = params.f2 * params.f2
-    d2 = params.delta * params.delta
-    c0_scale = max(1.0, params.f1 * params.f1 * (d2 + f22) ** 2)
+    c44 = c4 * c4
+    c22 = c2 * c2
+    disc = 18.0 * c4 * c2 * c0 - 4.0 * (c44 * c4) * c0 + c44 * c22 - 4.0 * (c22 * c2) - 27.0 * (c0 * c0)
+    if not math.isfinite(disc):
+        raise ConsistencyError(f"cubic discriminant is not finite ({disc}) for {params}")
+    scale = params.delta * params.delta + params.f2 * params.f2
+    c0_scale = max(1.0, params.f1 * params.f1 * (scale * scale))
     return DegeneracyReport(
         discriminant=float(disc),
         zero_frequency_pair=bool(c0 <= 1e-12 * c0_scale),
@@ -422,9 +423,8 @@ def inverse_laplace_s2(
     return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a parameter sweep.
+class SweepRow(NamedTuple):
+    """One grid point of a parameter sweep, an immutable named tuple.
 
     ``delta_err`` is the non-equidistance error, or None when it is
     undefined (degenerate spectrum), in which case ``degenerate`` is True.
@@ -434,6 +434,14 @@ class SweepRow:
     frequencies: tuple[float, ...]
     delta_err: float | None
     degenerate: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "param": self.param,
+            "frequencies": list(self.frequencies),
+            "delta": self.delta_err,
+            "degenerate": self.degenerate,
+        }
 
 
 def _batched_spectra(g, delta, f1, f2) -> tuple[np.ndarray, np.ndarray]:
@@ -502,10 +510,9 @@ def sweep_spectrum_values(
     undefined = degenerate | (w1 <= degeneracy_tol)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
-    return [
-        SweepRow(param=param, frequencies=tuple(row), delta_err=None if undef else err, degenerate=undef)
-        for param, row, err, undef in zip(grid.tolist(), freqs.tolist(), delta_err.tolist(), undefined.tolist())
-    ]
+    delta_err = np.where(undefined, None, delta_err)
+    columns = grid.tolist(), map(tuple, freqs.tolist()), delta_err.tolist(), undefined.tolist()
+    return list(map(SweepRow._make, zip(*columns)))
 
 
 def sweep_spectrum(
@@ -528,10 +535,13 @@ def sweep_spectrum(
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """CSV table of a sweep; the delta column is empty on degenerate rows."""
+    numbers = (_NUM + ",") * 7  # param and the six frequencies
+    with_delta, without_delta = numbers + _NUM + ",%s", numbers + ",%s"
     lines = [_SWEEP_CSV_HEADER]
-    for row in rows:
-        freq = ",".join(_fmt(w) for w in row.frequencies)
-        delta = "" if row.delta_err is None else _fmt(row.delta_err)
-        flag = "true" if row.degenerate else "false"
-        lines.append(f"{_fmt(row.param)},{freq},{delta},{flag}")
+    for param, freqs, delta_err, degenerate in rows:
+        flag = "true" if degenerate else "false"
+        if delta_err is None:
+            lines.append(without_delta % (param, *freqs, flag))
+        else:
+            lines.append(with_delta % (param, *freqs, delta_err, flag))
     return "\n".join(lines) + "\n"

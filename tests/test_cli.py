@@ -90,6 +90,15 @@ class TestSweepCommand:
         data = json.loads(out.read_text())
         assert len(data) == 3
         assert all(not row["degenerate"] for row in data)
+        # Byte for byte the objects built field by field from the rows.
+        base = trichain.SystemParams(g=0.7556142107, delta=0.3, f1=1.0, f2=1.0)
+        rows = trichain.sweep_spectrum(base, "delta", 0.3, 0.8, 3, trichain.branch_constraint("A"))
+        payload = [
+            {"param": row.param, "frequencies": list(row.frequencies), "delta": row.delta_err,
+             "degenerate": row.degenerate}
+            for row in rows
+        ]
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("vary", ["f1", "f2"])
     def test_constraint_cannot_sweep_a_derived_coupling(self, vary, capsys):

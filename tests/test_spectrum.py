@@ -33,6 +33,7 @@ from trichain import (
     TrichainError,
     branch_constraint,
 )
+import trichain.model as model_module
 import trichain.spectrum as spectrum_module
 from trichain.spectrum import _batched_spectra, _char_poly_coeffs, _closed_form_rows, _cluster
 from conftest import random_params
@@ -194,6 +195,17 @@ class TestDegeneracyDiscriminant:
                 assert abs(report.discriminant) > 0.0
                 assert not report.zero_frequency_pair
 
+    @pytest.mark.parametrize("g", [1e60, 1e200])
+    def test_overflowing_discriminant_is_refused(self, g):
+        # c4^3 leaves the float range (g = 1e60), or c4 itself does (1e200,
+        # where the discriminant turns NaN); both are ConsistencyError, as the
+        # spectrum of the same point is.
+        params = RESONANT.replace(g=g)
+        with pytest.raises(ConsistencyError):
+            degeneracy_discriminant(params)
+        with pytest.raises(ConsistencyError):
+            eigenfrequencies(params)
+
 
 class TestS2Response:
     def test_initial_value_theorem(self):
@@ -300,6 +312,91 @@ class TestSweep:
         assert first[0] == "0" and first[7] == "" and first[8] == "true"
         last = lines[3].split(",")
         assert last[8] == "false" and float(last[7]) > 0.0
+
+
+def reference_csv_number(x) -> str:
+    """Reference: one ``format`` call per CSV field."""
+    return format(x, ".12g")
+
+
+def reference_sweep_csv(rows) -> str:
+    lines = ["param,w1,w2,w3,w4,w5,w6,delta,degenerate"]
+    for row in rows:
+        freq = ",".join(reference_csv_number(w) for w in row.frequencies)
+        delta = "" if row.delta_err is None else reference_csv_number(row.delta_err)
+        flag = "true" if row.degenerate else "false"
+        lines.append(f"{reference_csv_number(row.param)},{freq},{delta},{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_numeric_csv(header, rows) -> str:
+    return "\n".join([header, *(",".join(reference_csv_number(x) for x in row) for row in rows)]) + "\n"
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-17, 1e308, -1e308, 0.1, 1 / 3, 123456789012.5, 2.0**-1074 * 3]
+
+
+class TestCsvWritersMatchPerFieldFormat:
+    def test_sweep_rows(self):
+        rows = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 61) + sweep_spectrum(
+            solve_comb_params(QUBIT_COUPLING, "A").params, "delta", 0.0, 2.0, 41
+        )
+        assert any(row.delta_err is None for row in rows) and any(row.delta_err is not None for row in rows)
+        assert sweep_rows_to_csv(rows) == reference_sweep_csv(rows)
+
+    def test_sweep_edge_values_and_cell_types(self):
+        values = EDGE_VALUES + [np.float64(2.5e-300), np.float64(-7.25), 3, -12, 10**20]
+        rows = []
+        for k, value in enumerate(values):
+            freqs = tuple(values[(k + j) % len(values)] for j in range(6))
+            for delta_err in (values[(k + 6) % len(values)], None):
+                rows += [SweepRow(value, freqs, delta_err, flag) for flag in (False, True)]
+        assert sweep_rows_to_csv(rows) == reference_sweep_csv(rows)
+
+    def test_sweep_zero_rows(self):
+        assert sweep_rows_to_csv([]) == reference_sweep_csv([]) == "param,w1,w2,w3,w4,w5,w6,delta,degenerate\n"
+
+    def test_numeric_csv(self):
+        values = EDGE_VALUES + [math.inf, -math.inf, math.nan, np.float64(1e-300), np.float64(-2.5), 7, 0, -10**20]
+        rows = [tuple(values[(k + j) % len(values)] for j in range(3)) for k in range(len(values))]
+        rows.append(np.array([0.25, np.inf, np.nan]))
+        assert model_module._csv("a,b,c", rows) == reference_numeric_csv("a,b,c", rows)
+        assert model_module._csv("a,b,c", []) == reference_numeric_csv("a,b,c", []) == "a,b,c\n"
+
+    def test_random_bit_patterns(self, rng):
+        values = rng.integers(0, 2**64, size=6000, dtype=np.uint64).view(np.float64).tolist()
+        rows = [tuple(values[k:k + 6]) for k in range(0, len(values), 6)]
+        assert model_module._csv("a,b,c,d,e,f", rows) == reference_numeric_csv("a,b,c,d,e,f", rows)
+        sweep_rows = [SweepRow(row[0], row, row[1], False) for row in rows]
+        assert sweep_rows_to_csv(sweep_rows) == reference_sweep_csv(sweep_rows)
+
+
+class TestSweepRowContract:
+    def test_fields_in_order(self):
+        row = SweepRow(0.5, (-1.0, 0.0, 0.0, 0.0, 0.0, 1.0), None, True)
+        assert SweepRow._fields == ("param", "frequencies", "delta_err", "degenerate")
+        assert tuple(row) == (row.param, row.frequencies, row.delta_err, row.degenerate)
+        assert SweepRow(param=0.5, frequencies=row.frequencies, delta_err=None, degenerate=True) == row
+
+    def test_immutable(self):
+        row = sweep_spectrum(RESONANT, "g", 0.0, 1.0, 2)[0]
+        for name in ("param", "delta_err", "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, 1.0)
+
+    def test_rows_of_equal_sweeps_compare_equal(self):
+        first = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 31)
+        second = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 31)
+        assert first == second and first is not second
+        assert first[1] != first[2]
+        assert all(type(row.param) is float and type(row.frequencies) is tuple for row in first)
+
+    def test_json_dict(self):
+        rows = sweep_spectrum(RESONANT, "g", 0.0, 1.0, 3)
+        assert rows[0].to_json_dict() == {
+            "param": 0.0, "frequencies": list(rows[0].frequencies), "delta": None, "degenerate": True,
+        }
+        assert rows[-1].to_json_dict()["delta"] == rows[-1].delta_err > 0.0
 
 
 def pointwise_sweep(base, vary, values, constraint=None):
