@@ -17,13 +17,14 @@ coefficients are
 so c0 >= 0 always, and c0 = 0 exactly when delta = +-f2 (the zero-frequency
 pair that produces the central degeneracy of a designed comb).
 
-Eigenfrequencies are always computed twice, from the cubic in closed form and
-from a symmetric eigensolver, and the two routes must agree; a disagreement
-raises ConsistencyError because it can only come from a bug.  A single
-point runs the scalar cubic; a sweep runs both routes on all its points at
-once (one batched eigensolver call, the cubic vectorized over the grid).
-Both cubics use the same numpy kernels and exact products, so they round
-alike and pass or fail the check on the same points.
+Eigenfrequencies come from a symmetric eigensolver and are checked against
+the closed-form coefficients: by Vieta, the squared frequencies of each half
+of the spectrum have the elementary symmetric functions c4, c2 and c0.  The
+check is relative to the spectrum's scale and well conditioned at any
+multiplicity, so a failure raises ConsistencyError because it can only come
+from a bug.  A sweep runs the eigensolver once over all its points and the
+same check on every point.  ``frequencies_from_charpoly`` solves the cubic
+in closed form, the paper's algebraic route.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ from .model import _NUM, SystemParams, _first_invalid, _generator, build_couplin
 #: below the comb spacing.
 DEFAULT_DEGENERACY_TOL = 1e-7
 
-_DUAL_ROUTE_TOL = 1e-9
+#: Largest gap ``_coefficient_gap`` passes.  A backward-stable eigensolver
+#: keeps the gap at a few eps whatever the multiplicity (measured <= 1e-14).
+_COEFFICIENT_TOL = 1e-12
+
+#: Eigensolver frequencies below the smallest normal float are rounded to an
+#: absolute 2^-1074, so the check takes this as their scale instead.
+_TINY = np.finfo(float).tiny
 
 _SWEEPABLE = ("g", "delta", "f1", "f2")
 
@@ -145,16 +152,10 @@ def _real_quadratic_roots(b: float, c: float) -> list[float]:
 
 
 #: A cubic root q this much smaller than the middle one is taken from the
-#: product of the roots, -c0.  The trigonometric form leaves it an absolute
-#: error ~eps*c4, which w = sqrt(-q) turns into a frequency error above the
-#: dual-route tolerance as w -> 0 (delta -> +-f2, next to a designed comb).
+#: product of the roots, -c0.  The trigonometric form leaves every root an
+#: absolute error ~eps*c4, so such a root keeps few correct digits, and
+#: w = sqrt(-q) fewer still as w -> 0 (delta -> +-f2, next to a designed comb).
 _SMALL_ROOT = 1e-3
-
-#: The three angle offsets of the trigonometric form.  Both cubics take
-#: numpy's arccos and cos on them, whose results do not depend on how many
-#: elements one call sees, so they round alike (the C library's acos does not
-#: match numpy's vectorized one in the last bit).
-_THIRDS = 2.0 * math.pi * np.arange(3) / 3.0
 
 
 def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
@@ -181,8 +182,8 @@ def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
         m = 2.0 * math.sqrt(-p / 3.0)
         cosarg = 3.0 * r / (p * m)  # equals -4r/m^3
         cosarg = min(1.0, max(-1.0, cosarg))
-        theta = np.arccos(cosarg) / 3.0
-        roots = (m * np.cos(theta - _THIRDS)).tolist()
+        theta = math.acos(cosarg) / 3.0
+        roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
     lo, mid, hi = sorted(t - shift for t in roots)
     if abs(hi) < _SMALL_ROOT * abs(mid):
         hi = -d / (lo * mid)
@@ -202,47 +203,6 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     return tuple(sorted(freqs))
 
 
-def _closed_form_rows(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``frequencies_from_charpoly`` on arrays of (c4, c2, c0), row by row.
-
-    Each row takes the scalar route's case with the same operations and the
-    same numpy kernels, so it rounds alike: the exact factorization when
-    c0 == 0, the cbrt of a (near-)triple root, or the trigonometric form, then
-    the small-root product.  Returns the (n, 6) ascending frequencies and the
-    mask of rows the scalar route refuses (complex quadratic factor or a root
-    q > 0); refused rows hold meaningless values.
-    """
-    qs = np.empty((len(b), 3))
-    refused = np.zeros(len(b), dtype=bool)
-    # c0 == 0: q = 0 plus the roots of q^2 + b q + c.
-    z = d == 0.0
-    bz, cz = b[z], c[z]
-    disc = bz * bz - 4.0 * cz
-    refused[z] = disc < -1e-10 * np.maximum(np.maximum(1.0, bz * bz), np.abs(cz))
-    root = np.sqrt(np.maximum(disc, 0.0))
-    q = np.where(bz != 0.0, -0.5 * (bz + np.copysign(root, bz)), 0.5 * root)
-    qs[z] = np.stack([np.zeros_like(q), q, np.where(q == 0.0, 0.0, cz / q)], axis=1)
-    # c0 != 0: the depressed cubic t^3 + p t + r with q = t - b/3.
-    bn, cn, dn = b[~z], c[~z], d[~z]
-    p = cn - bn * bn / 3.0
-    r = dn + bn * (2.0 * bn * bn - 9.0 * cn) / 27.0
-    triple = p >= -1e-14 * np.maximum(np.maximum(1.0, np.abs(bn) * np.abs(bn)), np.abs(cn))
-    t = np.empty((len(bn), 3))
-    t[triple] = -np.cbrt(r[triple])[:, None]
-    p, r = p[~triple], r[~triple]
-    m = 2.0 * np.sqrt(-p / 3.0)
-    theta = np.arccos(np.clip(3.0 * r / (p * m), -1.0, 1.0)) / 3.0
-    t[~triple] = m[:, None] * np.cos(theta[:, None] - _THIRDS)
-    qs[~z] = t - (bn / 3.0)[:, None]
-    qs.sort(axis=1)
-    lo, mid, hi = qs.T
-    small = ~z & (np.abs(hi) < _SMALL_ROOT * np.abs(mid))
-    qs[small, 2] = -d[small] / (lo[small] * mid[small])
-    refused |= (qs > 1e-9 * (1.0 + b)[:, None]).any(axis=1)
-    w = np.sqrt(np.maximum(-qs, 0.0))
-    return np.sort(np.concatenate([-w, w], axis=1), axis=1), refused
-
-
 def _cluster(frequencies: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
     groups: list[list[float]] = []
     for f in frequencies:
@@ -260,24 +220,52 @@ def _check_degeneracy_tol(degeneracy_tol: float) -> None:
         raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
 
 
+def _coefficient_gap(freqs, g, delta, f1, f2):
+    """How far eigensolver frequencies are from the closed-form Det(p).
+
+    ``freqs`` holds the six ascending frequencies for float parameters, or one
+    such row per point for parameter arrays.  By Vieta, the elementary
+    symmetric functions e1, e2, e3 of the squared frequencies of each half of
+    the spectrum equal c4, c2 and c0; the gap is the largest |e_k - c_k| /
+    s^(2k), with s the top frequency (at least ``_TINY``).  Coefficients are
+    well conditioned in the eigenvalues at any multiplicity, so the gap of a
+    correct spectrum stays near eps.  Both sides are homogeneous of degree 2k,
+    so the frequencies and parameters are divided by s first, which leaves the
+    gap unchanged and keeps the coefficients in the float range.  A NaN or
+    infinite frequency gives a NaN or infinite gap.
+    """
+    w = freqs.T
+    scale = np.maximum(w[5], _TINY)
+    c4, c2, c0 = _char_poly_coeffs(g / scale, delta / scale, f1 / scale, f2 / scale)
+    gaps = []
+    with np.errstate(invalid="ignore"):  # infinite frequencies
+        q = np.square(w / scale)
+        for a, b, c in (q[:3], q[3:]):
+            gaps += [abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)]
+    return np.max(gaps, axis=0)
+
+
+def _gap_error(gap: float, params: SystemParams) -> ConsistencyError:
+    return ConsistencyError(
+        f"eigensolver frequencies miss the closed-form coefficients by {gap:.3e} (relative) for {params}"
+    )
+
+
 def eigenfrequencies(
     params: SystemParams, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
 ) -> Spectrum:
-    """Six real eigenfrequencies of the chain, computed two independent ways.
+    """Six real eigenfrequencies of the chain, checked against the closed form.
 
-    Route (a) solves the closed-form cubic in q = p^2; route (b) diagonalizes
-    the real symmetric generator.  Both must agree within 1e-9; the
-    eigensolver result is returned because it stays orthonormal at
-    degeneracies.
+    The real symmetric generator is diagonalized; the result stays
+    orthonormal at degeneracies.  Its squared frequencies must reproduce the
+    closed-form coefficients (c4, c2, c0) on each half of the spectrum to a
+    relative 1e-12 (see ``_coefficient_gap``), else ConsistencyError is raised.
     """
     _check_degeneracy_tol(degeneracy_tol)
-    closed = frequencies_from_charpoly(char_poly(params))
     numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
-    gap = float(np.max(np.abs(numeric - np.asarray(closed))))
-    if not gap <= _DUAL_ROUTE_TOL:  # also refuses a NaN gap
-        raise ConsistencyError(
-            f"closed-form and eigensolver frequencies disagree by {gap:.3e} for {params}"
-        )
+    gap = _coefficient_gap(numeric, params.g, params.delta, params.f1, params.f2)
+    if not gap <= _COEFFICIENT_TOL:  # also refuses a NaN gap
+        raise _gap_error(gap, params)
     freqs = tuple(float(w) for w in numeric)
     return Spectrum(
         frequencies=freqs,
@@ -316,8 +304,9 @@ def _nonequidistance_or_none(spectrum: Spectrum) -> float | None:
 def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
     """Discriminant of the cubic in q = p^2 plus the c0 = 0 flag.
 
-    Raises ConsistencyError when the discriminant overflows, as
-    ``eigenfrequencies`` does for the same parameters.
+    Raises ConsistencyError when the discriminant, of degree 12 in the
+    parameters, overflows (from g ~ 1e38 on the resonant chain), also where
+    ``eigenfrequencies`` still succeeds.
     """
     cp = char_poly(params)
     c4, c2, c0 = cp.c4, cp.c2, cp.c0
@@ -444,21 +433,6 @@ class SweepRow(NamedTuple):
         }
 
 
-def _batched_spectra(g, delta, f1, f2) -> tuple[np.ndarray, np.ndarray]:
-    """Both spectral routes on every row of the parameter arrays at once.
-
-    Returns the eigensolver frequencies, (n, 6) ascending, and the mask of
-    rows on which the closed-form route agrees with them within
-    ``_DUAL_ROUTE_TOL``.  Rows whose coefficients overflow get a NaN gap and
-    fail the check without a floating-point warning.
-    """
-    numeric = np.linalg.eigvalsh(_generator(g, delta, f1, f2))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        closed, refused = _closed_form_rows(*_char_poly_coeffs(g, delta, f1, f2))
-        gap = np.max(np.abs(numeric - closed), axis=1)
-    return numeric, ~refused & (gap <= _DUAL_ROUTE_TOL)
-
-
 def sweep_spectrum_values(
     base: SystemParams,
     vary: str,
@@ -474,12 +448,10 @@ def sweep_spectrum_values(
     computed.
 
     All points are diagonalized in one batched eigensolver call, and every
-    point is checked against the closed-form cubic.  A failure raises the
-    error that running the points one at a time raises at the first failing
-    point, except that the constraint sees the whole grid first, so its
-    errors come before any spectrum error.  A point the batch fails is run
-    once through ``eigenfrequencies`` for its error; if that passes, the
-    two routes disagree and ConsistencyError is raised.
+    point gets the check of ``eigenfrequencies``.  A failure raises the error
+    that running the points one at a time raises at the first failing point,
+    except that the constraint sees the whole grid first, so its errors come
+    before any spectrum error.
     """
     if vary not in _SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_SWEEPABLE}")
@@ -500,11 +472,12 @@ def sweep_spectrum_values(
         if bad < len(grid):
             SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
     _check_degeneracy_tol(degeneracy_tol)
-    freqs, passed = _batched_spectra(*columns)
-    if not passed.all():
-        params = SystemParams(*(float(c[np.argmin(passed)]) for c in columns), omega0=base.omega0)
-        eigenfrequencies(params, degeneracy_tol)  # raises that point's own error
-        raise ConsistencyError(f"batched and single-point spectral routes disagree for {params}")
+    freqs = np.linalg.eigvalsh(_generator(*columns))
+    gaps = _coefficient_gap(freqs, *columns)
+    failed = ~(gaps <= _COEFFICIENT_TOL)  # also fails a NaN gap
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise _gap_error(gaps[k], SystemParams(*(float(c[k]) for c in columns), omega0=base.omega0))
     degenerate = (np.diff(freqs, axis=1) <= degeneracy_tol).any(axis=1)  # _cluster's chaining rule
     w1, w2, w3 = freqs[:, 3], freqs[:, 4], freqs[:, 5]
     undefined = degenerate | (w1 <= degeneracy_tol)

@@ -66,6 +66,12 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("trichain: error:")
 
+    def test_resonant_chain_at_large_coupling(self, capsys):
+        # Raised ConsistencyError ("disagree by 1.965e-05") under the
+        # frequency-space check of the closed-form cubic.
+        assert run(["spectrum", "--g", "1000", "--delta", "0", "--f1", "1", "--f2", "1"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 2
+
     def test_preset_lands_on_the_comb(self, capsys):
         assert run(["spectrum", "--preset", "qubit"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]
@@ -81,6 +87,11 @@ class TestSweepCommand:
         assert len(rows) == 5
         assert rows[0]["degenerate"] == "true"
         assert rows[-1]["degenerate"] == "false"
+
+    def test_sweep_toward_the_triple_root(self, capsys):
+        assert run(["sweep", "--vary", "g", "--lo", "0", "--hi", "0.001", "--n", "50",
+                    "--delta", "0", "--f1", "1", "--f2", "1"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 51
 
     def test_constraint_option(self, tmp_path):
         out = tmp_path / "sweep.json"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from trichain import (
 )
 import trichain.model as model_module
 import trichain.spectrum as spectrum_module
-from trichain.spectrum import _batched_spectra, _char_poly_coeffs, _closed_form_rows, _cluster
+from trichain.spectrum import _char_poly_coeffs, _cluster, _coefficient_gap
 from conftest import random_params
 
 RESONANT = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -116,26 +117,42 @@ class TestEigenfrequencies:
             assert abs(freqs.sum()) <= 1e-9
 
     def test_near_zero_frequency_pair_passes_the_dual_route_check(self):
-        # delta -> +-f2 sends a +-w pair to zero next to a designed comb; the
-        # closed form must resolve w there, not only at c0 == 0 exactly.
+        # delta -> +-f2 sends a +-w pair to zero next to a designed comb; both
+        # the eigensolver and the closed form (through _SMALL_ROOT) must
+        # resolve w there, not only at c0 == 0 exactly.
         for eps in np.logspace(-13, -5, 33):
             for sign in (1.0, -1.0):
                 params = SystemParams(g=0.5, delta=sign * (1.0 + eps), f1=1.0, f2=1.0)
                 w = eigenfrequencies(params).frequencies[3]
                 assert w == pytest.approx(math.sqrt(0.8) * eps, rel=1e-3)
+                w = frequencies_from_charpoly(char_poly(params))[3]
+                assert w == pytest.approx(math.sqrt(0.8) * eps, rel=1e-3)
+
+    def test_resonant_chain_at_large_coupling(self):
+        # The frequency-space check of the closed-form cubic, at an absolute
+        # 1e-9, failed 103 of these 301 points (from g = 66 on).
+        for g in np.logspace(0, 3, 301):
+            eigenfrequencies(RESONANT.replace(g=float(g)))
 
     def test_rejects_nonpositive_tolerance(self):
         for bad_tol in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
                 eigenfrequencies(RESONANT, degeneracy_tol=bad_tol)
 
-    def test_overflowing_coefficients_fail_the_dual_route_check(self):
-        # g^2 overflows, the closed form turns NaN, and a NaN gap must fail
-        # the check (silently: a RuntimeWarning fails the test suite).
-        with pytest.raises(TrichainError):
-            eigenfrequencies(RESONANT.replace(g=1e200))
-        with pytest.raises(TrichainError):
-            sweep_spectrum_values(RESONANT, "g", [1e170, 1e200])
+    @pytest.mark.parametrize("point", [(0.5, 0.3, 0.8, 0.9), (1.0, 0.0, 1.0, 1.0)])
+    def test_check_passes_at_every_scale(self, point):
+        # c0, of degree 6, underflows from parameters ~1e-54 down and overflows
+        # from ~1e51 up; the check scales the parameters into range first.
+        for k in range(-1020, 1021, 20):
+            eigenfrequencies(SystemParams(*(x * 2.0**k for x in point)))
+
+    def test_non_finite_frequencies_fail_the_check(self):
+        # The eigensolver overflows to +-inf, the gap turns NaN, and a NaN gap
+        # must fail the check (silently: a RuntimeWarning fails the test suite).
+        with pytest.raises(ConsistencyError, match="by nan"):
+            eigenfrequencies(RESONANT.replace(g=1.7e308))
+        with pytest.raises(ConsistencyError, match="by nan .* for SystemParams.g=1.7e.308,"):
+            sweep_spectrum_values(RESONANT, "g", [1e170, 1.7e308])
 
 
 class TestNonequidistanceError:
@@ -198,13 +215,14 @@ class TestDegeneracyDiscriminant:
     @pytest.mark.parametrize("g", [1e60, 1e200])
     def test_overflowing_discriminant_is_refused(self, g):
         # c4^3 leaves the float range (g = 1e60), or c4 itself does (1e200,
-        # where the discriminant turns NaN); both are ConsistencyError, as the
-        # spectrum of the same point is.
+        # where the discriminant turns NaN); both are ConsistencyError.  The
+        # spectral check scales the coefficients into range, so the spectrum
+        # of the same point is the eigensolver's.
         params = RESONANT.replace(g=g)
         with pytest.raises(ConsistencyError):
             degeneracy_discriminant(params)
-        with pytest.raises(ConsistencyError):
-            eigenfrequencies(params)
+        numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
+        assert eigenfrequencies(params).frequencies == tuple(numeric.tolist())
 
 
 class TestS2Response:
@@ -476,34 +494,32 @@ class TestBatchedSweepMatchesSinglePoint:
         anchor_row = rows[int(np.searchsorted(values, anchor.f2))]
         assert anchor_row[0] == anchor.f2 and anchor_row[3] is True
 
-    def test_log_spaced_resonant_grid_fails_at_the_same_point(self):
-        # 2 172 of these 4 000 points fail the dual-route check (the
-        # trigonometric cubic near the triple |w| = 1 root).
-        error = assert_batched_matches_pointwise(RESONANT, "g", np.logspace(-8, -1, 4000))
-        assert error[0] == "ConsistencyError"
-
-    @pytest.mark.parametrize("values", [np.logspace(-8, -1, 4000), np.logspace(-1, -8, 4000)])
-    def test_failing_sweep_makes_one_single_point_call(self, values, monkeypatch):
-        expected = outcome(pointwise_sweep, RESONANT, "g", values)
+    def test_log_spaced_grid_passes_without_replay(self, monkeypatch):
+        # Near the triple |w| = 1 root, where the frequency-space check of the
+        # closed-form cubic failed 2 172 of these 4 000 points: in either grid
+        # order every row passes and equals eigenfrequencies, which the sweep
+        # never calls.
+        grids = np.logspace(-8, -1, 4000), np.logspace(-1, -8, 4000)
+        expected = [outcome(pointwise_sweep, RESONANT, "g", values) for values in grids]
         calls = []
+        monkeypatch.setattr(spectrum_module, "eigenfrequencies", lambda *args: calls.append(args))
+        assert [outcome(sweep_spectrum_values, RESONANT, "g", values) for values in grids] == expected
+        assert [len(rows) for rows in expected] == [4000, 4000] and calls == []
 
-        def counted(*args):
-            calls.append(args)
-            return eigenfrequencies(*args)
+    @pytest.mark.parametrize("bad_gap", [2e-12, math.nan])
+    def test_batch_failure_the_single_point_route_passes_raises(self, bad_gap, monkeypatch):
+        def second_row_fails(freqs, *columns):
+            gaps = _coefficient_gap(freqs, *columns)
+            gaps[1] = bad_gap
+            return gaps
 
-        monkeypatch.setattr(spectrum_module, "eigenfrequencies", counted)
-        assert outcome(sweep_spectrum_values, RESONANT, "g", values) == expected
-        assert expected[0] == "ConsistencyError" and len(calls) == 1
-
-    def test_batch_failure_the_single_point_route_passes_raises(self, monkeypatch):
-        def second_row_fails(*columns):
-            freqs, passed = _batched_spectra(*columns)
-            passed[1] = False
-            return freqs, passed
-
-        monkeypatch.setattr(spectrum_module, "_batched_spectra", second_row_fails)
-        with pytest.raises(ConsistencyError, match="routes disagree for SystemParams.g=0.5,"):
+        calls = []
+        monkeypatch.setattr(spectrum_module, "_coefficient_gap", second_row_fails)
+        monkeypatch.setattr(spectrum_module, "eigenfrequencies", lambda *args: calls.append(args))
+        message = re.escape(f"by {bad_gap:.3e} (relative) for SystemParams(g=0.5,")
+        with pytest.raises(ConsistencyError, match=message):
             sweep_spectrum_values(RESONANT, "g", [0.25, 0.5, 0.75])
+        assert calls == []
 
     def test_batched_coefficients_round_like_the_scalar_ones(self, rng):
         columns = rng.uniform(0.0, 2.0, (4, 20000))
@@ -511,36 +527,6 @@ class TestBatchedSweepMatchesSinglePoint:
         batched = np.array(_char_poly_coeffs(*columns)).T
         single = [list(astuple(char_poly(SystemParams(*row)))) for row in columns.T.tolist()]
         assert batched.tolist() == single
-
-    def test_batched_closed_form_rounds_like_the_scalar_one(self):
-        # Near the triple |w| = 1 root the cubic turns a last-bit difference
-        # into a gap change far above the 1e-9 tolerance, so both routes must
-        # round alike to pass and fail alike: they share numpy's arccos and
-        # cos and compute powers as exact products.  The rows near a
-        # zero-frequency pair take the small-root product in both.
-        rng = np.random.default_rng(11)
-        n = 2000
-        eps = np.exp(rng.uniform(math.log(1e-12), math.log(1e-3), n)) * rng.choice([-1.0, 1.0], n)
-        f2 = rng.uniform(0.1, 2.0, n)
-        columns = [np.concatenate(pair) for pair in (
-            (np.logspace(-8, -1, 4000), rng.uniform(0.0, 2.0, n)),  # g
-            (np.zeros(4000), f2 * (1.0 + eps)),                    # delta
-            (np.ones(4000), rng.uniform(0.0, 2.0, n)),             # f1
-            (np.ones(4000), f2),                                   # f2
-        )]
-        closed, refused = _closed_form_rows(*_char_poly_coeffs(*columns))
-        _, passed = _batched_spectra(*columns)
-        for k, row in enumerate(zip(*(c.tolist() for c in columns))):
-            params = SystemParams(*row)
-            assert not refused[k]
-            assert tuple(closed[k].tolist()) == frequencies_from_charpoly(char_poly(params))
-            try:
-                eigenfrequencies(params)
-            except ConsistencyError:
-                assert not passed[k]
-            else:
-                assert passed[k]
-        assert 0 < passed.sum() < len(passed)
 
     @pytest.mark.parametrize("vary, values, branch", [
         ("g", [0.5, -1.0, 0.3], None),
@@ -554,3 +540,49 @@ class TestBatchedSweepMatchesSinglePoint:
     def test_first_failing_point_raises(self, vary, values, branch):
         error = assert_batched_matches_pointwise(RESONANT, vary, values, branch)
         assert isinstance(error, tuple)
+
+
+def assert_sweep_passes_pointwise(base, vary, values, branch=None):
+    rows = assert_batched_matches_pointwise(base, vary, values, branch)
+    assert isinstance(rows, list), rows  # (error type, message) otherwise
+
+
+# 10^x for x in [-16, -1]: log-spaced approaches to a degeneracy.
+approach = st.lists(st.floats(min_value=-16.0, max_value=-1.0), min_size=1, max_size=20).map(
+    lambda xs: 10.0 ** np.array(xs)
+)
+
+
+class TestNearDegenerateManifolds:
+    """Near the degenerate spectra no point raises ConsistencyError, and the
+    batched sweep equals ``eigenfrequencies`` run point by point."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=approach, kappa=st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x))
+    def test_triple_root_as_g_vanishes(self, eps, kappa):
+        base = SystemParams(g=0.0, delta=0.0, f1=kappa, f2=kappa)
+        assert_sweep_passes_pointwise(base, "g", kappa * eps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        eps=approach, g=st.floats(min_value=0.0, max_value=2.0), f1=st.floats(min_value=0.0, max_value=2.0),
+        f2=st.floats(min_value=1e-3, max_value=2.0), sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_zero_frequency_pair_as_delta_nears_f2(self, eps, g, f1, f2, sign):
+        base = SystemParams(g=g, delta=0.0, f1=f1, f2=f2)
+        values = sign * f2 * np.concatenate([1.0 - eps, [1.0], 1.0 + eps])
+        assert_sweep_passes_pointwise(base, "delta", values)
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=approach, g=st.floats(min_value=1e-6, max_value=1.0), branch=st.sampled_from("AB"))
+    def test_designed_combs_on_both_branches(self, eps, g, branch):
+        comb = solve_comb_params(g, branch)
+        values = comb.f2 * np.concatenate([1.0 - eps, [1.0], 1.0 + eps])
+        assert_sweep_passes_pointwise(comb.params, "delta", values, branch)
+
+    @settings(max_examples=50, deadline=None)
+    @given(eps=approach, branch=st.sampled_from("AB"))
+    def test_branch_junction_at_g_1(self, eps, branch):
+        # Both branches meet at g = 1 with f2^2 = 1/2; delta = f2 puts the comb there.
+        base = SystemParams(g=1.0, delta=math.sqrt(0.5), f1=1.0, f2=1.0)
+        assert_sweep_passes_pointwise(base, "g", np.append(1.0 - eps, 1.0), branch)
