@@ -494,17 +494,20 @@ class TestBatchedSweepMatchesSinglePoint:
         anchor_row = rows[int(np.searchsorted(values, anchor.f2))]
         assert anchor_row[0] == anchor.f2 and anchor_row[3] is True
 
+    # Near the triple |w| = 1 root, where the frequency-space check of the
+    # closed-form cubic failed 2 172 of these 4 000 points.
+    log_spaced_grids = np.logspace(-8, -1, 4000), np.logspace(-1, -8, 4000)
+
+    def test_log_spaced_grid_rows_equal_single_point(self):
+        for values in self.log_spaced_grids:
+            assert_sweep_passes_pointwise(RESONANT, "g", values)
+
     def test_log_spaced_grid_passes_without_replay(self, monkeypatch):
-        # Near the triple |w| = 1 root, where the frequency-space check of the
-        # closed-form cubic failed 2 172 of these 4 000 points: in either grid
-        # order every row passes and equals eigenfrequencies, which the sweep
-        # never calls.
-        grids = np.logspace(-8, -1, 4000), np.logspace(-1, -8, 4000)
-        expected = [outcome(pointwise_sweep, RESONANT, "g", values) for values in grids]
         calls = []
         monkeypatch.setattr(spectrum_module, "eigenfrequencies", lambda *args: calls.append(args))
-        assert [outcome(sweep_spectrum_values, RESONANT, "g", values) for values in grids] == expected
-        assert [len(rows) for rows in expected] == [4000, 4000] and calls == []
+        for values in self.log_spaced_grids:
+            assert len(sweep_spectrum_values(RESONANT, "g", values)) == 4000
+        assert calls == []
 
     @pytest.mark.parametrize("bad_gap", [2e-12, math.nan])
     def test_batch_failure_the_single_point_route_passes_raises(self, bad_gap, monkeypatch):
