@@ -1,6 +1,10 @@
 """Command-line front end: spectra, sweeps, comb solving, energy programming,
 evolution runs, and reference figure data, with CSV/JSON output.
 
+Commands parse options and write text; each record's CSV and JSON come from
+the module that computes it.  Options declare their defaults, and ``--config``
+values replace those before a second parse, so explicit flags win.
+
 Exit codes are a stable scripting contract: 0 success, 1 I/O failure,
 2 usage or validation error.  The environment variable TRICHAIN_VERBOSE
 (any value other than empty or "0") enables progress lines on stderr and
@@ -30,19 +34,18 @@ from .comb import (
     solve_g_for_energy,
 )
 from .dynamics import (
+    _energies_to_json_dict,
     energies_to_csv,
-    energies,
     evolve_schedule,
     evolve_spectral,
     schedule_from_json,
 )
 from .errors import TrichainError
-from .model import SystemParams, _csv, _fmt, initial_state, params_from_config
+from .model import SystemParams, _csv, initial_state, params_from_config
 from .spectrum import (
     DEFAULT_DEGENERACY_TOL,
-    _nonequidistance_or_none,
-    degeneracy_discriminant,
-    eigenfrequencies,
+    _spectrum_record,
+    _spectrum_record_to_csv,
     sweep_rows_to_csv,
     sweep_spectrum,
     sweep_spectrum_values,
@@ -52,8 +55,6 @@ _PRESETS = {"qubit": QUBIT_COUPLING, "qutrit": QUTRIT_COUPLING}
 
 # Destinations of the options _add_params_options adds.
 _PARAM_OPTIONS = ("g", "delta", "f1", "f2", "omega0", "params", "comb", "preset")
-
-_SPECTRUM_CSV_HEADER = "w1,w2,w3,w4,w5,w6,delta,degenerate,discriminant,zero_frequency_pair"
 
 
 class UsageError(Exception):
@@ -87,7 +88,7 @@ def _json_dumps(obj) -> str:
 def _add_common_output(parser: argparse.ArgumentParser, formats=("csv", "json")) -> None:
     parser.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
     if formats:
-        parser.add_argument("--format", choices=formats, default=None,
+        parser.add_argument("--format", choices=formats, default=formats[0],
                             help=f"output format (default {formats[0]})")
 
 
@@ -106,9 +107,8 @@ def _add_params_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    config_path = getattr(args, "config", None)
-    if not config_path:
-        return
+    """Make the values of the ``--config`` file the subcommand's option defaults."""
+    config_path = args.config
     text = _read_text(config_path, "config")
     try:
         data = json.loads(text)
@@ -116,13 +116,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise UsageError(f"config {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {config_path} must contain a JSON object")
-    options = {action.dest: action for action in args.options if hasattr(args, action.dest)}
+    options = {action.dest: action for action in args.subparser._actions if hasattr(args, action.dest)}
+    defaults = {}
     for key, value in data.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise UsageError(f"config {config_path}: unknown option {key!r}")
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, _config_value(config_path, key, action, value))
+        defaults[action.dest] = _config_value(config_path, key, action, value)
+    args.subparser.set_defaults(**defaults)
 
 
 def _config_value(config_path: str, key: str, action: argparse.Action, value):
@@ -167,31 +168,11 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
-    tol = args.degeneracy_tol if args.degeneracy_tol is not None else DEFAULT_DEGENERACY_TOL
-    spectrum = eigenfrequencies(params, tol)
-    delta_err = _nonequidistance_or_none(spectrum)
-    report = degeneracy_discriminant(params)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = {
-            "frequencies": list(spectrum.frequencies),
-            "delta": delta_err,
-            "degenerate": delta_err is None,
-            "discriminant": report.discriminant,
-            "zero_frequency_pair": report.zero_frequency_pair,
-            "clusters": [[value, mult] for value, mult in spectrum.clusters],
-        }
-        _write_output(args.out, _json_dumps(payload))
+    record = _spectrum_record(_resolve_params(args), args.degeneracy_tol)
+    if args.format == "json":
+        _write_output(args.out, _json_dumps(record))
     else:
-        row = ",".join(
-            [_fmt(w) for w in spectrum.frequencies]
-            + ["" if delta_err is None else _fmt(delta_err)]
-            + ["true" if delta_err is None else "false"]
-            + [_fmt(report.discriminant)]
-            + ["true" if report.zero_frequency_pair else "false"]
-        )
-        _write_output(args.out, _SPECTRUM_CSV_HEADER + "\n" + row + "\n")
+        _write_output(args.out, _spectrum_record_to_csv(record))
     return 0
 
 
@@ -204,11 +185,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         setattr(args, args.vary, float(args.lo))
     params = _resolve_params(args)
     constraint = branch_constraint(args.constraint) if args.constraint else None
-    tol = args.degeneracy_tol if args.degeneracy_tol is not None else DEFAULT_DEGENERACY_TOL
     _progress(f"sweeping {args.vary} over [{args.lo}, {args.hi}] with {args.n} points")
-    rows = sweep_spectrum(params, args.vary, args.lo, args.hi, args.n, constraint, tol)
-    fmt = args.format or "csv"
-    if fmt == "json":
+    rows = sweep_spectrum(params, args.vary, args.lo, args.hi, args.n, constraint, args.degeneracy_tol)
+    if args.format == "json":
         _write_output(args.out, _json_dumps([row.to_json_dict() for row in rows]))
     else:
         _write_output(args.out, sweep_rows_to_csv(rows))
@@ -243,38 +222,26 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # Parameter flags are optional with a schedule, whose file may hold the base,
     # but flags that are given must resolve as they do without one.
     params = None if schedule_text is not None and not given else _resolve_params(args)
-    t_end = args.t_end if args.t_end is not None else 2.0 * math.pi
-    if not math.isfinite(t_end):
-        raise UsageError(f"--t-end must be finite, got {t_end}")
-    n = args.n if args.n is not None else 2001
-    if n < 2:
+    if not math.isfinite(args.t_end):
+        raise UsageError(f"--t-end must be finite, got {args.t_end}")
+    if args.n < 2:
         raise UsageError("--n must be at least 2")
-    init = args.init if args.init is not None else 2
-    times = np.linspace(0.0, t_end, n)
-    v0 = initial_state(init)
+    times = np.linspace(0.0, args.t_end, args.n)
+    v0 = initial_state(args.init)
     if schedule_text is not None:
         schedule = schedule_from_json(schedule_text, base=params)
         trajectory = evolve_schedule(schedule, v0, times)
     else:
         trajectory = evolve_spectral(params, v0, times)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        table = energies(trajectory)
-        payload = {
-            "times": [float(x) for x in table[:, 0]],
-            "energies": {
-                label: [float(x) for x in table[:, k + 1]]
-                for k, label in enumerate(("E_s1", "E_s2", "E_s3", "E_a1", "E_a2", "E_a3"))
-            },
-        }
-        _write_output(args.out, _json_dumps(payload))
+    if args.format == "json":
+        _write_output(args.out, _json_dumps(_energies_to_json_dict(trajectory)))
     else:
         _write_output(args.out, energies_to_csv(trajectory))
     return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir if args.outdir is not None else ".")
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     resonant = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
 
@@ -319,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenfrequencies, non-equidistance error, discriminant")
     _add_params_options(p)
-    p.add_argument("--degeneracy-tol", type=float, default=None)
+    p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
     _add_common_output(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -331,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--constraint", choices=BRANCHES, default=None,
                    help="re-derive f1, f2 from g on this comb branch at every grid point")
-    p.add_argument("--degeneracy-tol", type=float, default=None)
+    p.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
     _add_common_output(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -349,21 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="propagate the excited state, emit mode energies")
     _add_params_options(p)
-    p.add_argument("--t-end", type=float, default=None, help="final time (default 2*pi)")
-    p.add_argument("--n", type=int, default=None, help="number of samples (default 2001)")
-    p.add_argument("--init", type=int, default=None, help="1-based excited mode (default 2)")
+    p.add_argument("--t-end", type=float, default=2.0 * math.pi, help="final time (default 2*pi)")
+    p.add_argument("--n", type=int, default=2001, help="number of samples (default 2001)")
+    p.add_argument("--init", type=int, default=2, help="1-based excited mode (default 2)")
     p.add_argument("--schedule", default=None, metavar="FILE", help="piecewise g(t) JSON")
     _add_common_output(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("figures", help="write the four reference CSV datasets")
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_figures)
 
     for command in sub.choices.values():
         command.add_argument("--config", default=None,
                              help="JSON file of option defaults (explicit flags win)")
-        command.set_defaults(options=command._actions)
+        command.set_defaults(subparser=command)
     return parser
 
 
@@ -371,7 +338,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            _apply_config(args)
+            args = parser.parse_args(argv)  # explicit flags win over the config's defaults
         return args.func(args)
     except (TrichainError, UsageError) as exc:
         print(f"trichain: error: {exc}", file=sys.stderr)

@@ -279,6 +279,13 @@ def energies_to_csv(trajectory: Trajectory) -> str:
     return _csv(_ENERGY_CSV_HEADER, energies(trajectory).tolist())
 
 
+def _energies_to_json_dict(trajectory: Trajectory) -> dict:
+    """The object ``trichain evolve --format json`` writes: the times, and the
+    energies keyed by their ``energies_to_csv`` column names."""
+    times, *columns = energies(trajectory).T.tolist()
+    return {"times": times, "energies": dict(zip(_ENERGY_CSV_HEADER.split(",")[1:], columns))}
+
+
 def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> float:
     """Width of the contiguous window around ``center`` with E_s2 <= threshold.
 

@@ -137,10 +137,6 @@ def spectral_mirror_operator() -> np.ndarray:
 _NUM = "%.12g"
 
 
-def _fmt(x: float) -> str:
-    return _NUM % x
-
-
 def _csv(header: str, rows) -> str:
     """Numeric CSV, one template per row as wide as the header."""
     template = ",".join([_NUM] * (header.count(",") + 1))

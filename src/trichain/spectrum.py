@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DegenerateSpectrumError,
+    DomainError,
     InvalidParameterError,
     PoleError,
 )
@@ -66,6 +67,7 @@ SweepConstraint = Callable[
 ]
 
 _SWEEP_CSV_HEADER = "param,w1,w2,w3,w4,w5,w6,delta,degenerate"
+_SPECTRUM_CSV_HEADER = "w1,w2,w3,w4,w5,w6,delta,degenerate,discriminant,zero_frequency_pair"
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ class DegeneracyReport:
 
     ``discriminant`` vanishes exactly when the cubic in q = p^2 has a
     repeated root, i.e. when two distinct |w| values collide.
-    ``zero_frequency_pair`` flags c0 = 0 (delta = +-f2), the case where a
-    +-w pair sits at w = 0; the spectrum is then degenerate even though the
-    cubic's roots may all be simple.
+    ``zero_frequency_pair`` flags c0 = 0 to a relative 1e-12 (delta = +-f2,
+    or f1 = 0), the case where a +-w pair sits at w = 0; the spectrum is then
+    degenerate even though the cubic's roots may all be simple.
     """
 
     discriminant: float
@@ -124,13 +126,13 @@ def char_poly(params: SystemParams) -> CharPoly:
 
 
 def _char_poly_coeffs(g, delta, f1, f2):
-    """(c4, c2, c0) for floats or for parameter arrays."""
+    """(c4, c2, c0) for floats, for parameter arrays, or exactly for integers."""
     d2 = delta * delta
     g2 = g * g
     f12 = f1 * f1
     f22 = f2 * f2
-    c4 = 2.0 * d2 + 2.0 * g2 + f12 + 2.0 * f22
-    c2 = d2 * d2 + 2.0 * (g2 + f12 - f22) * d2 + 2.0 * (g2 + f12) * f22 + f22 * f22
+    c4 = 2 * d2 + 2 * g2 + f12 + 2 * f22
+    c2 = d2 * d2 + 2 * (g2 + f12 - f22) * d2 + 2 * (g2 + f12) * f22 + f22 * f22
     dm = delta - f2
     dp = delta + f2
     c0 = f12 * (dm * dm) * (dp * dp)
@@ -274,6 +276,18 @@ def eigenfrequencies(
     )
 
 
+def _nonequidistance(freqs, tol):
+    """Non-equidistance error and whether it is undefined, for six ascending
+    frequencies or one such row per point.  It is undefined where neighbours
+    lie within ``tol`` (``_cluster``'s chaining rule) or w1 <= ``tol``."""
+    w = np.asarray(freqs).T
+    w1, w2, w3 = w[3:]
+    undefined = (np.diff(w, axis=0) <= tol).any(axis=0) | (w1 <= tol)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
+    return delta_err, undefined
+
+
 def nonequidistance_error(spectrum: Spectrum) -> float:
     """Deviation of the positive frequencies from the 1:3:5 ratio.
 
@@ -283,44 +297,52 @@ def nonequidistance_error(spectrum: Spectrum) -> float:
     in which case DegenerateSpectrumError is raised rather than returning an
     arbitrary sentinel value.
     """
-    if spectrum.degenerate:
-        raise DegenerateSpectrumError("spectrum has a degenerate cluster; ratio criterion undefined")
-    w1, w2, w3 = spectrum.positive
-    if w1 <= spectrum.degeneracy_tol:
+    delta_err, undefined = _nonequidistance(spectrum.frequencies, spectrum.degeneracy_tol)
+    if undefined:
         raise DegenerateSpectrumError(
-            f"lowest positive frequency {w1} is below the degeneracy tolerance"
+            f"ratio criterion undefined: a degenerate cluster or w1 <= {spectrum.degeneracy_tol}"
         )
-    return abs(w2 / w1 - 3.0) + abs(w3 / w1 - 5.0)
+    return float(delta_err)
 
 
-def _nonequidistance_or_none(spectrum: Spectrum) -> float | None:
-    """The non-equidistance error, or None where it is undefined."""
-    try:
-        return nonequidistance_error(spectrum)
-    except DegenerateSpectrumError:
-        return None
+#: A normalized discriminant below this may be made of terms that underflowed.
+_DISC_UNDERFLOW = _TINY / np.finfo(float).eps
+
+
+def _cubic_discriminant(c4, c2, c0):
+    """Discriminant of q^3 + c4 q^2 + c2 q + c0, for floats or exactly for integers."""
+    c44 = c4 * c4
+    c22 = c2 * c2
+    return 18 * c4 * c2 * c0 - 4 * (c44 * c4) * c0 + c44 * c22 - 4 * (c22 * c2) - 27 * (c0 * c0)
 
 
 def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
-    """Discriminant of the cubic in q = p^2 plus the c0 = 0 flag.
+    """Discriminant of the cubic in q = p^2 plus the zero-frequency-pair flag.
 
-    Raises ConsistencyError when the discriminant, of degree 12 in the
-    parameters, overflows (from g ~ 1e38 on the resonant chain), also where
-    ``eigenfrequencies`` still succeeds.
+    The discriminant, of degree 12, is computed on the parameters divided
+    exactly by a power of two that brings the largest to [0.5, 1); where a
+    parameter below 2^-85 of it may have underflowed, exactly in integers.
+    Raises DomainError when it is outside the float range (from ~1e25 up).
+    The flag is c0 <= 1e-12 * f1^2 * (delta^2 + f2^2)^2, i.e. f1 = 0 or
+    |delta^2 - f2^2| <= 1e-6 * (delta^2 + f2^2), on delta and f2 scaled alike.
     """
-    cp = char_poly(params)
-    c4, c2, c0 = cp.c4, cp.c2, cp.c0
-    c44 = c4 * c4
-    c22 = c2 * c2
-    disc = 18.0 * c4 * c2 * c0 - 4.0 * (c44 * c4) * c0 + c44 * c22 - 4.0 * (c22 * c2) - 27.0 * (c0 * c0)
-    if not math.isfinite(disc):
-        raise ConsistencyError(f"cubic discriminant is not finite ({disc}) for {params}")
-    scale = params.delta * params.delta + params.f2 * params.f2
-    c0_scale = max(1.0, params.f1 * params.f1 * (scale * scale))
-    return DegeneracyReport(
-        discriminant=float(disc),
-        zero_frequency_pair=bool(c0 <= 1e-12 * c0_scale),
-    )
+    raw = (params.g, params.delta, params.f1, params.f2)
+    _, exponent = math.frexp(max(map(abs, raw)))
+    scaled = [math.ldexp(x, -exponent) for x in raw]
+    disc = _cubic_discriminant(*_char_poly_coeffs(*scaled))
+    try:
+        if abs(disc) < _DISC_UNDERFLOW and min((abs(x) for x in scaled if x), default=1.0) < 2.0**-85:
+            ratios = [x.as_integer_ratio() for x in raw]
+            den = max(d for _, d in ratios)
+            disc = _cubic_discriminant(*_char_poly_coeffs(*(n * (den // d) for n, d in ratios))) / den**12
+        else:
+            disc = math.ldexp(disc, 12 * exponent)
+    except OverflowError:
+        raise DomainError(f"cubic discriminant is outside the float range (+-1.8e308) for {params}") from None
+    _, exponent = math.frexp(max(abs(params.delta), params.f2))
+    delta, f2 = math.ldexp(params.delta, -exponent), math.ldexp(params.f2, -exponent)
+    zero_pair = abs((delta - f2) * (delta + f2)) <= 1e-6 * (delta * delta + f2 * f2)
+    return DegeneracyReport(discriminant=disc, zero_frequency_pair=params.f1 == 0.0 or zero_pair)
 
 
 def _s2_numerator_coeffs(params: SystemParams) -> np.ndarray:
@@ -478,11 +500,7 @@ def sweep_spectrum_values(
     if failed.any():
         k = int(np.argmax(failed))
         raise _gap_error(gaps[k], SystemParams(*(float(c[k]) for c in columns), omega0=base.omega0))
-    degenerate = (np.diff(freqs, axis=1) <= degeneracy_tol).any(axis=1)  # _cluster's chaining rule
-    w1, w2, w3 = freqs[:, 3], freqs[:, 4], freqs[:, 5]
-    undefined = degenerate | (w1 <= degeneracy_tol)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
+    delta_err, undefined = _nonequidistance(freqs, degeneracy_tol)
     delta_err = np.where(undefined, None, delta_err)
     columns = grid.tolist(), map(tuple, freqs.tolist()), delta_err.tolist(), undefined.tolist()
     return list(map(SweepRow._make, zip(*columns)))
@@ -500,6 +518,8 @@ def sweep_spectrum(
     """Spectrum sweep over a uniform grid of ``n`` points in [lo, hi]."""
     if n < 2:
         raise InvalidParameterError(f"sweep needs n >= 2 grid points, got {n}")
+    if not math.isfinite(hi - lo):  # also when lo or hi is not finite
+        raise InvalidParameterError(f"sweep range must be finite with a finite width, got [{lo}, {hi}]")
     if not (lo < hi):
         raise InvalidParameterError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, n)
@@ -518,3 +538,29 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
         else:
             lines.append(with_delta % (param, *freqs, delta_err, flag))
     return "\n".join(lines) + "\n"
+
+
+def _spectrum_record(params: SystemParams, degeneracy_tol: float) -> dict:
+    """The object ``trichain spectrum --format json`` writes.  ``degenerate``
+    says that the non-equidistance error ``delta`` is undefined (None), which
+    is not ``Spectrum.degenerate``: w1 <= tol sets it without a cluster."""
+    spectrum = eigenfrequencies(params, degeneracy_tol)
+    delta_err, undefined = _nonequidistance(spectrum.frequencies, degeneracy_tol)
+    report = degeneracy_discriminant(params)
+    return {
+        "frequencies": list(spectrum.frequencies),
+        "delta": None if undefined else float(delta_err),
+        "degenerate": bool(undefined),
+        "discriminant": report.discriminant,
+        "zero_frequency_pair": report.zero_frequency_pair,
+        "clusters": [[value, mult] for value, mult in spectrum.clusters],
+    }
+
+
+def _spectrum_record_to_csv(record: dict) -> str:
+    """CSV header and one row of a spectrum record; the delta cell is empty where it is undefined."""
+    delta = [] if record["delta"] is None else [record["delta"]]
+    template = (_NUM + ",") * 6 + _NUM * len(delta) + ",%s," + _NUM + ",%s"
+    degenerate, zero_pair = ("true" if record[key] else "false" for key in ("degenerate", "zero_frequency_pair"))
+    row = template % (*record["frequencies"], *delta, degenerate, record["discriminant"], zero_pair)
+    return _SPECTRUM_CSV_HEADER + "\n" + row + "\n"

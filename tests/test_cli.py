@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trichain
-from trichain.cli import main
+from trichain import (
+    DEFAULT_DEGENERACY_TOL,
+    SystemParams,
+    TrichainError,
+    degeneracy_discriminant,
+    eigenfrequencies,
+    energies,
+    evolve_spectral,
+    initial_state,
+    solve_comb_params,
+    sweep_spectrum_values,
+)
+from trichain.cli import build_parser, main
+from trichain.spectrum import _spectrum_record
 
 
 def run(args):
@@ -72,6 +89,14 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--g", "1000", "--delta", "0", "--f1", "1", "--f2", "1"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2
 
+    def test_small_generic_point_has_no_zero_frequency_pair(self, capsys):
+        # (0.5, 0.3, 0.8, 0.9) / 256: w4 = 0.00182.  The flag had an absolute
+        # floor and read true here.
+        assert run(["spectrum", "--g", "0.001953125", "--delta", "0.001171875",
+                    "--f1", "0.003125", "--f2", "0.003515625"]) == 0
+        fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert float(fields[3]) == pytest.approx(0.00182, rel=1e-3) and fields[9] == "false"
+
     def test_preset_lands_on_the_comb(self, capsys):
         assert run(["spectrum", "--preset", "qubit"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]
@@ -120,6 +145,20 @@ class TestSweepCommand:
 
     def test_missing_range_exits_2(self):
         assert run(["sweep", "--vary", "g", "--delta", "0", "--f1", "1", "--f2", "1"]) == 2
+
+    @pytest.mark.parametrize("vary, bounds", [("g", ["--lo", "0", "--hi", "inf"]),
+                                              ("delta", ["--lo=-1e308", "--hi=1e308"])])
+    def test_non_finite_range_prints_only_the_error(self, capsys, vary, bounds):
+        params = {"g": "0.5", "delta": "0", "f1": "1", "f2": "1"}
+        del params[vary]
+        argv = ["sweep", "--vary", vary, *bounds, "--n", "3"]
+        for name, value in params.items():
+            argv += ["--" + name, value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trichain: error: sweep range must be finite") and err.count("\n") == 1
 
 
 class TestCombCommand:
@@ -272,6 +311,26 @@ class TestConfigFile:
         assert run(["sweep", "--vary", "g", "--config", str(config)]) == 2
         assert "trichain: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, options, expected", [
+        (["spectrum", "--format", "csv"], {"format": "json"}, {"format": "csv"}),
+        (["spectrum", "--degeneracy-tol", "0.5"], {"degeneracy_tol": 1e-3}, {"degeneracy_tol": 0.5}),
+        (["evolve", "--n", "7", "--t-end", "2"], {"n": 5, "t_end": 1.0, "init": 3}, {"n": 7, "t_end": 2.0, "init": 3}),
+        (["figures"], {"outdir": "data"}, {"outdir": "data"}),
+    ])
+    def test_config_defaults_lose_to_every_explicit_flag(self, tmp_path, monkeypatch, argv, options, expected):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(options))
+        seen = []
+        monkeypatch.setattr(trichain.cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+        assert run(argv + ["--config", str(config)]) == 0
+        assert {key: getattr(seen[0], key) for key in expected} == expected
+
+    def test_config_value_is_checked_when_a_flag_overrides_it(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"g": "x", "delta": 0, "f1": 1, "f2": 1}))
+        assert run(["spectrum", "--config", str(config), "--g", "1"]) == 2
+        assert "invalid value 'x'" in capsys.readouterr().err
+
     def test_config_string_for_typed_flag_accepted(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"lo": "0", "hi": 1, "n": 3, "delta": 0, "f1": 1, "f2": 1}))
@@ -314,3 +373,144 @@ class TestVerbosity:
              "--delta", "0", "--f1", "1", "--f2", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert "sweeping" in err and "wrote" in err
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["spectrum"], {"format": "csv", "degeneracy_tol": DEFAULT_DEGENERACY_TOL, "out": None, "config": None}),
+    (["sweep", "--vary", "g"], {"format": "csv", "degeneracy_tol": DEFAULT_DEGENERACY_TOL, "n": None}),
+    (["evolve"], {"format": "csv", "t_end": 2.0 * math.pi, "n": 2001, "init": 2, "schedule": None}),
+    (["figures"], {"outdir": "."}),
+])
+def test_option_defaults(argv, defaults):
+    args = build_parser().parse_args(argv)
+    assert {key: getattr(args, key) for key in defaults} == defaults
+
+
+# The `spectrum` and `evolve` outputs as the commands built them inline,
+# field by field, kept as references for the records that now own them.
+
+def reference_nonequidistance(spectrum):
+    """Non-equidistance error, or None for a degenerate cluster or w1 <= tol."""
+    w1, w2, w3 = spectrum.positive
+    if spectrum.degenerate or w1 <= spectrum.degeneracy_tol:
+        return None
+    return abs(w2 / w1 - 3.0) + abs(w3 / w1 - 5.0)
+
+
+def reference_spectrum_output(params, tol, fmt):
+    spectrum = eigenfrequencies(params, tol)
+    delta_err = reference_nonequidistance(spectrum)
+    report = degeneracy_discriminant(params)
+    if fmt == "json":
+        payload = {
+            "frequencies": list(spectrum.frequencies),
+            "delta": delta_err,
+            "degenerate": delta_err is None,
+            "discriminant": report.discriminant,
+            "zero_frequency_pair": report.zero_frequency_pair,
+            "clusters": [[value, mult] for value, mult in spectrum.clusters],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    row = ",".join(
+        [format(w, ".12g") for w in spectrum.frequencies]
+        + ["" if delta_err is None else format(delta_err, ".12g")]
+        + ["true" if delta_err is None else "false"]
+        + [format(report.discriminant, ".12g")]
+        + ["true" if report.zero_frequency_pair else "false"]
+    )
+    return "w1,w2,w3,w4,w5,w6,delta,degenerate,discriminant,zero_frequency_pair\n" + row + "\n"
+
+
+def reference_evolve_json(trajectory):
+    table = energies(trajectory)
+    payload = {
+        "times": [float(x) for x in table[:, 0]],
+        "energies": {
+            label: [float(x) for x in table[:, k + 1]]
+            for k, label in enumerate(("E_s1", "E_s2", "E_s3", "E_a1", "E_a2", "E_a3"))
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def outputs_of(argv):
+    """Exit code, stdout and stderr of the command line ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def stdout_of(argv):
+    code, out, err = outputs_of(argv)
+    assert (code, err) == (0, ""), err
+    return out
+
+
+def param_flags(params):
+    return [f"--{name}={getattr(params, name)!r}" for name in ("g", "delta", "f1", "f2")]
+
+
+coupling = st.floats(min_value=0.0, max_value=2.0)
+random_point = st.builds(SystemParams, g=coupling, delta=st.floats(min_value=-2.0, max_value=2.0), f1=coupling,
+                         f2=coupling)
+resonant_point = st.floats(min_value=1e-3, max_value=10.0).map(lambda k: SystemParams(g=0.0, delta=0.0, f1=k, f2=k))
+zero_pair_point = st.builds(lambda g, f1, f2, sign: SystemParams(g=g, delta=sign * f2, f1=f1, f2=f2),
+                            coupling, coupling, coupling, st.sampled_from([-1.0, 1.0]))
+comb_point = st.builds(lambda g, branch: solve_comb_params(g, branch).params,
+                       st.floats(min_value=1e-6, max_value=1.0), st.sampled_from("AB"))
+
+
+class TestRecordsMatchTheInlineBuilders:
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.one_of(random_point, resonant_point, zero_pair_point, comb_point),
+           tol=st.sampled_from([None, 1e-3, 0.3]))
+    def test_spectrum_record(self, params, tol):
+        flags = [] if tol is None else ["--degeneracy-tol", repr(tol)]
+        tol = DEFAULT_DEGENERACY_TOL if tol is None else tol
+        for fmt in ("csv", "json"):
+            try:
+                expected = 0, reference_spectrum_output(params, tol, fmt), ""
+            except TrichainError as exc:  # the error line is the same too
+                expected = 2, "", f"trichain: error: {exc}\n"
+            assert outputs_of(["spectrum", *param_flags(params), *flags, "--format", fmt]) == expected
+        if expected[0] != 0:
+            return
+        record = _spectrum_record(params, tol)
+        row = sweep_spectrum_values(params, "g", [params.g], None, tol)[0]
+        assert (record["frequencies"], record["delta"], record["degenerate"]) == (
+            list(row.frequencies), row.delta_err, row.degenerate)
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.one_of(random_point, comb_point), t_end=st.floats(min_value=0.0, max_value=20.0),
+           n=st.integers(min_value=2, max_value=30), init=st.integers(min_value=1, max_value=6))
+    def test_evolve_json(self, params, t_end, n, init):
+        argv = ["evolve", *param_flags(params), f"--t-end={t_end!r}", "--n", str(n), "--init", str(init)]
+        trajectory = evolve_spectral(params, initial_state(init), np.linspace(0.0, t_end, n))
+        assert stdout_of(argv + ["--format", "json"]) == reference_evolve_json(trajectory)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--g", "0", "--delta", "0", "--f1", "1", "--f2", "1", "--format", "json"],
+    ["spectrum", "--g", "0", "--delta", "1", "--f1", "1", "--f2", "1", "--format", "json"],
+    ["spectrum", "--g", "0.5", "--delta", "0.3", "--f1", "0", "--f2", "0.9", "--format", "json"],
+    ["spectrum", "--preset", "qubit", "--format", "json"],
+    ["spectrum", "--g", "1e25", "--delta", "0", "--f1", "1e-25", "--f2", "1e-25", "--format", "json"],
+    ["sweep", "--vary", "g", "--lo", "0", "--hi", "3", "--n", "7", "--delta", "0", "--f1", "1", "--f2", "1",
+     "--format", "json"],
+    ["sweep", "--vary", "delta", "--lo", "0", "--hi", "2", "--n", "5", "--g", "0.7556142107", "--f1", "1",
+     "--f2", "1", "--constraint", "A", "--format", "json"],
+    ["comb", "--g", "0.4531870484", "--branch", "A"],
+    ["comb", "--g", "1", "--branch", "B"],
+    ["energy", "--target", "0"],
+    ["energy", "--target", "1"],
+    ["energy", "--g", "1"],
+    ["evolve", "--preset", "qubit", "--n", "5", "--format", "json"],
+    ["evolve", "--g", "0", "--delta", "0", "--f1", "0", "--f2", "0", "--n", "3", "--format", "json"],
+])
+def test_json_output_is_strict(argv):
+    json.loads(stdout_of(argv), parse_constant=reject_constant)

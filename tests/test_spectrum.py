@@ -1,6 +1,8 @@
 import math
 import re
+import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from trichain import (
     ConsistencyError,
     DegenerateSpectrumError,
+    DomainError,
     InvalidParameterError,
     PoleError,
     Spectrum,
@@ -185,6 +188,15 @@ class TestNonequidistanceError:
         with pytest.raises(DegenerateSpectrumError):
             nonequidistance_error(spec)
 
+    # Undefined at equality: a neighbour gap of exactly tol (w1 > tol), and
+    # w1 of exactly tol (every gap > tol); defined just above both.
+    @pytest.mark.parametrize("freqs, tol", [([-11, -8, -4, 4, 8, 11], 3.0), ([-9, -5, -1, 1, 5, 9], 1.0)])
+    def test_undefined_at_the_tolerance(self, freqs, tol):
+        with pytest.raises(DegenerateSpectrumError):
+            nonequidistance_error(make_spectrum(freqs, tol))
+        above = make_spectrum(freqs, math.nextafter(tol, 0.0))
+        assert not above.degenerate and nonequidistance_error(above) > 0.0
+
 
 class TestDegeneracyDiscriminant:
     def test_triple_root(self):
@@ -212,17 +224,59 @@ class TestDegeneracyDiscriminant:
                 assert abs(report.discriminant) > 0.0
                 assert not report.zero_frequency_pair
 
-    @pytest.mark.parametrize("g", [1e60, 1e200])
+    @pytest.mark.parametrize("g", [1e39, 1e60, 1e200])
     def test_overflowing_discriminant_is_refused(self, g):
-        # c4^3 leaves the float range (g = 1e60), or c4 itself does (1e200,
-        # where the discriminant turns NaN); both are ConsistencyError.  The
+        # The discriminant, of degree 12, is beyond the float range: bad
+        # input (DomainError), not a bug.  At g = 1e200 the normalized
+        # computation underflows to 0, so the exact route decides.  The
         # spectral check scales the coefficients into range, so the spectrum
         # of the same point is the eigensolver's.
         params = RESONANT.replace(g=g)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DomainError, match="outside the float range"):
             degeneracy_discriminant(params)
         numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
         assert eigenfrequencies(params).frequencies == tuple(numeric.tolist())
+
+
+    GENERIC = SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9)
+    COMBS = [solve_comb_params(0.5, "A").params, solve_comb_params(0.5, "B").params,
+             solve_comb_params(QUBIT_COUPLING, "A").params]
+
+    @staticmethod
+    def scaled(params, k):
+        return SystemParams(*(math.ldexp(x, k) for x in astuple(params)[:4]))
+
+    def test_zero_pair_flag_is_the_same_at_every_scale(self):
+        # The flag had an absolute floor: the generic point reported a zero
+        # pair for every k <= -7.  Where the discriminant leaves the float
+        # range (k >= 86 here, k >= 85 for the combs) DomainError is raised.
+        for params, flag, first_overflow in [(self.GENERIC, False, 86)] + [(c, True, 85) for c in self.COMBS]:
+            base = degeneracy_discriminant(params).discriminant
+            for k in range(-200, 201):
+                point = self.scaled(params, k)
+                if k >= first_overflow:
+                    with pytest.raises(DomainError):
+                        degeneracy_discriminant(point)
+                    continue
+                report = degeneracy_discriminant(point)
+                assert report.zero_frequency_pair is flag, k
+                if abs(report.discriminant) >= np.finfo(float).tiny:
+                    assert report.discriminant == math.ldexp(base, 12 * k)  # exact scaling
+            for k in (-600, -900, -1000):  # delta^2 + f2^2 is below the float range here
+                assert degeneracy_discriminant(self.scaled(params, k)).zero_frequency_pair is flag
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(g=2.0, delta=1e-80, f1=1e-80, f2=1e-80),
+        SystemParams(g=2.0, delta=0.0, f1=1e-240, f2=1e-240),
+        SystemParams(g=1e30, delta=1e-45, f1=1e-45, f2=2e-45),
+        SystemParams(g=1e-100, delta=3e-300, f1=1e-280, f2=2e-300),
+    ])
+    def test_discriminant_across_a_wide_parameter_spread(self, params):
+        # Terms of the small parameters underflow after normalization, so the
+        # result is the exact discriminant, rounded once.
+        c4, c2, c0 = _char_poly_coeffs(*(Fraction(x) for x in astuple(params)[:4]))
+        exact = 18 * c4 * c2 * c0 - 4 * c4**3 * c0 + c4**2 * c2**2 - 4 * c2**3 - 27 * c0**2
+        assert degeneracy_discriminant(params).discriminant == float(exact)
 
 
 class TestS2Response:
@@ -309,6 +363,14 @@ class TestSweep:
         values = [sol.f2 - 0.1, sol.f2, sol.f2 + 0.1]
         rows = sweep_spectrum_values(sol.params, "delta", values)
         assert [row.degenerate for row in rows] == [False, True, False]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+                                        (-1e308, 1e308)])
+    def test_non_finite_range_rejected_before_the_grid(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="sweep range must be finite"):
+                sweep_spectrum(RESONANT, "delta", lo, hi, 3)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(InvalidParameterError):
