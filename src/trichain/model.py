@@ -75,25 +75,16 @@ class SystemParams:
 
 def build_coupling_matrix(params: SystemParams) -> np.ndarray:
     """Return the 6x6 real symmetric generator M of d/dt v = -i M v."""
-    return _generator(params.g, params.delta, params.f1, params.f2)
-
-
-# Flat positions in M of the entries _generator lists, then of their mirror images.
-_UPPER = ((0, 0), (2, 2), (3, 3), (5, 5), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5))
-_POSITIONS = np.array([N_MODES * i + j for i, j in _UPPER] + [N_MODES * j + i for i, j in _UPPER])
-
-
-def _generator(g, delta, f1, f2) -> np.ndarray:
-    """M for floats, or the (n, 6, 6) stack of M for length-n parameter arrays."""
-    upper = [
-        delta, -delta, delta, -delta,  # detunings of sites 1 and 3, atoms then fields
-        f2, f1, f2,                    # atom n <-> field n
-        g, g,                          # field 1 <-> field 2 <-> field 3
-    ]
-    values = np.array(upper + upper)
-    m = np.zeros(values.shape[1:] + (N_MODES * N_MODES,))
-    m.T[_POSITIONS] = values
-    return m.reshape(values.shape[1:] + (N_MODES, N_MODES))
+    g, delta, f1, f2 = params.g, params.delta, params.f1, params.f2
+    return np.array([
+        # s1    s2   s3      a1     a2   a3
+        [delta, 0.0, 0.0,    f2,    0.0, 0.0],
+        [0.0,   0.0, 0.0,    0.0,   f1,  0.0],
+        [0.0,   0.0, -delta, 0.0,   0.0, f2],
+        [f2,    0.0, 0.0,    delta, g,   0.0],
+        [0.0,   f1,  0.0,    g,     0.0, g],
+        [0.0,   0.0, f2,     0.0,   g,   -delta],
+    ])
 
 
 def _first_invalid(g, delta, f1, f2) -> int:
@@ -123,7 +114,13 @@ def spectral_mirror_operator() -> np.ndarray:
 
     S combines the spatial mirror (site 1 <-> 3, field 1 <-> 3) with the
     alternating sign pattern diag(-1, 1, -1, 1, -1, 1).  Its existence forces
-    the eigenvalue multiset of M to be symmetric about zero.
+    the eigenvalue multiset of M to be symmetric about zero.  In the basis of
+    its +1 eigenvectors (s2, (s1 - s3)/sqrt2, (a1 + a3)/sqrt2) and its -1
+    eigenvectors (a2, (s1 + s3)/sqrt2, (a1 - a3)/sqrt2), M is
+    [[0, B], [B^T, 0]] with B = [[f1, 0, 0], [0, delta, f2],
+    [sqrt2 g, f2, delta]], so its spectrum is +-sigma(B).  Rotating the last
+    two rows and columns of B by 45 degrees gives the lower-triangular T of
+    ``spectrum._mirror_frequencies``.
     """
     d = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
     p = np.zeros((N_MODES, N_MODES))

@@ -17,14 +17,20 @@ coefficients are
 so c0 >= 0 always, and c0 = 0 exactly when delta = +-f2 (the zero-frequency
 pair that produces the central degeneracy of a designed comb).
 
-Eigenfrequencies come from a symmetric eigensolver and are checked against
-the closed-form coefficients: by Vieta, the squared frequencies of each half
-of the spectrum have the elementary symmetric functions c4, c2 and c0.  The
+Eigenfrequencies come from the chain's mirror symmetry: the involution
+``model.spectral_mirror_operator`` anticommutes with M, so the spectrum is
++-sigma of the lower-triangular 3x3 block
+
+    T = [[f1, 0, 0], [g, delta + f2, 0], [-g, 0, delta - f2]],
+
+whose singular values one batched one-sided Jacobi kernel computes for a
+single point or a whole sweep (``_mirror_frequencies``).  They are checked
+against the closed-form coefficients: by Vieta, the squared positive
+frequencies have the elementary symmetric functions c4, c2 and c0.  The
 check is relative to the spectrum's scale and well conditioned at any
 multiplicity, so a failure raises ConsistencyError because it can only come
-from a bug.  A sweep runs the eigensolver once over all its points and the
-same check on every point.  ``frequencies_from_charpoly`` solves the cubic
-in closed form, the paper's algebraic route.
+from a bug.  ``frequencies_from_charpoly`` solves the cubic in closed form,
+the paper's algebraic route.
 """
 
 from __future__ import annotations
@@ -42,19 +48,19 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, SystemParams, _first_invalid, _generator, build_coupling_matrix
+from .model import _NUM, SystemParams, _first_invalid
 
 #: Absolute tolerance (in comb-spacing units) used to cluster equal
-#: eigenfrequencies.  Well above eigensolver error for a 6x6 matrix, well
-#: below the comb spacing.
+#: eigenfrequencies.  Well above the spectral kernel's rounding error at unit
+#: scale (a few 1e-16), well below the comb spacing.
 DEFAULT_DEGENERACY_TOL = 1e-7
 
-#: Largest gap ``_coefficient_gap`` passes.  A backward-stable eigensolver
-#: keeps the gap at a few eps whatever the multiplicity (measured <= 1e-14).
+#: Largest gap ``_coefficient_gap`` passes.  Accurate singular values keep the
+#: gap at a few eps whatever the multiplicity (measured <= 1e-14).
 _COEFFICIENT_TOL = 1e-12
 
-#: Eigensolver frequencies below the smallest normal float are rounded to an
-#: absolute 2^-1074, so the check takes this as their scale instead.
+#: The smallest normal float.  The check takes it as the scale of an all-zero
+#: spectrum, and the kernel reads a column whose squared norm is below it as 0.
 _TINY = np.finfo(float).tiny
 
 _SWEEPABLE = ("g", "delta", "f1", "f2")
@@ -222,34 +228,113 @@ def _check_degeneracy_tol(degeneracy_tol: float) -> None:
         raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
 
 
-def _coefficient_gap(freqs, g, delta, f1, f2):
-    """How far eigensolver frequencies are from the closed-form Det(p).
+#: A pair of columns of T counts as orthogonal once the cosine of their angle
+#: is at most rows times eps.  At eps alone a rotation can flip the rounding
+#: residue from one side to the other for ever.
+_ORTHOGONAL = 3 * np.finfo(float).eps
 
-    ``freqs`` holds the six ascending frequencies for float parameters, or one
-    such row per point for parameter arrays.  By Vieta, the elementary
-    symmetric functions e1, e2, e3 of the squared frequencies of each half of
-    the spectrum equal c4, c2 and c0; the gap is the largest |e_k - c_k| /
-    s^(2k), with s the top frequency (at least ``_TINY``).  Coefficients are
-    well conditioned in the eigenvalues at any multiplicity, so the gap of a
-    correct spectrum stays near eps.  Both sides are homogeneous of degree 2k,
-    so the frequencies and parameters are divided by s first, which leaves the
-    gap unchanged and keeps the coefficients in the float range.  A NaN or
-    infinite frequency gives a NaN or infinite gap.
+#: Most sweeps of the Jacobi kernel.  A point needs 3-5, one with f1 = 0 up to
+#: 15 (its rank-deficient column shrinks by ~eps per sweep until it reads 0).
+#: A point cut off here is still judged by the coefficient check.
+_MAX_SWEEPS = 30
+
+_COLUMN_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _if_else(condition, a, b):
+    return a if condition else b
+
+
+def _mirror_frequencies(g, delta, f1, f2):
+    """(-s3, -s2, -s1, s1, s2, s3), ascending, for float parameters, or six
+    such arrays for equal-length parameter arrays; s1 <= s2 <= s3 are the
+    singular values of T (see the module docstring).
+
+    One-sided (Hestenes) Jacobi rotates pairs of T's columns, cyclically,
+    until every pair is orthogonal; the column norms are then the singular
+    values, each to high relative accuracy (Demmel & Veselic, SIAM J. Matrix
+    Anal. Appl. 13, 1992).
+    - Each point is first divided exactly by the power of two 2^e that brings
+      its largest parameter to [0.5, 1), and the result multiplied back, so
+      the frequencies scale bitwise with the parameters and nothing overflows
+      on the way.
+    - A pair rotates only where |gamma| > _ORTHOGONAL * sqrt(alpha * beta) > 0
+      (alpha, beta the squared column norms, gamma their dot product).  A
+      sweep that rotates no pair of a point leaves it unchanged for good, so
+      its bits do not depend on the rest of the batch, and floats and arrays,
+      which take the same operations in the same order, agree bitwise.
+    - A column whose squared norm is below ``_TINY`` reads 0, i.e. a singular
+      value below 2^-511 of the largest parameter; it is then exactly 0.
+    - The negative half is 0.0 - s: an exact mirror, with 0 for a zero pair.
     """
-    w = freqs.T
-    scale = np.maximum(w[5], _TINY)
+    arrays = isinstance(g, np.ndarray)
+    xp, where, larger = (np, np.where, np.maximum) if arrays else (math, _if_else, max)
+    _, e = xp.frexp(larger(larger(abs(g), abs(delta)), larger(f1, f2)))
+    g, delta, f1, f2 = (xp.ldexp(x, -e) for x in (g, delta, f1, f2))
+    columns = [(f1, g, -g), (0.0, delta + f2, 0.0), (0.0, 0.0, delta - f2)]
+    norms = [x * x + y * y + z * z for x, y, z in columns]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for i, j in _COLUMN_PAIRS:
+            (ax, ay, az), (bx, by, bz) = columns[i], columns[j]
+            alpha, beta = norms[i], norms[j]
+            gamma = ax * bx + ay * by + az * bz
+            bound = _ORTHOGONAL * xp.sqrt(alpha * beta)
+            rotate = (abs(gamma) > bound) & (bound > 0.0)
+            if not (rotate.any() if arrays else rotate):
+                continue
+            rotated = True
+            # tan of the angle that makes the pair orthogonal, the smaller root
+            diff = beta - alpha
+            root = abs(diff) + xp.sqrt(diff * diff + 4.0 * (gamma * gamma))
+            t = where(rotate, xp.copysign(2.0, diff) * gamma / where(rotate, root, 1.0), 0.0)
+            c = 1.0 / xp.sqrt(1.0 + t * t)
+            s = c * t
+            a = (c * ax - s * bx, c * ay - s * by, c * az - s * bz)
+            b = (s * ax + c * bx, s * ay + c * by, s * az + c * bz)
+            columns[i], columns[j] = a, b
+            norms[i] = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+            norms[j] = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
+        if not rotated:
+            break
+    if arrays:
+        s1, s2, s3 = np.sort(np.sqrt(np.where(np.array(norms) < _TINY, 0.0, norms)), axis=0)
+    else:
+        s1, s2, s3 = sorted(0.0 if n < _TINY else math.sqrt(n) for n in norms)
+    # Scaled back by 2^(e-2) and then by 4, so that a frequency beyond the
+    # float range becomes inf (math.ldexp would raise OverflowError).
+    with np.errstate(over="ignore"):
+        s1, s2, s3 = (xp.ldexp(s, e - 2) * 4.0 for s in (s1, s2, s3))
+    return 0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3
+
+
+def _coefficient_gap(freqs, g, delta, f1, f2):
+    """How far the kernel's frequencies are from the closed-form Det(p).
+
+    ``freqs`` holds the six ascending frequencies, floats for float
+    parameters or arrays for parameter arrays.  By Vieta, the elementary
+    symmetric functions e1, e2, e3 of the squared positive frequencies equal
+    c4, c2 and c0 (the negative half is their exact mirror); the gap is the
+    largest |e_k - c_k| / s^(2k), with s the top frequency (at least
+    ``_TINY``).  Coefficients are well conditioned in the frequencies at any
+    multiplicity, so the gap of a correct spectrum stays near eps.  Both
+    sides are homogeneous of degree 2k, so the frequencies and parameters are
+    divided by s first, which leaves the gap unchanged and keeps the
+    coefficients in the float range.  A NaN or infinite frequency gives a
+    NaN or infinite gap.
+    """
+    w1, w2, w3 = freqs[3:]
+    scale = np.maximum(w3, _TINY)
     c4, c2, c0 = _char_poly_coeffs(g / scale, delta / scale, f1 / scale, f2 / scale)
-    gaps = []
-    with np.errstate(invalid="ignore"):  # infinite frequencies
-        q = np.square(w / scale)
-        for a, b, c in (q[:3], q[3:]):
-            gaps += [abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)]
+    with np.errstate(invalid="ignore"):  # an infinite top frequency
+        a, b, c = (x * x for x in (w1 / scale, w2 / scale, w3 / scale))
+        gaps = [abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)]
     return np.max(gaps, axis=0)
 
 
 def _gap_error(gap: float, params: SystemParams) -> ConsistencyError:
     return ConsistencyError(
-        f"eigensolver frequencies miss the closed-form coefficients by {gap:.3e} (relative) for {params}"
+        f"spectral kernel frequencies miss the closed-form coefficients by {gap:.3e} (relative) for {params}"
     )
 
 
@@ -258,17 +343,17 @@ def eigenfrequencies(
 ) -> Spectrum:
     """Six real eigenfrequencies of the chain, checked against the closed form.
 
-    The real symmetric generator is diagonalized; the result stays
-    orthonormal at degeneracies.  Its squared frequencies must reproduce the
-    closed-form coefficients (c4, c2, c0) on each half of the spectrum to a
-    relative 1e-12 (see ``_coefficient_gap``), else ConsistencyError is raised.
+    They are +-sigma of the 3x3 block T that the mirror symmetry leaves
+    (``_mirror_frequencies``), an exact mirror image about 0, with exact
+    zeros where delta = +-f2 or f1 = 0.  Their squares must reproduce the
+    closed-form coefficients (c4, c2, c0) to a relative 1e-12 (see
+    ``_coefficient_gap``), else ConsistencyError is raised.
     """
     _check_degeneracy_tol(degeneracy_tol)
-    numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
-    gap = _coefficient_gap(numeric, params.g, params.delta, params.f1, params.f2)
+    freqs = _mirror_frequencies(params.g, params.delta, params.f1, params.f2)
+    gap = _coefficient_gap(freqs, params.g, params.delta, params.f1, params.f2)
     if not gap <= _COEFFICIENT_TOL:  # also refuses a NaN gap
         raise _gap_error(gap, params)
-    freqs = tuple(float(w) for w in numeric)
     return Spectrum(
         frequencies=freqs,
         degeneracy_tol=degeneracy_tol,
@@ -278,9 +363,10 @@ def eigenfrequencies(
 
 def _nonequidistance(freqs, tol):
     """Non-equidistance error and whether it is undefined, for six ascending
-    frequencies or one such row per point.  It is undefined where neighbours
-    lie within ``tol`` (``_cluster``'s chaining rule) or w1 <= ``tol``."""
-    w = np.asarray(freqs).T
+    frequencies, floats or arrays over a grid.  It is undefined where
+    neighbours lie within ``tol`` (``_cluster``'s chaining rule) or
+    w1 <= ``tol``."""
+    w = np.asarray(freqs)
     w1, w2, w3 = w[3:]
     undefined = (np.diff(w, axis=0) <= tol).any(axis=0) | (w1 <= tol)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -469,7 +555,7 @@ def sweep_spectrum_values(
     re-deriving f1 and f2 from g for a designed comb) before the spectra are
     computed.
 
-    All points are diagonalized in one batched eigensolver call, and every
+    All points go through one batched call of the spectral kernel, and every
     point gets the check of ``eigenfrequencies``.  A failure raises the error
     that running the points one at a time raises at the first failing point,
     except that the constraint sees the whole grid first, so its errors come
@@ -494,7 +580,7 @@ def sweep_spectrum_values(
         if bad < len(grid):
             SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
     _check_degeneracy_tol(degeneracy_tol)
-    freqs = np.linalg.eigvalsh(_generator(*columns))
+    freqs = _mirror_frequencies(*columns)
     gaps = _coefficient_gap(freqs, *columns)
     failed = ~(gaps <= _COEFFICIENT_TOL)  # also fails a NaN gap
     if failed.any():
@@ -502,7 +588,7 @@ def sweep_spectrum_values(
         raise _gap_error(gaps[k], SystemParams(*(float(c[k]) for c in columns), omega0=base.omega0))
     delta_err, undefined = _nonequidistance(freqs, degeneracy_tol)
     delta_err = np.where(undefined, None, delta_err)
-    columns = grid.tolist(), map(tuple, freqs.tolist()), delta_err.tolist(), undefined.tolist()
+    columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
     return list(map(SweepRow._make, zip(*columns)))
 
 

@@ -69,6 +69,29 @@ def test_spectral_mirror_antisymmetry(rng):
         assert np.array_equal(s @ m @ s.T, -m)
 
 
+def test_mirror_basis_reduces_the_generator_to_the_3x3_block(rng):
+    r = np.sqrt(0.5)
+    # columns: S's +1 eigenvectors, then its -1 eigenvectors, over (s1, s2, s3, a1, a2, a3)
+    q = np.array([
+        [0, r, 0, 0, r, 0],
+        [1, 0, 0, 0, 0, 0],
+        [0, -r, 0, 0, r, 0],
+        [0, 0, r, 0, 0, r],
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, r, 0, 0, -r],
+    ])
+    s = spectral_mirror_operator()
+    assert np.allclose(s @ q, q * [1, 1, 1, -1, -1, -1], rtol=0.0, atol=1e-15)
+    rotation = np.array([[1, 0, 0], [0, r, r], [0, r, -r]])
+    for params in random_params(rng, 50, coupling_hi=2.0, delta_hi=2.0):
+        g, delta, f1, f2 = params.g, params.delta, params.f1, params.f2
+        b = np.array([[f1, 0, 0], [0, delta, f2], [np.sqrt(2) * g, f2, delta]])
+        reduced = q.T @ build_coupling_matrix(params) @ q
+        assert np.allclose(reduced, np.block([[np.zeros((3, 3)), b], [b.T, np.zeros((3, 3))]]), rtol=0.0, atol=1e-14)
+        t = np.array([[f1, 0, 0], [g, delta + f2, 0], [-g, 0, delta - f2]])
+        assert np.allclose(rotation @ b @ rotation, t, rtol=0.0, atol=1e-14)
+
+
 def test_initial_state_slots():
     assert np.array_equal(initial_state(2), [0, 1, 0, 0, 0, 0])
     assert np.array_equal(initial_state(1), [1, 0, 0, 0, 0, 0])

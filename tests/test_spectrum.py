@@ -39,7 +39,7 @@ from trichain import (
 )
 import trichain.model as model_module
 import trichain.spectrum as spectrum_module
-from trichain.spectrum import _char_poly_coeffs, _cluster, _coefficient_gap
+from trichain.spectrum import _char_poly_coeffs, _cluster, _coefficient_gap, _mirror_frequencies
 from conftest import random_params
 
 RESONANT = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -158,6 +158,108 @@ class TestEigenfrequencies:
             sweep_spectrum_values(RESONANT, "g", [1e170, 1.7e308])
 
 
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def six_frequencies_per_point(freqs):
+    """The kernel's six arrays as one row of six frequencies per point."""
+    return np.array(freqs).T
+
+
+coupling = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0))
+detuning = st.one_of(coupling, st.floats(min_value=-2.0, max_value=-1e-6))
+
+
+class TestMirrorKernel:
+    """``_mirror_frequencies``: +-sigma(T) by one-sided Jacobi, for one point or a batch."""
+
+    def test_matches_the_6x6_eigensolver(self, rng):
+        draws = random_params(rng, 1000, coupling_hi=2.0, delta_hi=2.0)
+        points = [astuple(p)[:4] for p in draws]
+        points += [(g, sign * f2, f1, f2) for g, _, f1, f2 in points[:200] for sign in (1.0, -1.0)]
+        points += [(g, delta, 0.0, f2) for g, delta, _, f2 in points[:200]]
+        points += [(g, 0.0, 1.0, 1.0) for g in np.logspace(-8, 3, 200)]
+        got = six_frequencies_per_point(_mirror_frequencies(*np.array(points).T))
+        reference = np.array([np.linalg.eigvalsh(build_coupling_matrix(SystemParams(*p))) for p in points])
+        assert np.all(np.max(np.abs(got - reference), axis=1) <= 1e-14 * reference[:, 5])
+
+    def test_small_singular_value_near_a_zero_pair_against_mpmath(self, rng):
+        # delta -> +-f2 sends sigma_1 to 0; the 6x6 eigensolver keeps only an
+        # absolute accuracy there (relative error 4e-2 at eps = 1e-14).
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for eps in np.logspace(-6, -14, 17):
+            for sign in (1.0, -1.0):
+                for _ in range(4):
+                    g, f1, f2 = (float(x) for x in rng.uniform(0.05, 2.0, 3))
+                    delta = sign * f2 * (1.0 + eps)
+                    t = mpmath.matrix([[f1, 0, 0], [g, mpmath.mpf(delta) + f2, 0], [-g, 0, mpmath.mpf(delta) - f2]])
+                    exact = sorted(mpmath.svd_r(t, compute_uv=False))
+                    sigma = _mirror_frequencies(g, delta, f1, f2)[3:]
+                    for got, want in zip(sigma, exact):
+                        assert abs(got - want) <= 1e-15 * want
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=coupling, delta=detuning, f1=coupling, f2=coupling)
+    def test_spectrum_is_a_bitwise_mirror_image(self, g, delta, f1, f2):
+        freqs = eigenfrequencies(SystemParams(g, delta, f1, f2)).frequencies
+        assert bits(freqs[:3]) == bits([0.0 - w for w in reversed(freqs[3:])])
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=coupling, delta=detuning, f1=coupling, f2=coupling, where=st.sampled_from(["+f2", "-f2", "f1=0"]))
+    def test_exact_zero_pair_where_c0_vanishes(self, g, delta, f1, f2, where):
+        params = {"+f2": (g, f2, f1, f2), "-f2": (g, -f2, f1, f2), "f1=0": (g, delta, 0.0, f2)}[where]
+        freqs = eigenfrequencies(SystemParams(*params)).frequencies
+        assert bits(freqs[2:4]) == bits([0.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=coupling, delta=detuning, f1=coupling, f2=coupling, k=st.integers(min_value=-200, max_value=200))
+    def test_frequencies_scale_bitwise_with_the_parameters(self, g, delta, f1, f2, k):
+        base = eigenfrequencies(SystemParams(g, delta, f1, f2)).frequencies
+        scaled = eigenfrequencies(SystemParams(*(math.ldexp(x, k) for x in (g, delta, f1, f2)))).frequencies
+        assert bits(scaled) == bits([math.ldexp(w, k) for w in base])
+
+    magnitude = st.floats(min_value=-30.0, max_value=30.0).map(lambda x: 10.0**x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(st.one_of(coupling, magnitude), detuning, st.one_of(coupling, magnitude),
+                                     st.one_of(coupling, magnitude)), min_size=1, max_size=20),
+           zero_pair=st.booleans())
+    def test_a_float_call_and_an_array_call_give_the_same_bits(self, points, zero_pair):
+        if zero_pair:
+            points = [(g, f2, f1, f2) for g, _, f1, f2 in points]
+        batched = six_frequencies_per_point(_mirror_frequencies(*np.array(points).T))
+        for point, row in zip(points, batched):
+            single = _mirror_frequencies(*point)
+            assert all(type(w) is float for w in single)
+            assert bits(single) == row.tobytes()
+
+
+class TestTinyOuterCoupling:
+    """At g = 2, f1 = 1, delta = -f2 with tiny f2, the 6x6 eigensolver lost the
+    top frequency (2.9155 for 3, gap 5.3e-2 at f2 = 8.083884767398151e-147)
+    and raised a false ConsistencyError on 538 of these 6 000 points."""
+
+    values = np.concatenate([
+        np.random.default_rng(0).uniform(1e-147, 1e-146, 3000),
+        np.logspace(-170, -140, 3000),
+        [8.083884767398151e-147],
+    ])
+
+    def test_single_points(self):
+        for f2 in self.values.tolist():
+            freqs = eigenfrequencies(SystemParams(g=2.0, delta=-f2, f1=1.0, f2=f2)).frequencies
+            assert freqs[5] == 3.0 and bits(freqs[2:4]) == bits([0.0, 0.0])
+
+    def test_one_sweep(self):
+        base = SystemParams(g=2.0, delta=0.0, f1=1.0, f2=1.0)
+        rows = sweep_spectrum_values(base, "f2", self.values, lambda g, delta, f1, f2: (g, -f2, f1, f2))
+        freqs = np.array([row.frequencies for row in rows])
+        assert len(rows) == len(self.values)
+        assert np.all(freqs[:, 5] == 3.0) and bits(freqs[:, 2:4]) == bits(np.zeros((len(rows), 2)))
+
+
 class TestNonequidistanceError:
     def test_perfect_135_comb(self):
         assert nonequidistance_error(make_spectrum([-5, -3, -1, 1, 3, 5])) == 0.0
@@ -229,13 +331,14 @@ class TestDegeneracyDiscriminant:
         # The discriminant, of degree 12, is beyond the float range: bad
         # input (DomainError), not a bug.  At g = 1e200 the normalized
         # computation underflows to 0, so the exact route decides.  The
-        # spectral check scales the coefficients into range, so the spectrum
-        # of the same point is the eigensolver's.
+        # spectrum of the same point is fine: the kernel and the check both
+        # normalize, and it agrees with the 6x6 eigensolver to its precision.
         params = RESONANT.replace(g=g)
         with pytest.raises(DomainError, match="outside the float range"):
             degeneracy_discriminant(params)
         numeric = np.linalg.eigvalsh(build_coupling_matrix(params))
-        assert eigenfrequencies(params).frequencies == tuple(numeric.tolist())
+        freqs = np.array(eigenfrequencies(params).frequencies)
+        assert np.max(np.abs(freqs - numeric)) <= 1e-14 * numeric[5]
 
 
     GENERIC = SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9)
