@@ -27,13 +27,14 @@ from .comb import (
     BRANCHES,
     QUBIT_COUPLING,
     QUTRIT_COUPLING,
+    _energy_at_pi_json_dict,
     branch_constraint,
-    energy_at_pi,
     identify_energy_branch,
     solve_comb_params,
     solve_g_for_energy,
 )
 from .dynamics import (
+    _central_energies_to_csv,
     _energies_to_json_dict,
     energies_to_csv,
     evolve_schedule,
@@ -41,7 +42,7 @@ from .dynamics import (
     schedule_from_json,
 )
 from .errors import TrichainError
-from .model import SystemParams, _csv, initial_state, params_from_config
+from .model import SystemParams, initial_state, params_from_config
 from .spectrum import (
     DEFAULT_DEGENERACY_TOL,
     _spectrum_record,
@@ -206,7 +207,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     if (args.target is None) == (args.g is None):
         raise UsageError("energy requires exactly one of --target or --g")
     if args.g is not None:
-        payload = {"g": args.g, "energy": energy_at_pi(args.g)}
+        payload = _energy_at_pi_json_dict(args.g)
     else:
         program = solve_g_for_energy(args.target)
         payload = program.to_json_dict()
@@ -263,12 +264,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
     branch = identify_energy_branch()
     times = np.linspace(0.0, 2.0 * math.pi, 2001)
     v0 = initial_state(2)
-    columns = []
-    for coupling in (QUBIT_COUPLING, QUTRIT_COUPLING):
-        solution = solve_comb_params(coupling, branch)
-        trajectory = evolve_spectral(solution.params, v0, times)
-        columns.append(np.abs(trajectory.states[:, 1]) ** 2)
-    fig5 = _csv("t,E_x2_qubit,E_x2_qutrit", np.column_stack([times, *columns]).tolist())
+    qubit, qutrit = (
+        evolve_spectral(solve_comb_params(coupling, branch).params, v0, times)
+        for coupling in (QUBIT_COUPLING, QUTRIT_COUPLING)
+    )
+    fig5 = _central_energies_to_csv(qubit, qutrit)
     (outdir / "fig5.csv").write_text(fig5, encoding="utf-8")
 
     print(f"wrote fig2.csv fig3.csv fig4.csv fig5.csv to {outdir}")

@@ -119,6 +119,11 @@ class EnergyProgram:
         return {"target": self.target_e2, "roots": list(self.g_solutions)}
 
 
+def _energy_at_pi_json_dict(g: float) -> dict:
+    """The object ``trichain energy --g`` writes: the coupling and its ``energy_at_pi``."""
+    return {"g": g, "energy": energy_at_pi(g)}
+
+
 def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float, float, float]:
     """Residuals of the comb conditions for the given spacing.
 

@@ -30,6 +30,7 @@ _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
 
 _ENERGY_CSV_HEADER = "t,E_s1,E_s2,E_s3,E_a1,E_a2,E_a3"
+_CENTRAL_ENERGY_CSV_HEADER = "t,E_x2_qubit,E_x2_qutrit"
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,13 @@ def _energies_to_json_dict(trajectory: Trajectory) -> dict:
     energies keyed by their ``energies_to_csv`` column names."""
     times, *columns = energies(trajectory).T.tolist()
     return {"times": times, "energies": dict(zip(_ENERGY_CSV_HEADER.split(",")[1:], columns))}
+
+
+def _central_energies_to_csv(qubit: Trajectory, qutrit: Trajectory) -> str:
+    """The table ``trichain figures`` writes as fig5.csv: the central atom's
+    energy over the common times of a qubit and a qutrit run."""
+    columns = [np.abs(trajectory.states[:, 1]) ** 2 for trajectory in (qubit, qutrit)]
+    return _csv(_CENTRAL_ENERGY_CSV_HEADER, np.column_stack([qubit.times, *columns]).tolist())
 
 
 def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> float:

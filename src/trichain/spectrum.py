@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -94,7 +95,7 @@ class Spectrum:
     """Six real eigenfrequencies, ascending, with degeneracy metadata.
 
     ``clusters`` lists (representative value, multiplicity) for groups of
-    frequencies closer than ``degeneracy_tol``.
+    frequencies within ``degeneracy_tol`` of their neighbours.
     """
 
     frequencies: tuple[float, ...]
@@ -116,7 +117,11 @@ class DegeneracyReport:
     """Cubic discriminant plus the zero-frequency-pair flag.
 
     ``discriminant`` vanishes exactly when the cubic in q = p^2 has a
-    repeated root, i.e. when two distinct |w| values collide.
+    repeated root, i.e. when two distinct |w| values collide.  It is the
+    exact value rounded once, so never negative.  It also reads 0.0 where a
+    positive exact value is below half the smallest subnormal (~2.5e-324),
+    and ``degeneracy_discriminant`` raises DomainError where it is above the
+    float range.
     ``zero_frequency_pair`` flags c0 = 0 to a relative 1e-12 (delta = +-f2,
     or f1 = 0), the case where a +-w pair sits at w = 0; the spectrum is then
     degenerate even though the cubic's roots may all be simple.
@@ -391,12 +396,8 @@ def nonequidistance_error(spectrum: Spectrum) -> float:
     return float(delta_err)
 
 
-#: A normalized discriminant below this may be made of terms that underflowed.
-_DISC_UNDERFLOW = _TINY / np.finfo(float).eps
-
-
 def _cubic_discriminant(c4, c2, c0):
-    """Discriminant of q^3 + c4 q^2 + c2 q + c0, for floats or exactly for integers."""
+    """Discriminant of q^3 + c4 q^2 + c2 q + c0, exactly, for integer coefficients."""
     c44 = c4 * c4
     c22 = c2 * c2
     return 18 * c4 * c2 * c0 - 4 * (c44 * c4) * c0 + c44 * c22 - 4 * (c22 * c2) - 27 * (c0 * c0)
@@ -405,30 +406,23 @@ def _cubic_discriminant(c4, c2, c0):
 def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
     """Discriminant of the cubic in q = p^2 plus the zero-frequency-pair flag.
 
-    The discriminant, of degree 12, is computed on the parameters divided
-    exactly by a power of two that brings the largest to [0.5, 1); where a
-    parameter below 2^-85 of it may have underflowed, exactly in integers.
-    Raises DomainError when it is outside the float range (from ~1e25 up).
-    The flag is c0 <= 1e-12 * f1^2 * (delta^2 + f2^2)^2, i.e. f1 = 0 or
-    |delta^2 - f2^2| <= 1e-6 * (delta^2 + f2^2), on delta and f2 scaled alike.
+    Both are computed exactly, on the parameters written as integers over
+    their common power-of-two denominator den: the discriminant, of degree
+    12, in Python integers, rounded once by the division by den^12.  Raises
+    DomainError when it is outside the float range (largest parameter from
+    ~1e25 up).  The flag is c0 <= 1e-12 * f1^2 * (delta^2 + f2^2)^2, i.e.
+    f1 = 0 or |delta^2 - f2^2| <= 1e-6 * (delta^2 + f2^2).
     """
-    raw = (params.g, params.delta, params.f1, params.f2)
-    _, exponent = math.frexp(max(map(abs, raw)))
-    scaled = [math.ldexp(x, -exponent) for x in raw]
-    disc = _cubic_discriminant(*_char_poly_coeffs(*scaled))
+    ratios = [x.as_integer_ratio() for x in (params.g, params.delta, params.f1, params.f2)]
+    den = max(d for _, d in ratios)
+    g, delta, f1, f2 = (n * (den // d) for n, d in ratios)
     try:
-        if abs(disc) < _DISC_UNDERFLOW and min((abs(x) for x in scaled if x), default=1.0) < 2.0**-85:
-            ratios = [x.as_integer_ratio() for x in raw]
-            den = max(d for _, d in ratios)
-            disc = _cubic_discriminant(*_char_poly_coeffs(*(n * (den // d) for n, d in ratios))) / den**12
-        else:
-            disc = math.ldexp(disc, 12 * exponent)
+        disc = _cubic_discriminant(*_char_poly_coeffs(g, delta, f1, f2)) / den**12
     except OverflowError:
         raise DomainError(f"cubic discriminant is outside the float range (+-1.8e308) for {params}") from None
-    _, exponent = math.frexp(max(abs(params.delta), params.f2))
-    delta, f2 = math.ldexp(params.delta, -exponent), math.ldexp(params.f2, -exponent)
-    zero_pair = abs((delta - f2) * (delta + f2)) <= 1e-6 * (delta * delta + f2 * f2)
-    return DegeneracyReport(discriminant=disc, zero_frequency_pair=params.f1 == 0.0 or zero_pair)
+    d2, f22 = delta * delta, f2 * f2
+    zero_pair = f1 == 0 or 10**12 * (d2 - f22) ** 2 <= (d2 + f22) ** 2
+    return DegeneracyReport(discriminant=disc, zero_frequency_pair=zero_pair)
 
 
 def _s2_numerator_coeffs(params: SystemParams) -> np.ndarray:
@@ -589,7 +583,7 @@ def sweep_spectrum_values(
     delta_err, undefined = _nonequidistance(freqs, degeneracy_tol)
     delta_err = np.where(undefined, None, delta_err)
     columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
-    return list(map(SweepRow._make, zip(*columns)))
+    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
 
 
 def sweep_spectrum(

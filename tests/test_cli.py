@@ -97,6 +97,13 @@ class TestSpectrumCommand:
         fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert float(fields[3]) == pytest.approx(0.00182, rel=1e-3) and fields[9] == "false"
 
+    def test_discriminant_near_the_triple_root(self, capsys):
+        # On the resonant chain the discriminant is 32 g^6 + 16 g^8, 3.2e-23 at
+        # g = 1e-4; a float evaluation of the cubic's discriminant writes its
+        # cancellation noise here, 2^-46 = 1.42108547152e-14.
+        assert run(["spectrum", "--g", "1e-4", "--delta", "0", "--f1", "1", "--f2", "1"]) == 0
+        assert capsys.readouterr().out.strip().split("\n")[1].split(",")[8] == "3.200000016e-23"
+
     def test_preset_lands_on_the_comb(self, capsys):
         assert run(["spectrum", "--preset", "qubit"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]

@@ -300,6 +300,16 @@ class TestNonequidistanceError:
         assert not above.degenerate and nonequidistance_error(above) > 0.0
 
 
+def exact_discriminant(params):
+    """The cubic's discriminant in rational arithmetic, unrounded."""
+    c4, c2, c0 = _char_poly_coeffs(*(Fraction(x) for x in astuple(params)[:4]))
+    return 18 * c4 * c2 * c0 - 4 * c4**3 * c0 + c4**2 * c2**2 - 4 * c2**3 - 27 * c0**2
+
+
+def scaled(params, k):
+    return SystemParams(*(math.ldexp(x, k) for x in astuple(params)[:4]))
+
+
 class TestDegeneracyDiscriminant:
     def test_triple_root(self):
         report = degeneracy_discriminant(RESONANT)
@@ -329,10 +339,9 @@ class TestDegeneracyDiscriminant:
     @pytest.mark.parametrize("g", [1e39, 1e60, 1e200])
     def test_overflowing_discriminant_is_refused(self, g):
         # The discriminant, of degree 12, is beyond the float range: bad
-        # input (DomainError), not a bug.  At g = 1e200 the normalized
-        # computation underflows to 0, so the exact route decides.  The
-        # spectrum of the same point is fine: the kernel and the check both
-        # normalize, and it agrees with the 6x6 eigensolver to its precision.
+        # input (DomainError), not a bug.  The spectrum of the same point is
+        # fine: the kernel and the check both normalize, and it agrees with
+        # the 6x6 eigensolver to its precision.
         params = RESONANT.replace(g=g)
         with pytest.raises(DomainError, match="outside the float range"):
             degeneracy_discriminant(params)
@@ -345,10 +354,6 @@ class TestDegeneracyDiscriminant:
     COMBS = [solve_comb_params(0.5, "A").params, solve_comb_params(0.5, "B").params,
              solve_comb_params(QUBIT_COUPLING, "A").params]
 
-    @staticmethod
-    def scaled(params, k):
-        return SystemParams(*(math.ldexp(x, k) for x in astuple(params)[:4]))
-
     def test_zero_pair_flag_is_the_same_at_every_scale(self):
         # The flag had an absolute floor: the generic point reported a zero
         # pair for every k <= -7.  Where the discriminant leaves the float
@@ -356,7 +361,7 @@ class TestDegeneracyDiscriminant:
         for params, flag, first_overflow in [(self.GENERIC, False, 86)] + [(c, True, 85) for c in self.COMBS]:
             base = degeneracy_discriminant(params).discriminant
             for k in range(-200, 201):
-                point = self.scaled(params, k)
+                point = scaled(params, k)
                 if k >= first_overflow:
                     with pytest.raises(DomainError):
                         degeneracy_discriminant(point)
@@ -366,7 +371,7 @@ class TestDegeneracyDiscriminant:
                 if abs(report.discriminant) >= np.finfo(float).tiny:
                     assert report.discriminant == math.ldexp(base, 12 * k)  # exact scaling
             for k in (-600, -900, -1000):  # delta^2 + f2^2 is below the float range here
-                assert degeneracy_discriminant(self.scaled(params, k)).zero_frequency_pair is flag
+                assert degeneracy_discriminant(scaled(params, k)).zero_frequency_pair is flag
 
     @pytest.mark.parametrize("params", [
         SystemParams(g=2.0, delta=1e-80, f1=1e-80, f2=1e-80),
@@ -375,11 +380,43 @@ class TestDegeneracyDiscriminant:
         SystemParams(g=1e-100, delta=3e-300, f1=1e-280, f2=2e-300),
     ])
     def test_discriminant_across_a_wide_parameter_spread(self, params):
-        # Terms of the small parameters underflow after normalization, so the
-        # result is the exact discriminant, rounded once.
-        c4, c2, c0 = _char_poly_coeffs(*(Fraction(x) for x in astuple(params)[:4]))
-        exact = 18 * c4 * c2 * c0 - 4 * c4**3 * c0 + c4**2 * c2**2 - 4 * c2**3 - 27 * c0**2
-        assert degeneracy_discriminant(params).discriminant == float(exact)
+        # Parameters up to 240 orders of magnitude apart, whose terms span far
+        # more than the float range: still the exact value, rounded once.
+        assert degeneracy_discriminant(params).discriminant == float(exact_discriminant(params))
+
+    coupling = st.floats(min_value=0.0, max_value=2.0)
+
+    # Near-degenerate families: the resonant chain's triple |w| approached
+    # along g, the zero pair approached along delta = +-f2 (1 + eps), and
+    # designed combs (a double zero) scaled by 2^k.
+    near_degenerate = st.one_of(
+        st.floats(min_value=-8.0, max_value=-1.0).map(lambda u: RESONANT.replace(g=10.0**u)),
+        st.builds(
+            lambda g, f1, f2, sign, eps: SystemParams(g=g, delta=sign * f2 * (1.0 + eps), f1=f1, f2=f2),
+            coupling, coupling, st.floats(min_value=0.01, max_value=2.0), st.sampled_from([-1.0, 1.0]),
+            st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([-1.0, 1.0]),
+                      st.floats(min_value=-16.0, max_value=-1.0)),
+        ),
+        st.builds(
+            lambda g, branch, k: scaled(solve_comb_params(g, branch).params, k),
+            st.floats(min_value=0.05, max_value=1.0), st.sampled_from(["A", "B"]),
+            st.integers(min_value=-120, max_value=80),
+        ),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=near_degenerate)
+    def test_exact_value_rounded_once_near_degeneracy(self, params):
+        disc = degeneracy_discriminant(params).discriminant
+        assert disc == float(exact_discriminant(params)) and disc >= 0.0
+
+    def test_never_negative_toward_the_triple_root(self):
+        # A float evaluation read negative, impossible for real roots, at 112
+        # of these 400 points.
+        for g in np.logspace(-8, -1, 400):
+            params = RESONANT.replace(g=float(g))
+            disc = degeneracy_discriminant(params).discriminant
+            assert disc == float(exact_discriminant(params)) and disc >= 0.0
 
 
 class TestS2Response:
@@ -572,7 +609,9 @@ class TestSweepRowContract:
         second = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 31)
         assert first == second and first is not second
         assert first[1] != first[2]
-        assert all(type(row.param) is float and type(row.frequencies) is tuple for row in first)
+        assert all(
+            type(row) is SweepRow and type(row.param) is float and type(row.frequencies) is tuple for row in first
+        )
 
     def test_json_dict(self):
         rows = sweep_spectrum(RESONANT, "g", 0.0, 1.0, 3)
