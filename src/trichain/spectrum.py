@@ -30,7 +30,9 @@ frequencies have the elementary symmetric functions c4, c2 and c0.  The
 check is relative to the spectrum's scale and well conditioned at any
 multiplicity, so a failure raises ConsistencyError because it can only come
 from a bug.  ``frequencies_from_charpoly`` solves the cubic in closed form,
-the paper's algebraic route.
+the paper's algebraic route: normalized once by a power of four, so its
+frequencies scale bitwise with the coefficients, with the two smaller roots
+deflated from the largest; a non-finite coefficient raises DomainError.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def _char_poly_coeffs(g, delta, f1, f2):
 
 
 def _real_quadratic_roots(b: float, c: float) -> list[float]:
-    # x^2 + b x + c, both roots known real (Hermitian origin).
+    # x^2 + b x + c, both roots known real (Hermitian origin).  The caller
+    # normalizes its cubic, so 1.0 bounds b^2 and |c| of a valid one.
     disc = b * b - 4.0 * c
     if disc < 0.0:
         if disc < -1e-10 * max(1.0, b * b, abs(c)):
@@ -164,56 +167,47 @@ def _real_quadratic_roots(b: float, c: float) -> list[float]:
     return sorted((q, c / q))
 
 
-#: A cubic root q this much smaller than the middle one is taken from the
-#: product of the roots, -c0.  The trigonometric form leaves every root an
-#: absolute error ~eps*c4, so such a root keeps few correct digits, and
-#: w = sqrt(-q) fewer still as w -> 0 (delta -> +-f2, next to a designed comb).
-_SMALL_ROOT = 1e-3
-
-
-def _real_cubic_roots(b: float, c: float, d: float) -> list[float]:
-    """Ascending real roots of x^3 + b x^2 + c x + d.
-
-    Uses the trigonometric form for the three-real-roots case, which is
-    guaranteed here because the cubic comes from a real symmetric matrix.
-    A vanishing constant term is factored out exactly so that designed combs
-    keep their zero root exact; a small but nonzero root is taken from the
-    product of the roots (see _SMALL_ROOT).
-    """
-    if d == 0.0:
-        return sorted([0.0] + _real_quadratic_roots(b, c))
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    r = d + b * (2.0 * b * b - 9.0 * c) / 27.0
-    scale = max(1.0, abs(b) * abs(b), abs(c))
-    if p >= -1e-14 * scale:
-        # Depressed coefficient non-negative only by rounding at a (near-)
-        # triple root; then r is equally tiny and the root is -cbrt(r).
-        t = -float(np.cbrt(r))
-        roots = [t, t, t]
-    else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        cosarg = 3.0 * r / (p * m)  # equals -4r/m^3
-        cosarg = min(1.0, max(-1.0, cosarg))
-        theta = math.acos(cosarg) / 3.0
-        roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    lo, mid, hi = sorted(t - shift for t in roots)
-    if abs(hi) < _SMALL_ROOT * abs(mid):
-        hi = -d / (lo * mid)
-    return [lo, mid, hi]
-
-
 def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
-    """Six frequencies from the closed-form cubic in q = p^2, ascending."""
-    qs = _real_cubic_roots(cp.c4, cp.c2, cp.c0)
-    scale = 1.0 + cp.c4
-    freqs: list[float] = []
-    for q in qs:
-        if q > 1e-9 * scale:
-            raise ConsistencyError(f"cubic root q={q} > 0 implies non-real frequency")
-        w = math.sqrt(max(-q, 0.0))
-        freqs.extend((-w, w))
-    return tuple(sorted(freqs))
+    """Six frequencies from the closed-form cubic in q = p^2, ascending.
+
+    The cubic is divided exactly by the power of four 4^m that brings c4 into
+    [1/4, 1), so every constant below is relative and the frequencies scale
+    bitwise with the coefficients.  The most negative root q1 comes from the
+    trigonometric form, where -b/3 and the depressed root add without
+    cancellation; the other two solve the quadratic Vieta leaves (sum
+    -c4 - q1, product -c0/q1), so a root that vanishes with c0 keeps its
+    relative accuracy and c0 = 0 gives an exact zero pair (Kahan, "To Solve a
+    Real Cubic Equation", 1986).  Near a repeated root the members of the
+    cluster keep an error ~eps^(1/m) at multiplicity m; their mean stays well
+    conditioned.  Raises DomainError for a non-finite coefficient and
+    ConsistencyError where the cubic cannot have three real roots <= 0.
+    """
+    if not all(map(math.isfinite, (cp.c4, cp.c2, cp.c0))):
+        raise DomainError(f"characteristic polynomial coefficients are outside the float range (+-1.8e308): {cp}")
+    if not cp.c4 > 0.0:  # the roots, all <= 0, sum to -c4
+        if cp.c4 == cp.c2 == cp.c0 == 0.0:
+            return (0.0,) * 6
+        raise ConsistencyError(f"c4 = {cp.c4} <= 0 with {cp}: the cubic has no three real roots <= 0")
+    m = (math.frexp(cp.c4)[1] + 1) // 2
+    try:  # three real roots <= 0 bound c2 and c0 by c4^2/3 and c4^3/27
+        b, c, d = (math.ldexp(x, -2 * m * k) for k, x in ((1, cp.c4), (2, cp.c2), (3, cp.c0)))
+    except OverflowError:
+        raise ConsistencyError(f"c2 or c0 is far above its bound by c4 for {cp}") from None
+    # q = t - b/3 turns the cubic into t^3 + p t + r, whose p <= 0 but for rounding.
+    p = min(c - b * b / 3.0, 0.0)
+    r = d + b * (2.0 * b * b - 9.0 * c) / 27.0
+    # Its most negative root is s*cos(theta + 2pi/3) with cos(3 theta) = -4r/s^3.
+    s = 2.0 * math.sqrt(-p / 3.0)
+    t = -s * math.cos(math.acos(max(-1.0, min(1.0, 4.0 * r / (s * s * s)))) / 3.0) if s > 0.0 else 0.0
+    q1 = t - b / 3.0
+    # A residual beyond rounding means a clamp met complex roots.
+    if abs(((q1 + b) * q1 + c) * q1 + d) > 1e-10 * b * b * b:
+        raise ConsistencyError(f"the cubic in q = p^2 has complex roots for {cp}")
+    qs = [q1, *_real_quadratic_roots(b + q1, -d / q1)]
+    if max(qs) > 1e-9 * b:
+        raise ConsistencyError(f"cubic root q = {max(qs) / b:.3e} * c4 > 0 implies a non-real frequency for {cp}")
+    ws = sorted(math.ldexp(math.sqrt(max(0.0, -q)), m) for q in qs)
+    return (*(0.0 - w for w in reversed(ws)), *ws)
 
 
 def _cluster(frequencies: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:

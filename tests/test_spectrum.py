@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trichain import (
@@ -39,7 +39,7 @@ from trichain import (
 )
 import trichain.model as model_module
 import trichain.spectrum as spectrum_module
-from trichain.spectrum import _char_poly_coeffs, _cluster, _coefficient_gap, _mirror_frequencies
+from trichain.spectrum import CharPoly, _char_poly_coeffs, _cluster, _coefficient_gap, _mirror_frequencies
 from conftest import random_params
 
 RESONANT = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -108,10 +108,12 @@ class TestEigenfrequencies:
         assert np.allclose(spec.frequencies, [-2, -1, 0, 0, 1, 2], atol=1e-7)
 
     def test_closed_form_route_agrees_with_eigensolver(self, rng):
-        for params in random_params(rng, 200, coupling_hi=2.0, delta_hi=2.0):
-            closed = frequencies_from_charpoly(char_poly(params))
-            spec = eigenfrequencies(params)
-            assert np.max(np.abs(np.array(closed) - spec.frequencies)) <= 1e-9
+        g, f1, f2 = rng.uniform(0.0, 2.0, (3, 20000))
+        delta = rng.uniform(-2.0, 2.0, 20000)
+        kernel = six_frequencies_per_point(_mirror_frequencies(g, delta, f1, f2))  # eigenfrequencies, batched
+        for point, row in zip(zip(g.tolist(), delta.tolist(), f1.tolist(), f2.tolist()), kernel):
+            closed = frequencies_from_charpoly(CharPoly(*_char_poly_coeffs(*point)))
+            assert np.max(np.abs(closed - row)) <= 1e-9 * row[5]
 
     def test_mirror_symmetry_and_zero_sum(self, rng):
         for params in random_params(rng, 100, coupling_hi=2.0, delta_hi=2.0):
@@ -121,8 +123,9 @@ class TestEigenfrequencies:
 
     def test_near_zero_frequency_pair_passes_the_dual_route_check(self):
         # delta -> +-f2 sends a +-w pair to zero next to a designed comb; both
-        # the eigensolver and the closed form (through _SMALL_ROOT) must
-        # resolve w there, not only at c0 == 0 exactly.
+        # the eigensolver and the closed form (whose small roots are deflated
+        # from the largest, through the product -c0/q1) must resolve w there,
+        # not only at c0 == 0 exactly.
         for eps in np.logspace(-13, -5, 33):
             for sign in (1.0, -1.0):
                 params = SystemParams(g=0.5, delta=sign * (1.0 + eps), f1=1.0, f2=1.0)
@@ -308,6 +311,109 @@ def exact_discriminant(params):
 
 def scaled(params, k):
     return SystemParams(*(math.ldexp(x, k) for x in astuple(params)[:4]))
+
+
+def coefficients_are_normal_or_zero(params):
+    return all(x == 0.0 or abs(x) >= np.finfo(float).tiny for x in astuple(char_poly(params)))
+
+
+class TestClosedFormCubic:
+    """``frequencies_from_charpoly``: normalized by a power of four, the
+    most negative root from the trigonometric form, the other two deflated."""
+
+    GENERIC = SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9)
+
+    physical = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0))
+    family = st.one_of(
+        st.builds(SystemParams, physical, st.one_of(physical, physical.map(lambda x: -x)), physical, physical),
+        st.builds(
+            lambda g, f1, f2, sign, u: SystemParams(g=g, delta=sign * f2 * (1.0 + u), f1=f1, f2=f2),
+            physical, physical, st.floats(min_value=1e-2, max_value=2.0), st.sampled_from([-1.0, 1.0]),
+            st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([-1.0, 1.0]),
+                      st.floats(min_value=-8.0, max_value=-1.0)),
+        ),
+        st.builds(lambda g, branch: solve_comb_params(g, branch).params,
+                  st.floats(min_value=0.05, max_value=1.0), st.sampled_from("AB")),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=family, k=st.integers(min_value=-150, max_value=150))
+    @example(params=GENERIC, k=-40)  # a false triple root 1.11e-12 from k = -12 down
+    def test_frequencies_scale_bitwise_and_match_the_kernel(self, params, k):
+        # The parameters' char_poly scales exactly unless a coefficient is subnormal.
+        point = scaled(params, k)
+        assume(coefficients_are_normal_or_zero(params) and coefficients_are_normal_or_zero(point))
+        base = frequencies_from_charpoly(char_poly(params))
+        assert bits(frequencies_from_charpoly(char_poly(point))) == bits([math.ldexp(w, k) for w in base])
+        kernel = np.array(eigenfrequencies(params).frequencies)
+        squares = kernel[3:] ** 2
+        if np.min(np.diff(squares)) >= 1e-3 * squares[2]:  # no repeated root (see the resonant scan)
+            assert np.max(np.abs(np.array(base) - kernel)) <= 1e-9 * kernel[5]
+
+    def test_resonant_triple_root_with_a_multiplicity_aware_tolerance(self):
+        # A triple root's members are conditioned like eps^(1/3); their mean is
+        # conditioned like eps.
+        for g in np.logspace(-8, -1, 400):
+            params = RESONANT.replace(g=float(g))
+            closed = np.array(frequencies_from_charpoly(char_poly(params)))
+            kernel = np.array(eigenfrequencies(params).frequencies)
+            assert np.max(np.abs(closed - kernel)) <= 1e-5
+            assert abs(closed[3:].mean() - kernel[3:].mean()) <= 1e-9 * kernel[3:].mean()
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=coupling, delta=detuning, f1=coupling, f2=coupling, where=st.sampled_from(["+f2", "-f2", "f1=0"]))
+    def test_exact_zero_pair_where_c0_vanishes(self, g, delta, f1, f2, where):
+        params = {"+f2": (g, f2, f1, f2), "-f2": (g, -f2, f1, f2), "f1=0": (g, delta, 0.0, f2)}[where]
+        freqs = frequencies_from_charpoly(char_poly(SystemParams(*params)))
+        assert bits(freqs[2:4]) == bits([0.0, 0.0])
+
+    @pytest.mark.parametrize("branch", ["A", "B"])
+    def test_designed_combs_keep_an_exact_zero_pair(self, branch):
+        for g in np.linspace(0.05, 1.0, 20):
+            freqs = frequencies_from_charpoly(char_poly(solve_comb_params(float(g), branch).params))
+            assert bits(freqs[2:4]) == bits([0.0, 0.0])
+            assert np.allclose(freqs, [-2, -1, 0, 0, 1, 2], atol=1e-12)
+
+    def test_overflowing_coefficients_are_refused(self):
+        # c0 overflows from 2^171 up, where the closed form returned 2.07e51,
+        # 2.07e51, 4.22e51 for the positive half; c2 too at 2^300 (it returned NaN).
+        for k in (171, 300):
+            with pytest.raises(DomainError, match="float range"):
+                frequencies_from_charpoly(char_poly(scaled(self.GENERIC, k)))
+        frequencies_from_charpoly(char_poly(scaled(self.GENERIC, 170)))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="float range"):
+                frequencies_from_charpoly(CharPoly(1.0, 0.25, bad))
+
+    def test_vanishing_or_tiny_c4(self):
+        # The three roots, all <= 0, sum to -c4.
+        assert bits(frequencies_from_charpoly(CharPoly(0.0, 0.0, 0.0))) == bits([0.0] * 6)
+        for c2, c0 in [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1e-300, 0.0)]:
+            with pytest.raises(ConsistencyError):
+                frequencies_from_charpoly(CharPoly(0.0, c2, c0))
+        with pytest.raises(ConsistencyError):
+            frequencies_from_charpoly(CharPoly(-1.0, 0.0, 0.0))
+        with pytest.raises(ConsistencyError):  # c2 overflows when divided by c4^2
+            frequencies_from_charpoly(CharPoly(1e-200, 1.0, 0.0))
+
+    roots = st.floats(min_value=0.0, max_value=2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        real=roots, pair=st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=1e-3, max_value=2.0)),
+        positive=st.tuples(roots, roots, st.floats(min_value=1e-3, max_value=2.0)), complex_pair=st.booleans(),
+        k=st.integers(min_value=-100, max_value=100),
+    )
+    def test_cubics_without_three_real_nonpositive_roots_are_refused(self, real, pair, positive, complex_pair, k):
+        # Built from its roots in q: -real and x +- iy, or two roots <= 0 and one > 0.
+        if complex_pair:
+            (x, y), r = pair, -real
+            coefficients = (-(2.0 * x + r), x * x + y * y + 2.0 * x * r, -r * (x * x + y * y))
+        else:
+            a, b, c = -positive[0], -positive[1], positive[2]
+            coefficients = (-(a + b + c), a * b + a * c + b * c, -a * b * c)
+        with pytest.raises(ConsistencyError):
+            frequencies_from_charpoly(CharPoly(*(math.ldexp(x, 2 * n * k) for n, x in enumerate(coefficients, 1))))
 
 
 class TestDegeneracyDiscriminant:
