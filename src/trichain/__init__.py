@@ -10,6 +10,15 @@ The package is organized around four pure-function layers:
 - :mod:`trichain.dynamics`  spectral/RK4 propagation, schedules, energies
 
 plus :mod:`trichain.cli`, the ``trichain`` command-line front end.
+
+``import trichain`` loads neither numpy nor :mod:`trichain.dynamics`, the
+all-array layer: the dynamics names resolve on first access (PEP 562), and
+the other modules import numpy inside the functions that make or take
+arrays.  One spectrum, one comb and one half-period energy are computed with
+``math`` and exact integers, so ``trichain spectrum``, ``comb`` and
+``energy --g`` never load numpy; ``spectrum --preset`` (which simulates to
+pick the energy branch), ``energy --target``, ``sweep``, ``evolve`` and
+``figures`` do.
 """
 
 from .errors import (
@@ -63,19 +72,36 @@ from .comb import (
     solve_comb_params,
     solve_g_for_energy,
 )
-from .dynamics import (
-    Schedule,
-    Segment,
-    Trajectory,
-    energies,
-    energies_to_csv,
-    evolve_rk4,
-    evolve_schedule,
-    evolve_spectral,
-    plateau_width,
-    propagator,
-    schedule_from_json,
-)
+
+#: Names of :mod:`trichain.dynamics` that ``__getattr__`` resolves on first access.
+_DYNAMICS = frozenset({
+    "Schedule",
+    "Segment",
+    "Trajectory",
+    "energies",
+    "energies_to_csv",
+    "evolve_rk4",
+    "evolve_schedule",
+    "evolve_spectral",
+    "plateau_width",
+    "propagator",
+    "schedule_from_json",
+})
+
+
+def __getattr__(name):
+    """Import :mod:`trichain.dynamics`, and numpy with it, on first use of one
+    of its names, and bind the name here so later lookups are plain."""
+    if name not in _DYNAMICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dynamics
+
+    value = globals()[name] = getattr(dynamics, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_DYNAMICS})
 
 __version__ = "0.1.0"
 

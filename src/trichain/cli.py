@@ -20,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .comb import (
     BRANCHES,
@@ -32,14 +30,6 @@ from .comb import (
     identify_energy_branch,
     solve_comb_params,
     solve_g_for_energy,
-)
-from .dynamics import (
-    _central_energies_to_csv,
-    _energies_to_json_dict,
-    energies_to_csv,
-    evolve_schedule,
-    evolve_spectral,
-    schedule_from_json,
 )
 from .errors import TrichainError
 from .model import SystemParams, initial_state, params_from_config
@@ -216,6 +206,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import dynamics
+
     schedule_text = None
     if args.schedule is not None:
         schedule_text = _read_text(args.schedule, "schedule")
@@ -230,18 +224,22 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     times = np.linspace(0.0, args.t_end, args.n)
     v0 = initial_state(args.init)
     if schedule_text is not None:
-        schedule = schedule_from_json(schedule_text, base=params)
-        trajectory = evolve_schedule(schedule, v0, times)
+        schedule = dynamics.schedule_from_json(schedule_text, base=params)
+        trajectory = dynamics.evolve_schedule(schedule, v0, times)
     else:
-        trajectory = evolve_spectral(params, v0, times)
+        trajectory = dynamics.evolve_spectral(params, v0, times)
     if args.format == "json":
-        _write_output(args.out, _json_dumps(_energies_to_json_dict(trajectory)))
+        _write_output(args.out, _json_dumps(dynamics._energies_to_json_dict(trajectory)))
     else:
-        _write_output(args.out, energies_to_csv(trajectory))
+        _write_output(args.out, dynamics.energies_to_csv(trajectory))
     return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import dynamics
+
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     resonant = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -256,7 +254,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     _progress("fig4.csv: spectrum versus detuning at the comb coupling")
     anchor = solve_comb_params(QUBIT_COUPLING, "A")
-    values = np.unique(np.append(np.linspace(0.0, 2.0, 801), anchor.f2))
+    values = sorted({*np.linspace(0.0, 2.0, 801).tolist(), anchor.f2})
     rows = sweep_spectrum_values(anchor.params, "delta", values)
     (outdir / "fig4.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
 
@@ -265,10 +263,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
     times = np.linspace(0.0, 2.0 * math.pi, 2001)
     v0 = initial_state(2)
     qubit, qutrit = (
-        evolve_spectral(solve_comb_params(coupling, branch).params, v0, times)
+        dynamics.evolve_spectral(solve_comb_params(coupling, branch).params, v0, times)
         for coupling in (QUBIT_COUPLING, QUTRIT_COUPLING)
     )
-    fig5 = _central_energies_to_csv(qubit, qutrit)
+    fig5 = dynamics._central_energies_to_csv(qubit, qutrit)
     (outdir / "fig5.csv").write_text(fig5, encoding="utf-8")
 
     print(f"wrote fig2.csv fig3.csv fig4.csv fig5.csv to {outdir}")

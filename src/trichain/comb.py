@@ -34,16 +34,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import dynamics
 from .errors import (
     BranchInfeasibleError,
     ConsistencyError,
     DomainError,
     InvalidParameterError,
 )
-from .model import SystemParams, initial_state
+from .model import SystemParams, _is_array, _is_real, initial_state
 from .spectrum import DEFAULT_DEGENERACY_TOL, SweepConstraint, char_poly, eigenfrequencies
 
 BRANCHES = ("A", "B")
@@ -139,12 +136,12 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
 
 def _check_coupling_domain(g):
     """g as a float, or a float array whose points all lie in (0, 1]."""
-    if isinstance(g, np.ndarray):
+    if _is_array(g):
         outside = ~((g > 0.0) & (g <= 1.0))
         if outside.any():
-            _check_coupling_domain(float(g.flat[np.argmax(outside)]))  # raises that point's error
+            _check_coupling_domain(float(g.flat[outside.argmax()]))  # raises that point's error
         return g
-    if not isinstance(g, (int, float)) or not math.isfinite(g):
+    if not _is_real(g):
         raise DomainError(f"coupling g must be a finite real number, got {g!r}")
     g = float(g)
     if not 0.0 < g <= 1.0:
@@ -167,8 +164,13 @@ def _branch_squares(g, branch: str):
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
     g = _check_coupling_domain(g)
     radicand = _radicand(g)
-    array = isinstance(g, np.ndarray)
-    s = np.sqrt(np.maximum(radicand, 0.0)) if array else math.sqrt(max(radicand, 0.0))
+    array = _is_array(g)
+    if array:
+        import numpy as np
+
+        s = np.sqrt(np.maximum(radicand, 0.0))
+    else:
+        s = math.sqrt(max(radicand, 0.0))
     g2 = g * g
     if branch == "A":
         f2_sq = ((5.0 - g2) - s) / 8.0
@@ -179,7 +181,7 @@ def _branch_squares(g, branch: str):
     if array:
         failed = (radicand < 0.0) | (f2_sq < 0.0) | (f1_sq < 0.0)
         if failed.any():
-            _branch_squares(float(g.flat[np.argmax(failed)]), branch)  # raises that point's error
+            _branch_squares(float(g.flat[failed.argmax()]), branch)  # raises that point's error
     elif radicand < 0.0:
         raise DomainError(f"inner square root is imaginary at g={g}")
     elif f2_sq < 0.0 or f1_sq < 0.0:
@@ -231,6 +233,8 @@ def branch_constraint(branch: str) -> SweepConstraint:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
     def apply(g, delta, f1, f2):
+        import numpy as np
+
         f2_sq, f1_sq = _branch_squares(np.asarray(g, dtype=float), branch)
         return g, delta, np.sqrt(f1_sq), np.sqrt(f2_sq)
 
@@ -263,7 +267,9 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
     matches the target outright.  An unattainable target yields an empty
     solution list, not an error.
     """
-    if not isinstance(target, (int, float)) or not math.isfinite(target):
+    import numpy as np
+
+    if not _is_real(target):
         raise DomainError(f"target must be a finite real number, got {target!r}")
     target = float(target)
     # E < 1 for every g > 0, so target 1 is reached only at the excluded g = 0.
@@ -304,7 +310,7 @@ def scale_comb(solution: CombSolution, kappa: float) -> CombSolution:
     parameters are multiplied by kappa; the revival time becomes
     2*pi / spacing.  Residuals are recomputed against the rescaled target.
     """
-    if not isinstance(kappa, (int, float)) or not math.isfinite(kappa) or kappa <= 0.0:
+    if not _is_real(kappa) or kappa <= 0.0:
         raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
     kappa = float(kappa)
     params = SystemParams(
@@ -340,6 +346,8 @@ def identify_energy_branch(
     couplings; exactly one must match ``energy_at_pi`` within ``tol`` at
     every probe.  The result is measured, not assumed.
     """
+    from . import dynamics
+
     v0 = initial_state(2)
     matches: list[str] = []
     for branch in BRANCHES:
@@ -347,7 +355,7 @@ def identify_energy_branch(
         for g in probe_couplings:
             solution = solve_comb_params(g, branch)
             trajectory = dynamics.evolve_spectral(solution.params, v0, [math.pi])
-            simulated = float(np.abs(trajectory.states[0, 1]) ** 2)
+            simulated = float(abs(trajectory.states[0, 1]) ** 2)
             worst = max(worst, abs(simulated - energy_at_pi(g)))
         if worst <= tol:
             matches.append(branch)

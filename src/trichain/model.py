@@ -27,16 +27,42 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N_MODES = 6
 
 _COUPLING_FIELDS = ("g", "f1", "f2")
 _CONFIG_KEYS = ("g", "delta", "f1", "f2", "omega0")
+
+
+def _is_real(value) -> bool:
+    """The package's one rule for a scalar input: a finite real number, not a bool.
+
+    numpy's integer and floating scalars count (numpy registers them as
+    ``numbers.Real``); a string, a complex number, NaN, +-inf and an integer
+    beyond the float range do not.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int that no float can hold
+        return False
+
+
+def _is_array(value) -> bool:
+    """Whether ``value`` is a numpy array, without importing numpy: none can
+    exist before numpy is loaded."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.ndarray)
 
 
 @dataclass(frozen=True)
@@ -62,7 +88,7 @@ class SystemParams:
     def __post_init__(self):
         for name in ("g", "delta", "f1", "f2", "omega0"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _is_real(value):
                 raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, float(value))
         for name in _COUPLING_FIELDS:
@@ -75,6 +101,8 @@ class SystemParams:
 
 def build_coupling_matrix(params: SystemParams) -> np.ndarray:
     """Return the 6x6 real symmetric generator M of d/dt v = -i M v."""
+    import numpy as np
+
     g, delta, f1, f2 = params.g, params.delta, params.f1, params.f2
     return np.array([
         # s1    s2   s3      a1     a2   a3
@@ -89,6 +117,8 @@ def build_coupling_matrix(params: SystemParams) -> np.ndarray:
 
 def _first_invalid(g, delta, f1, f2) -> int:
     """Index of the first row of parameter arrays that SystemParams rejects, else their length."""
+    import numpy as np
+
     columns = np.array([g, delta, f1, f2])
     bad = ~np.isfinite(columns).all(axis=0) | (columns[[0, 2, 3]] < 0.0).any(axis=0)
     return int(np.argmax(bad)) if bad.any() else len(bad)
@@ -104,6 +134,8 @@ def initial_state(excited_index: int) -> np.ndarray:
         raise InvalidParameterError(f"excited_index must be an integer, got {excited_index!r}")
     if not 1 <= excited_index <= N_MODES:
         raise InvalidParameterError(f"excited_index must be in 1..{N_MODES}, got {excited_index}")
+    import numpy as np
+
     v = np.zeros(N_MODES, dtype=complex)
     v[excited_index - 1] = 1.0
     return v
@@ -122,6 +154,8 @@ def spectral_mirror_operator() -> np.ndarray:
     two rows and columns of B by 45 degrees gives the lower-triangular T of
     ``spectrum._mirror_frequencies``.
     """
+    import numpy as np
+
     d = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
     p = np.zeros((N_MODES, N_MODES))
     for i, j in ((0, 2), (2, 0), (1, 1), (3, 5), (5, 3), (4, 4)):
@@ -179,6 +213,6 @@ def _params_from_values(values: dict, source: str) -> SystemParams:
     if missing:
         raise InvalidParameterError(f"{source} missing required keys: {', '.join(missing)}")
     for key, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidParameterError(f"{source}: {key} must be a number, got {value!r}")
+        if not _is_real(value):
+            raise InvalidParameterError(f"{source}: {key} must be a finite real number, got {value!r}")
     return SystemParams(**values)

@@ -38,11 +38,10 @@ deflated from the largest; a non-finite coefficient raises DomainError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -51,7 +50,10 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, SystemParams, _first_invalid
+from .model import _NUM, SystemParams, _first_invalid, _is_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Absolute tolerance (in comb-spacing units) used to cluster equal
 #: eigenfrequencies.  Well above the spectral kernel's rounding error at unit
@@ -64,15 +66,15 @@ _COEFFICIENT_TOL = 1e-12
 
 #: The smallest normal float.  The check takes it as the scale of an all-zero
 #: spectrum, and the kernel reads a column whose squared norm is below it as 0.
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min
 
 _SWEEPABLE = ("g", "delta", "f1", "f2")
 
 #: Maps the parameter columns (g, delta, f1, f2), equal-length float arrays
 #: over a sweep grid, to corrected columns in the same order.
 SweepConstraint = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"],
+    "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
 ]
 
 _SWEEP_CSV_HEADER = "param,w1,w2,w3,w4,w5,w6,delta,degenerate"
@@ -217,9 +219,16 @@ def _cluster(frequencies: Sequence[float], tol: float) -> tuple[tuple[float, int
             groups[-1].append(f)
         else:
             groups.append([f])
-    return tuple(
-        (float(group[0]) if len(group) == 1 else float(np.mean(group)), len(group)) for group in groups
-    )
+    return tuple((group[0] if len(group) == 1 else _mean(group), len(group)) for group in groups)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``float(numpy.mean(values))`` bit for bit for up to seven floats, which
+    numpy adds in order, starting from 0.0, before it divides by their count."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _check_degeneracy_tol(degeneracy_tol: float) -> None:
@@ -230,7 +239,7 @@ def _check_degeneracy_tol(degeneracy_tol: float) -> None:
 #: A pair of columns of T counts as orthogonal once the cosine of their angle
 #: is at most rows times eps.  At eps alone a rotation can flip the rounding
 #: residue from one side to the other for ever.
-_ORTHOGONAL = 3 * np.finfo(float).eps
+_ORTHOGONAL = 3 * sys.float_info.epsilon
 
 #: Most sweeps of the Jacobi kernel.  A point needs 3-5, one with f1 = 0 up to
 #: 15 (its rank-deficient column shrinks by ~eps per sweep until it reads 0).
@@ -266,8 +275,13 @@ def _mirror_frequencies(g, delta, f1, f2):
       value below 2^-511 of the largest parameter; it is then exactly 0.
     - The negative half is 0.0 - s: an exact mirror, with 0 for a zero pair.
     """
-    arrays = isinstance(g, np.ndarray)
-    xp, where, larger = (np, np.where, np.maximum) if arrays else (math, _if_else, max)
+    arrays = _is_array(g)
+    if arrays:
+        import numpy as np
+
+        xp, where, larger = np, np.where, np.maximum
+    else:
+        xp, where, larger = math, _if_else, max
     _, e = xp.frexp(larger(larger(abs(g), abs(delta)), larger(f1, f2)))
     g, delta, f1, f2 = (xp.ldexp(x, -e) for x in (g, delta, f1, f2))
     columns = [(f1, g, -g), (0.0, delta + f2, 0.0), (0.0, 0.0, delta - f2)]
@@ -296,14 +310,15 @@ def _mirror_frequencies(g, delta, f1, f2):
             norms[j] = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
         if not rotated:
             break
-    if arrays:
-        s1, s2, s3 = np.sort(np.sqrt(np.where(np.array(norms) < _TINY, 0.0, norms)), axis=0)
-    else:
-        s1, s2, s3 = sorted(0.0 if n < _TINY else math.sqrt(n) for n in norms)
     # Scaled back by 2^(e-2) and then by 4, so that a frequency beyond the
     # float range becomes inf (math.ldexp would raise OverflowError).
-    with np.errstate(over="ignore"):
-        s1, s2, s3 = (xp.ldexp(s, e - 2) * 4.0 for s in (s1, s2, s3))
+    if arrays:
+        sigma = np.sort(np.sqrt(np.where(np.array(norms) < _TINY, 0.0, norms)), axis=0)
+        with np.errstate(over="ignore"):
+            s1, s2, s3 = (np.ldexp(s, e - 2) * 4.0 for s in sigma)
+    else:
+        sigma = sorted(0.0 if n < _TINY else math.sqrt(n) for n in norms)
+        s1, s2, s3 = (math.ldexp(s, e - 2) * 4.0 for s in sigma)
     return 0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3
 
 
@@ -322,13 +337,21 @@ def _coefficient_gap(freqs, g, delta, f1, f2):
     coefficients in the float range.  A NaN or infinite frequency gives a
     NaN or infinite gap.
     """
-    w1, w2, w3 = freqs[3:]
-    scale = np.maximum(w3, _TINY)
+    if _is_array(freqs[5]):
+        import numpy as np
+
+        with np.errstate(invalid="ignore"):  # an infinite top frequency
+            return np.max(_coefficient_gaps(np.maximum(freqs[5], _TINY), freqs, g, delta, f1, f2), axis=0)
+    # Python floats neither warn nor raise on inf and NaN here, and max(NaN, x) is NaN.
+    gaps = _coefficient_gaps(max(freqs[5], _TINY), freqs, g, delta, f1, f2)
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
+
+
+def _coefficient_gaps(scale, freqs, g, delta, f1, f2):
+    """The three |e_k - c_k| / scale^(2k) of ``_coefficient_gap``."""
     c4, c2, c0 = _char_poly_coeffs(g / scale, delta / scale, f1 / scale, f2 / scale)
-    with np.errstate(invalid="ignore"):  # an infinite top frequency
-        a, b, c = (x * x for x in (w1 / scale, w2 / scale, w3 / scale))
-        gaps = [abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)]
-    return np.max(gaps, axis=0)
+    a, b, c = (x * x for x in (w / scale for w in freqs[3:]))
+    return [abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)]
 
 
 def _gap_error(gap: float, params: SystemParams) -> ConsistencyError:
@@ -364,12 +387,20 @@ def _nonequidistance(freqs, tol):
     """Non-equidistance error and whether it is undefined, for six ascending
     frequencies, floats or arrays over a grid.  It is undefined where
     neighbours lie within ``tol`` (``_cluster``'s chaining rule) or
-    w1 <= ``tol``."""
-    w = np.asarray(freqs)
-    w1, w2, w3 = w[3:]
-    undefined = (np.diff(w, axis=0) <= tol).any(axis=0) | (w1 <= tol)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
+    w1 <= ``tol``.  Where it is undefined, the error of a float is NaN and
+    that of an array element is whatever the division gives."""
+    if _is_array(freqs[3]):
+        import numpy as np
+
+        w = np.asarray(freqs)
+        w1, w2, w3 = w[3:]
+        undefined = (np.diff(w, axis=0) <= tol).any(axis=0) | (w1 <= tol)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
+        return delta_err, undefined
+    w1, w2, w3 = freqs[3:]
+    undefined = any(b - a <= tol for a, b in zip(freqs, freqs[1:])) or w1 <= tol
+    delta_err = math.nan if undefined else abs(w2 / w1 - 3.0) + abs(w3 / w1 - 5.0)
     return delta_err, undefined
 
 
@@ -420,6 +451,8 @@ def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
 
 
 def _s2_numerator_coeffs(params: SystemParams) -> np.ndarray:
+    import numpy as np
+
     # Laplace-domain numerator of the central atom's response, degree 5:
     # p^5 + 2(delta^2+g^2+f2^2) p^3 + C p, with the constant of the cubic part
     # C = delta^4 + 2 delta^2 g^2 - 2 delta^2 f2^2 + 2 g^2 f2^2 + f2^4.
@@ -436,6 +469,8 @@ def s2_response(params: SystemParams, p: complex) -> complex:
     The response behaves like 1/p at large |p| (initial value 1).  Raises
     PoleError if p sits at a root of Det.
     """
+    import numpy as np
+
     cp = char_poly(params)
     det = cp.eval(p)
     ap = abs(p)
@@ -461,6 +496,8 @@ def inverse_laplace_s2(
 
     Returns an array of complex s2 values, one per requested time.
     """
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
         raise InvalidParameterError("times must be finite")
@@ -549,6 +586,8 @@ def sweep_spectrum_values(
     except that the constraint sees the whole grid first, so its errors come
     before any spectrum error.
     """
+    import numpy as np
+
     if vary not in _SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_SWEEPABLE}")
     grid = np.asarray(values, dtype=float)
@@ -590,6 +629,8 @@ def sweep_spectrum(
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> list[SweepRow]:
     """Spectrum sweep over a uniform grid of ``n`` points in [lo, hi]."""
+    import numpy as np
+
     if n < 2:
         raise InvalidParameterError(f"sweep needs n >= 2 grid points, got {n}")
     if not math.isfinite(hi - lo):  # also when lo or hi is not finite

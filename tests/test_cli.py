@@ -235,6 +235,15 @@ class TestEvolveCommand:
         assert run(argv + flags) == 2
         assert capsys.readouterr().err.startswith("trichain: error:")
 
+    @pytest.mark.parametrize("g", ["0.5", True, 10**400], ids=["str", "bool", "int beyond the float range"])
+    def test_schedule_base_outside_the_floats_exits_2(self, tmp_path, capsys, g):
+        schedule = {"base": {"g": g, "delta": 0.0, "f1": 1.0, "f2": 1.0},
+                    "segments": [{"t_start": 0.0, "t_end": 1.0, "g": 0.5}]}
+        sched_path = tmp_path / "s.json"
+        sched_path.write_text(json.dumps(schedule))
+        assert run(["evolve", "--schedule", str(sched_path), "--t-end", "1", "--n", "3"]) == 2
+        assert capsys.readouterr().err.startswith("trichain: error: schedule base: g must be a finite real number")
+
     def test_infinite_t_end_prints_only_the_error(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -358,11 +367,51 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
     assert err.startswith("trichain: error:") and "UTF-8" in err
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, trichain.cli; print('scipy' in sys.modules)"
+_FLAGS = ["--g", "0.5", "--delta", "0.3", "--f1", "0.8", "--f2", "0.9"]
+_DYNAMICS = ["numpy", "trichain.dynamics"]
+
+
+_STARTUP_CASES = [
+    (None, None, []),
+    (["spectrum", *_FLAGS], 0, []),
+    (["spectrum", *_FLAGS, "--format", "json"], 0, []),
+    (["spectrum", "--params", "p.txt"], 0, []),
+    (["spectrum", "--comb", "A", "--g", "0.5"], 0, []),
+    (["comb", "--g", "0.5", "--branch", "A"], 0, []),
+    (["energy", "--g", "0.5"], 0, []),
+    (["spectrum", "--g", "0.5x", "--delta", "0", "--f1", "1", "--f2", "1"], 2, []),
+    (["spectrum", "--params", "bad.txt"], 2, []),
+    (["sweep", "--vary", "g", "--lo", "0", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"],
+     0, ["numpy"]),
+    (["evolve", *_FLAGS, "--n", "3"], 0, _DYNAMICS),
+    (["figures", "--outdir", "figs"], 0, _DYNAMICS),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, loaded", _STARTUP_CASES,
+                         ids=[" ".join(argv) if argv else "import" for argv, _, _ in _STARTUP_CASES])
+def test_numpy_loads_only_where_arrays_are_made(tmp_path, argv, exit_code, loaded):
+    # A fresh interpreter: the single-point commands run on math alone, and no
+    # command loads scipy or numpy.ma.
+    (tmp_path / "p.txt").write_text("g = 0.5\ndelta = 0.3\nf1 = 0.8\nf2 = 0.9\n", encoding="utf-8")
+    (tmp_path / "bad.txt").write_text("g = 0.5\ndelta = zero\nf1 = 1\nf2 = 1\n", encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys, trichain, trichain.cli\n"
+        "code = None\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            code = trichain.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "modules = ['numpy', 'numpy.ma', 'scipy', 'trichain.dynamics']\n"
+        "print(json.dumps([code, [m for m in modules if m in sys.modules]]))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(trichain.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [exit_code, loaded]
 
 
 class TestVerbosity:

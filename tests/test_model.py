@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from trichain import (
+    DomainError,
     InvalidParameterError,
     SystemParams,
     build_coupling_matrix,
+    energy_at_pi,
     initial_state,
     params_from_config,
     params_to_config,
+    scale_comb,
+    solve_comb_params,
+    solve_g_for_energy,
     spectral_mirror_operator,
 )
+from trichain.model import _params_from_values
 from conftest import random_params
 
 # 0-based positions of the allowed nonzero entries of M
@@ -119,6 +125,35 @@ def test_initial_state_rejects_bad_index(bad):
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(InvalidParameterError):
         SystemParams(**kwargs)
+
+
+# Every scalar entry point applies one rule: a finite real number, numpy
+# scalars included, that is not a bool.
+_SCALAR_ENTRY_POINTS = {
+    "SystemParams": (lambda v: SystemParams(g=v, delta=0.0, f1=1.0, f2=1.0), InvalidParameterError),
+    "_params_from_values": (
+        lambda v: _params_from_values({"g": v, "delta": 0.0, "f1": 1.0, "f2": 1.0}, "test"),
+        InvalidParameterError,
+    ),
+    "energy_at_pi": (energy_at_pi, DomainError),
+    "solve_g_for_energy": (solve_g_for_energy, DomainError),
+    "scale_comb": (lambda v: scale_comb(solve_comb_params(0.5, "A"), v), DomainError),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5)], ids=["int64", "float32"])
+def test_numpy_scalars_are_real_numbers(site, value):
+    call, _ = _SCALAR_ENTRY_POINTS[site]
+    assert call(value) == call(float(value))
+
+
+@pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [True, "1", float("nan"), 10**400], ids=["bool", "str", "nan", "huge int"])
+def test_bools_strings_nan_and_huge_ints_are_refused(site, value):
+    call, error = _SCALAR_ENTRY_POINTS[site]
+    with pytest.raises(error, match="finite"):
+        call(value)
 
 
 def test_config_round_trip():

@@ -1,0 +1,81 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import trichain
+
+# The public names, grouped by the module that defines them.
+PUBLIC = {
+    "errors": [
+        "TrichainError", "InvalidParameterError", "DomainError", "BranchInfeasibleError",
+        "DegenerateSpectrumError", "PoleError", "ConsistencyError", "AccuracyError", "ScheduleError",
+    ],
+    "model": [
+        "N_MODES", "SystemParams", "build_coupling_matrix", "initial_state", "spectral_mirror_operator",
+        "params_to_config", "params_from_config",
+    ],
+    "spectrum": [
+        "DEFAULT_DEGENERACY_TOL", "CharPoly", "Spectrum", "DegeneracyReport", "SweepRow", "char_poly",
+        "frequencies_from_charpoly", "eigenfrequencies", "nonequidistance_error", "degeneracy_discriminant",
+        "s2_response", "inverse_laplace_s2", "sweep_spectrum", "sweep_spectrum_values", "sweep_rows_to_csv",
+    ],
+    "comb": [
+        "BRANCHES", "QUBIT_COUPLING", "QUTRIT_COUPLING", "CombSolution", "EnergyProgram", "comb_constraints",
+        "solve_comb_params", "branch_constraint", "energy_at_pi", "solve_g_for_energy", "scale_comb",
+        "identify_energy_branch",
+    ],
+    "dynamics": [
+        "Trajectory", "Schedule", "Segment", "evolve_spectral", "evolve_rk4", "evolve_schedule", "propagator",
+        "schedule_from_json", "energies", "energies_to_csv", "plateau_width",
+    ],
+}
+DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names}
+
+
+def test_all_is_pinned():
+    assert trichain.__all__ == ["__version__", *DEFINED_IN]
+
+
+def test_names_resolve_lazily_to_their_defining_objects():
+    # A fresh interpreter, so that nothing has touched trichain.dynamics yet.
+    code = (
+        "import importlib, json, sys, types, trichain\n"
+        "defined_in = json.loads(sys.argv[1])\n"
+        "before = sorted(set(defined_in) - set(vars(trichain))), 'numpy' in sys.modules\n"
+        "same = [getattr(trichain, name) is getattr(importlib.import_module('trichain.' + module), name)\n"
+        "        for name, module in defined_in.items()]\n"
+        "after = sorted(set(defined_in) - set(vars(trichain)))\n"
+        "import numpy\n"
+        "print(json.dumps([before, all(same), after, type(numpy) is types.ModuleType]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trichain.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(DEFINED_IN)], env=env,
+                            capture_output=True, text=True, check=True)
+    before, same, after, plain_numpy = json.loads(result.stdout)
+    assert before == [sorted(PUBLIC["dynamics"]), False]
+    assert same and after == [] and plain_numpy
+
+
+def test_dir_and_star_import_cover_every_name():
+    assert set(trichain.__all__) <= set(dir(trichain))
+    namespace = {}
+    exec("from trichain import *", namespace)
+    for name in trichain.__all__:
+        assert namespace[name] is getattr(trichain, name)
+
+
+def test_dynamics_imports_as_a_submodule():
+    dynamics = importlib.import_module("trichain.dynamics")
+    assert trichain.dynamics is dynamics is sys.modules["trichain.dynamics"]
+    assert trichain.evolve_spectral is dynamics.evolve_spectral
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'evolve'"):
+        trichain.evolve
+    assert not hasattr(trichain, "numpy")

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trichain import (
+    DEFAULT_DEGENERACY_TOL,
     ConsistencyError,
     DegenerateSpectrumError,
     DomainError,
@@ -39,7 +40,15 @@ from trichain import (
 )
 import trichain.model as model_module
 import trichain.spectrum as spectrum_module
-from trichain.spectrum import CharPoly, _char_poly_coeffs, _cluster, _coefficient_gap, _mirror_frequencies
+from trichain.spectrum import (
+    CharPoly,
+    _char_poly_coeffs,
+    _cluster,
+    _coefficient_gap,
+    _mirror_frequencies,
+    _nonequidistance,
+    _spectrum_record,
+)
 from conftest import random_params
 
 RESONANT = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -853,6 +862,51 @@ class TestBatchedSweepMatchesSinglePoint:
     def test_first_failing_point_raises(self, vary, values, branch):
         error = assert_batched_matches_pointwise(RESONANT, vary, values, branch)
         assert isinstance(error, tuple)
+
+
+class TestScalarPathMatchesArrayPath:
+    """A single point runs on floats and ``math`` only; it must give the bits
+    the batched array path gives for the same point: frequencies, coefficient
+    gap, non-equidistance error and flag, and cluster means equal to
+    ``numpy.mean`` of each group."""
+
+    generic = st.builds(SystemParams, coupling, detuning, coupling, coupling)
+    resonant = st.floats(min_value=-10.0, max_value=-1.0).map(lambda u: RESONANT.replace(g=10.0**u))
+    near_zero_pair = st.builds(
+        lambda g, f1, f2, sign, side, u: SystemParams(g=g, delta=sign * f2 * (1.0 + side * 10.0**u), f1=f1, f2=f2),
+        coupling, coupling, st.floats(min_value=1e-2, max_value=2.0), st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([-1.0, 1.0]), st.floats(min_value=-12.0, max_value=-1.0),
+    )
+    scaled_comb = st.builds(
+        lambda g, branch, k: scaled(solve_comb_params(g, branch).params, k),
+        st.floats(min_value=0.05, max_value=1.0), st.sampled_from("AB"), st.integers(min_value=-60, max_value=60),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.one_of(generic, resonant, near_zero_pair, scaled_comb), min_size=1, max_size=8),
+           tol=st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3]))
+    def test_a_point_gives_the_bits_of_its_batch_row(self, points, tol):
+        columns = np.array([astuple(p)[:4] for p in points]).T
+        freqs = _mirror_frequencies(*columns)
+        gaps = _coefficient_gap(freqs, *columns)
+        delta_err, undefined = _nonequidistance(freqs, tol)
+        for k, params in enumerate(points):
+            row = [float(w[k]) for w in freqs]
+            spectrum = eigenfrequencies(params, tol)
+            assert bits(spectrum.frequencies) == bits(row)
+            assert bits([_coefficient_gap(spectrum.frequencies, *astuple(params)[:4])]) == bits([gaps[k]])
+            means = [(float(np.mean(group)), len(group)) for group in chained_groups(row, tol)]
+            assert bits([v for v, _ in spectrum.clusters]) == bits([v for v, _ in means])
+            assert [m for _, m in spectrum.clusters] == [m for _, m in means]
+            record = _spectrum_record(params, tol)
+            assert record["degenerate"] is bool(undefined[k])
+            assert record["delta"] == (None if undefined[k] else float(delta_err[k]))
+
+
+def chained_groups(freqs, tol):
+    """Ascending frequencies split where neighbours are more than ``tol`` apart."""
+    cuts = [0, *(i + 1 for i in range(len(freqs) - 1) if freqs[i + 1] - freqs[i] > tol), len(freqs)]
+    return [freqs[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def assert_sweep_passes_pointwise(base, vary, values, branch=None):
