@@ -5,7 +5,8 @@ The package is organized around four pure-function layers:
 
 - :mod:`trichain.model`     parameters, state vectors, the symmetric generator
 - :mod:`trichain.spectrum`  characteristic polynomial, eigenfrequencies,
-                            degeneracy diagnostics, Laplace-domain response
+                            degeneracy diagnostics, the central atom's
+                            Laplace-domain response and its inverse
 - :mod:`trichain.comb`      equidistant-comb design and energy programming
 - :mod:`trichain.dynamics`  spectral/RK4 propagation, schedules, energies
 

@@ -1,6 +1,8 @@
 """Spectral analysis of the chain: characteristic polynomial, eigenfrequencies,
-non-equidistance error, degeneracy diagnostics, and the Laplace-domain response
-of the initially excited central atom.
+non-equidistance error, degeneracy diagnostics, and the response of the
+initially excited central atom, both in the Laplace domain and in time.  The
+time response is one second divided difference over the cubic's roots: no
+poles are merged, no tolerance is used, and the result is real.
 
 The generator M is real symmetric, so its characteristic polynomial in the
 Laplace variable p (eigenvalues sit at p_n = -i*w_n) is even:
@@ -37,7 +39,9 @@ deflated from the largest; a non-finite coefficient raises DomainError.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -450,98 +454,102 @@ def degeneracy_discriminant(params: SystemParams) -> DegeneracyReport:
     return DegeneracyReport(discriminant=disc, zero_frequency_pair=zero_pair)
 
 
-def _s2_numerator_coeffs(params: SystemParams) -> np.ndarray:
-    import numpy as np
+def _s2_numerator(g, delta, f2):
+    """(a, C) of N3(q) = q^2 + a*q + C: the Laplace-domain numerator of the
+    central atom's response is p*N3(p^2)."""
+    d2 = delta * delta
+    g2 = g * g
+    f22 = f2 * f2
+    return 2.0 * (d2 + g2 + f22), d2 * d2 + 2.0 * d2 * g2 - 2.0 * d2 * f22 + 2.0 * g2 * f22 + f22 * f22
 
-    # Laplace-domain numerator of the central atom's response, degree 5:
-    # p^5 + 2(delta^2+g^2+f2^2) p^3 + C p, with the constant of the cubic part
-    # C = delta^4 + 2 delta^2 g^2 - 2 delta^2 f2^2 + 2 g^2 f2^2 + f2^4.
-    d2 = params.delta * params.delta
-    g2 = params.g * params.g
-    f22 = params.f2 * params.f2
-    c = d2 * d2 + 2.0 * d2 * g2 - 2.0 * d2 * f22 + 2.0 * g2 * f22 + f22 * f22
-    return np.array([1.0, 0.0, 2.0 * (d2 + g2 + f22), 0.0, c, 0.0])
+
+def _normalized(params: SystemParams, size: float = 0.0) -> tuple[int, tuple[float, float, float, float]]:
+    """e and (g, delta, f1, f2) / 2^e, for the power of two 2^e that brings
+    the largest of the parameters and ``size`` to [0.5, 1): exact, so what is
+    computed from them scales bitwise, and nothing overflows on the way."""
+    values = (params.g, params.delta, params.f1, params.f2)
+    _, e = math.frexp(max(size, *map(abs, values)))
+    return e, tuple(math.ldexp(x, -e) for x in values)
 
 
 def s2_response(params: SystemParams, p: complex) -> complex:
-    """Laplace-domain amplitude of the initially excited central atom.
+    """Laplace-domain amplitude p*N3(p^2)/Det(p) of the initially excited
+    central atom.
 
-    The response behaves like 1/p at large |p| (initial value 1).  Raises
-    PoleError if p sits at a root of Det.
+    The response behaves like 1/p at large |p| (initial value 1).  It is
+    evaluated on p and the parameters divided by a common power of two, so
+    any finite p gives its value.  Raises InvalidParameterError for a p that
+    is not a finite number, PoleError if p sits at a root of Det, and
+    DomainError where the value is outside the float range.
     """
+    try:
+        z = complex(p) if isinstance(p, numbers.Complex) else None
+    except OverflowError:  # an int that no float can hold
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise InvalidParameterError(f"p must be a finite number, got {p!r}")
+    e, (g, delta, f1, f2) = _normalized(params, max(abs(z.real), abs(z.imag)))
+    x = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+    cp = CharPoly(*_char_poly_coeffs(g, delta, f1, f2))
+    det = cp.eval(x)
+    if abs(det) <= 1e-12 * cp.eval(abs(x)):
+        raise PoleError(f"p={p} is at (or too close to) a root of the determinant")
+    a, c = _s2_numerator(g, delta, f2)
+    q = x * x
+    # times 2^-e, in two factors that stay in the float range
+    value = x * ((q + a) * q + c) / det * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
+    if not cmath.isfinite(value):
+        raise DomainError(f"s2 response at p={p} is outside the float range (+-1.8e308) for {params}")
+    return value
+
+
+def _sinc_times(h, x):
+    """h * sin(h*x) / (h*x), h for x = 0: bounded by both |h| and 1/|x|."""
     import numpy as np
 
-    cp = char_poly(params)
-    det = cp.eval(p)
-    ap = abs(p)
-    scale = ap**6 + cp.c4 * ap**4 + cp.c2 * ap**2 + cp.c0 + 1e-300
-    if abs(det) <= 1e-12 * scale:
-        raise PoleError(f"p={p} is at (or too close to) a root of the determinant")
-    num = complex(np.polyval(_s2_numerator_coeffs(params), p))
-    return num / det
+    hx = h * x
+    return np.divide(np.sin(hx), x, out=h.copy(), where=hx != 0.0)
 
 
-def inverse_laplace_s2(
-    params: SystemParams,
-    times: Sequence[float],
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> np.ndarray:
-    """Time-domain response s2(t) via residues of the Laplace solution.
+def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarray:
+    """Time-domain response s2(t), the inverse Laplace transform of ``s2_response``.
 
-    Poles are the eigenfrequencies mapped to p_n = -i*w_n.  Frequencies
-    closer than ``degeneracy_tol`` are merged into a single pole of higher
-    multiplicity, whose contribution uses the confluent (Taylor-series
-    division) formula.  The result is an independent route to the dynamics:
-    it must match the spectral propagator to high accuracy.
+    The paper's algebraic route: ``char_poly``, the closed-form roots
+    q_k = -sigma_k^2 of its cubic (``frequencies_from_charpoly``), sigma_1 <=
+    sigma_2 <= sigma_3, and the sum of residues, which for the monic cubic D
+    is the second divided difference of h(q) = N3(q)*phi(q), phi(q) =
+    cos(t*sqrt(-q)), over the three roots.  By Leibniz's rule
 
-    Returns an array of complex s2 values, one per requested time.
+        s2(t) = N3(q1)*phi[q1,q2,q3] + (q1 + q2 + a)*phi[q2,q3] + cos(sigma_3*t)
+
+    with phi[qi,qj] = (t^2/2)*sinc(t(sigma_i+sigma_j)/2)*sinc(t(sigma_i-sigma_j)/2)
+    and phi[q1,q2,q3] = (phi[q1,q2] - phi[q2,q3]) / (q1 - q3).  A divided
+    difference of an entire function is an entire function of the roots'
+    symmetric functions, so repeated and nearly repeated roots need no pole
+    merging and no tolerance; at an exact triple root N3(q1) = 0 and the
+    first term is dropped.  The parameters are divided by a power of two, and
+    the times multiplied by it, so s2(2^k*p, 2^-k*t) equals s2(p, t) bitwise
+    where nothing underflows.  The route is independent of the spectral
+    kernel and of the propagator's eigensolver.  s2 lies in the +1 sector of
+    the mirror symmetry, so it is real.
+
+    Returns a float array of s2 values, one per requested time.
     """
     import numpy as np
 
     t = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(t)):
         raise InvalidParameterError("times must be finite")
-    spectrum = eigenfrequencies(params, degeneracy_tol)
-    numerator = np.poly1d(_s2_numerator_coeffs(params))
-    out = np.zeros(t.shape, dtype=complex)
-    clusters = spectrum.clusters
-    for index, (w_rep, mult) in enumerate(clusters):
-        p0 = -1j * w_rep
-        other_poles = [
-            -1j * w
-            for j, (w, m) in enumerate(clusters)
-            if j != index
-            for _ in range(m)
-        ]
-        rest = np.poly1d(np.poly(other_poles)) if other_poles else np.poly1d([1.0])
-        # Taylor coefficients of numerator and of Det/(p-p0)^mult around p0.
-        num_taylor: list[complex] = []
-        rest_taylor: list[complex] = []
-        num_k, rest_k = numerator, rest
-        factorial = 1.0
-        for order in range(mult):
-            if order > 0:
-                factorial *= order
-            num_taylor.append(complex(np.polyval(num_k, p0)) / factorial)
-            rest_taylor.append(complex(np.polyval(rest_k, p0)) / factorial)
-            num_k = np.polyder(num_k)
-            rest_k = np.polyder(rest_k)
-        # Series division gives the principal-part coefficients.
-        series: list[complex] = []
-        for order in range(mult):
-            acc = num_taylor[order]
-            for i in range(1, order + 1):
-                acc -= rest_taylor[i] * series[order - i]
-            series.append(acc / rest_taylor[0])
-        contribution = np.zeros(t.shape, dtype=complex)
-        power = np.ones(t.shape)
-        factorial = 1.0
-        for j in range(1, mult + 1):
-            if j > 1:
-                power = power * t
-                factorial *= j - 1
-            contribution += series[mult - j] * power / factorial
-        out += contribution * np.exp(p0 * t)
+    e, (g, delta, f1, f2) = _normalized(params)
+    s1, s2, s3 = frequencies_from_charpoly(CharPoly(*_char_poly_coeffs(g, delta, f1, f2)))[3:]
+    a, c = _s2_numerator(g, delta, f2)
+    t = np.ldexp(t, e)  # in the units of the normalized parameters
+    half = 0.5 * t
+    phi12, phi23 = (2.0 * _sinc_times(half, x + y) * _sinc_times(half, x - y) for x, y in ((s1, s2), (s2, s3)))
+    q1, q2 = -s1 * s1, -s2 * s2
+    out = (q1 + q2 + a) * phi23 + np.cos(s3 * t)
+    if s1 < s3:  # else a triple root, where N3(q1) = 0
+        out += ((q1 + a) * q1 + c) * ((phi12 - phi23) / ((s3 - s1) * (s3 + s1)))
     return out
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -200,17 +201,17 @@ class TestMirrorKernel:
         # delta -> +-f2 sends sigma_1 to 0; the 6x6 eigensolver keeps only an
         # absolute accuracy there (relative error 4e-2 at eps = 1e-14).
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-        for eps in np.logspace(-6, -14, 17):
-            for sign in (1.0, -1.0):
-                for _ in range(4):
-                    g, f1, f2 = (float(x) for x in rng.uniform(0.05, 2.0, 3))
-                    delta = sign * f2 * (1.0 + eps)
-                    t = mpmath.matrix([[f1, 0, 0], [g, mpmath.mpf(delta) + f2, 0], [-g, 0, mpmath.mpf(delta) - f2]])
-                    exact = sorted(mpmath.svd_r(t, compute_uv=False))
-                    sigma = _mirror_frequencies(g, delta, f1, f2)[3:]
-                    for got, want in zip(sigma, exact):
-                        assert abs(got - want) <= 1e-15 * want
+        with mpmath.workdps(50):
+            for eps in np.logspace(-6, -14, 17):
+                for sign in (1.0, -1.0):
+                    for _ in range(4):
+                        g, f1, f2 = (float(x) for x in rng.uniform(0.05, 2.0, 3))
+                        delta = sign * f2 * (1.0 + eps)
+                        t = mpmath.matrix([[f1, 0, 0], [g, mpmath.mpf(delta) + f2, 0], [-g, 0, mpmath.mpf(delta) - f2]])
+                        exact = sorted(mpmath.svd_r(t, compute_uv=False))
+                        sigma = _mirror_frequencies(g, delta, f1, f2)[3:]
+                        for got, want in zip(sigma, exact):
+                            assert abs(got - want) <= 1e-15 * want
 
     @settings(max_examples=300, deadline=None)
     @given(g=coupling, delta=detuning, f1=coupling, f2=coupling)
@@ -324,6 +325,26 @@ def scaled(params, k):
 
 def coefficients_are_normal_or_zero(params):
     return all(x == 0.0 or abs(x) >= np.finfo(float).tiny for x in astuple(char_poly(params)))
+
+
+# Generic points and the near-degenerate manifolds: the resonant chain's
+# triple |w| approached along g, the zero pair along delta = +-f2 (1 +- 10^u),
+# and designed combs (a double zero) scaled by 2^k.
+generic_points = st.builds(SystemParams, coupling, detuning, coupling, coupling)
+resonant_points = st.floats(min_value=-10.0, max_value=-1.0).map(lambda u: RESONANT.replace(g=10.0**u))
+near_zero_pair_points = st.builds(
+    lambda g, f1, f2, sign, side, u: SystemParams(g=g, delta=sign * f2 * (1.0 + side * 10.0**u), f1=f1, f2=f2),
+    coupling, coupling, st.floats(min_value=1e-2, max_value=2.0), st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([-1.0, 1.0]), st.floats(min_value=-12.0, max_value=-1.0),
+)
+
+
+def scaled_combs(k_max):
+    return st.builds(
+        lambda g, branch, k: scaled(solve_comb_params(g, branch).params, k),
+        st.floats(min_value=0.05, max_value=1.0), st.sampled_from("AB"),
+        st.integers(min_value=-k_max, max_value=k_max),
+    )
 
 
 class TestClosedFormCubic:
@@ -535,10 +556,16 @@ class TestDegeneracyDiscriminant:
 
 
 class TestS2Response:
+    GENERIC = SystemParams(g=0.7, delta=-0.4, f1=1.1, f2=0.8)
+
     def test_initial_value_theorem(self):
-        params = SystemParams(g=0.7, delta=-0.4, f1=1.1, f2=0.8)
         p = 1e6
-        assert abs(p * s2_response(params, p) - 1.0) <= 1e-9
+        assert abs(p * s2_response(self.GENERIC, p) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("p", [1e60, 1e60j, complex(1e300, -1e300)])
+    def test_far_out_p_gives_its_value(self, p):
+        # p^6 alone is beyond the float range here.
+        assert p * s2_response(self.GENERIC, p) == pytest.approx(1.0, abs=1e-15)
 
     def test_decoupled_rabi_pole_structure(self):
         value = s2_response(RESONANT, 0.5j)
@@ -548,17 +575,55 @@ class TestS2Response:
         with pytest.raises(PoleError):
             s2_response(RESONANT, 1j)
 
+    @pytest.mark.parametrize(
+        "p", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(1.0, math.nan), 10**400, "1e6"]
+    )
+    def test_rejects_p_that_is_not_a_finite_number(self, p):
+        with pytest.raises(InvalidParameterError, match="p must be a finite number"):
+            s2_response(self.GENERIC, p)
+
+    def test_value_beyond_the_float_range_is_a_domain_error(self):
+        # f1 = 0 puts a pole at p = 0, where the response is 1/p here.
+        params = SystemParams(g=0.0, delta=1e-300, f1=0.0, f2=5e-301)
+        assert s2_response(params, 1e-305) == pytest.approx(1e305, rel=1e-14)
+        with pytest.raises(DomainError, match="outside the float range"):
+            s2_response(params, 1e-310)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=generic_points, re=st.floats(allow_nan=False, allow_infinity=False),
+           im=st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_p_gives_a_value_or_a_package_error(self, params, re, im):
+        try:
+            value = s2_response(params, complex(re, im))
+        except TrichainError:
+            return
+        assert cmath.isfinite(value)
+
+
+def s2_oracle(mpmath, params, t):
+    """s2(t) = sum_k V[1,k]^2 cos(w_k t) from an mpmath eigendecomposition of M."""
+    w, v = mpmath.eigsy(mpmath.matrix(build_coupling_matrix(params).tolist()))
+    return float(mpmath.fsum(v[1, k] ** 2 * mpmath.cos(w[k] * t) for k in range(6)))
+
 
 class TestInverseLaplace:
+    """``inverse_laplace_s2``: the second divided difference of N3(q)*cos(t*sqrt(-q))
+    over the closed-form roots of the cubic, checked against the propagator."""
+
     def test_residue_sum_is_initial_value(self, rng):
         for params in random_params(rng, 20):
-            assert inverse_laplace_s2(params, [0.0])[0] == pytest.approx(1.0, abs=1e-10)
+            assert inverse_laplace_s2(params, [0.0])[0] == 1.0
 
     def test_triple_pole_decoupled_cosine(self):
         t = np.linspace(0.0, 2.0 * math.pi, 40)
         values = inverse_laplace_s2(RESONANT, t)
-        assert np.max(np.abs(values - np.cos(t))) <= 1e-12
-        assert inverse_laplace_s2(RESONANT, [math.pi])[0] == pytest.approx(-1.0, abs=1e-12)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, np.cos(t))
+        assert inverse_laplace_s2(RESONANT, [math.pi])[0] == -1.0
+        # The other triple root, f2 = 0 with f1 = |delta|: its closed-form
+        # roots are ~5e-9 apart, and the first term is still ~eps.
+        off = SystemParams(g=0.0, delta=-0.3, f1=0.3, f2=0.0)
+        assert np.max(np.abs(inverse_laplace_s2(off, t) - np.cos(0.3 * t))) <= 1e-15
 
     def test_designed_comb_empties_central_atom_at_half_period(self):
         branch = identify_energy_branch()
@@ -571,13 +636,50 @@ class TestInverseLaplace:
         with pytest.raises(InvalidParameterError, match="times must be finite"):
             inverse_laplace_s2(RESONANT.replace(g=0.5), [0.0, bad_time])
 
-    def test_matches_propagator_on_random_draws(self, rng):
-        times = np.linspace(0.0, 4.0 * math.pi, 30)
+    def test_near_the_resonant_triple_root(self):
+        # Merging poles closer than 1e-7 and summing separate residues of the
+        # others was off by 1.9e-3 at g = 1.585e-7 (frequency gaps 1.1e-7).
         v0 = initial_state(2)
-        for params in random_params(rng, 30):
+        times = np.linspace(0.0, 2.0 * math.pi, 201)
+        params = RESONANT.replace(g=1.585e-7)
+        error = np.max(np.abs(inverse_laplace_s2(params, times) - evolve_spectral(params, v0, times).states[:, 1]))
+        assert error <= 1e-12
+        # Over ten periods the cancellation in phi[q1,q2,q3] grows, to ~3e-12.
+        times = np.linspace(0.0, 20.0 * math.pi, 2001)
+        for g in np.logspace(-10, -1, 46):
+            params = RESONANT.replace(g=float(g))
             laplace = inverse_laplace_s2(params, times)
-            spectral = evolve_spectral(params, v0, times).states[:, 1]
-            assert np.max(np.abs(laplace - spectral)) <= 1e-8
+            assert np.max(np.abs(laplace - evolve_spectral(params, v0, times).states[:, 1])) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.one_of(generic_points, resonant_points, near_zero_pair_points, scaled_combs(20)),
+           k=st.integers(min_value=-200, max_value=200))
+    def test_matches_propagator_on_random_draws(self, params, k):
+        # One revival period in units of the comb spacing sqrt(c4 / 5).
+        unit = math.sqrt(char_poly(params).c4 / 5.0) or 1.0
+        times = np.linspace(0.0, 2.0 * math.pi / unit, 25)
+        values = inverse_laplace_s2(params, times)
+        spectral = evolve_spectral(params, initial_state(2), times).states[:, 1]
+        assert values.dtype == np.float64
+        assert np.max(np.abs(values - spectral)) <= 1e-12
+        assert bits(inverse_laplace_s2(scaled(params, k), np.ldexp(times, -k))) == bits(values)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        points = [
+            RESONANT.replace(g=1.585e-7),
+            RESONANT.replace(g=1e-4),
+            SystemParams(g=0.4, delta=0.9 * (1.0 + 1e-9), f1=0.7, f2=0.9),
+            SystemParams(g=0.4, delta=-0.9 * (1.0 - 1e-6), f1=0.7, f2=0.9),
+            scaled(solve_comb_params(QUBIT_COUPLING, "A").params, 7),
+            solve_comb_params(0.3, "B").params,
+        ]
+        with mpmath.workdps(40):
+            for params in points:
+                unit = math.sqrt(char_poly(params).c4 / 5.0)
+                times = np.array([0.3, 1.0, math.pi, 6.0]) / unit
+                exact = [s2_oracle(mpmath, params, mpmath.mpf(float(t))) for t in times]
+                assert np.max(np.abs(inverse_laplace_s2(params, times) - exact)) <= 1e-14
 
 
 class TestSweep:
@@ -870,20 +972,9 @@ class TestScalarPathMatchesArrayPath:
     gap, non-equidistance error and flag, and cluster means equal to
     ``numpy.mean`` of each group."""
 
-    generic = st.builds(SystemParams, coupling, detuning, coupling, coupling)
-    resonant = st.floats(min_value=-10.0, max_value=-1.0).map(lambda u: RESONANT.replace(g=10.0**u))
-    near_zero_pair = st.builds(
-        lambda g, f1, f2, sign, side, u: SystemParams(g=g, delta=sign * f2 * (1.0 + side * 10.0**u), f1=f1, f2=f2),
-        coupling, coupling, st.floats(min_value=1e-2, max_value=2.0), st.sampled_from([-1.0, 1.0]),
-        st.sampled_from([-1.0, 1.0]), st.floats(min_value=-12.0, max_value=-1.0),
-    )
-    scaled_comb = st.builds(
-        lambda g, branch, k: scaled(solve_comb_params(g, branch).params, k),
-        st.floats(min_value=0.05, max_value=1.0), st.sampled_from("AB"), st.integers(min_value=-60, max_value=60),
-    )
-
     @settings(max_examples=300, deadline=None)
-    @given(points=st.lists(st.one_of(generic, resonant, near_zero_pair, scaled_comb), min_size=1, max_size=8),
+    @given(points=st.lists(st.one_of(generic_points, resonant_points, near_zero_pair_points, scaled_combs(60)),
+                           min_size=1, max_size=8),
            tol=st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3]))
     def test_a_point_gives_the_bits_of_its_batch_row(self, points, tol):
         columns = np.array([astuple(p)[:4] for p in points]).T
