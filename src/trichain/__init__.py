@@ -15,11 +15,11 @@ plus :mod:`trichain.cli`, the ``trichain`` command-line front end.
 ``import trichain`` loads neither numpy nor :mod:`trichain.dynamics`, the
 all-array layer: the dynamics names resolve on first access (PEP 562), and
 the other modules import numpy inside the functions that make or take
-arrays.  One spectrum, one comb and one half-period energy are computed with
-``math`` and exact integers, so ``trichain spectrum``, ``comb`` and
-``energy --g`` never load numpy; ``spectrum --preset`` (which simulates to
-pick the energy branch), ``energy --target``, ``sweep``, ``evolve`` and
-``figures`` do.
+arrays.  One spectrum, one comb, one half-period energy, its inversion and
+the energy-branch identification (by the Laplace route) are computed with
+``math`` and exact integers, so ``trichain spectrum`` (``--preset``
+included), ``comb`` and ``energy`` (``--g`` or ``--target``) never load
+numpy; ``sweep``, ``evolve`` and ``figures`` do.
 """
 
 from .errors import (

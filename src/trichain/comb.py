@@ -24,7 +24,8 @@ different energy split at half the revival period, given in closed form by
     E(g) = (g^4 - 2 g^2 + (1 - g^2) s)^2 / 9.
 
 Exactly one branch reproduces this formula dynamically;
-``identify_energy_branch`` determines which by simulation instead of
+``identify_energy_branch`` determines which by the Laplace route (the
+inverse Laplace transform of the central atom's response) instead of
 assuming it.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 from .errors import (
     BranchInfeasibleError,
@@ -40,8 +41,8 @@ from .errors import (
     DomainError,
     InvalidParameterError,
 )
-from .model import SystemParams, _is_array, _is_real, initial_state
-from .spectrum import DEFAULT_DEGENERACY_TOL, SweepConstraint, char_poly, eigenfrequencies
+from .model import SystemParams, _is_array, _is_real
+from .spectrum import DEFAULT_DEGENERACY_TOL, SweepConstraint, _s2_at, char_poly, eigenfrequencies
 
 BRANCHES = ("A", "B")
 
@@ -127,8 +128,9 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
     All three vanish exactly when Det(p) = p^2 (p^2 + k^2) (p^2 + 4 k^2)
     with k = spacing, i.e. when the spectrum is {-2k, -k, 0, 0, k, 2k}.
     """
-    if spacing <= 0.0 or not math.isfinite(spacing):
-        raise DomainError(f"spacing must be positive and finite, got {spacing}")
+    if not _is_real(spacing) or spacing <= 0.0:
+        raise DomainError(f"spacing must be positive and finite, got {spacing!r}")
+    spacing = float(spacing)
     cp = char_poly(params)
     k2 = spacing * spacing
     return (cp.c4 - 5.0 * k2, cp.c2 - 4.0 * k2 * k2, cp.c0)
@@ -253,6 +255,21 @@ def energy_at_pi(g: float) -> float:
     return inner * inner / 9.0
 
 
+def _cubic_root(m: float) -> float:
+    """The root v >= 0 of 8 v^3 + 2 m v^2 - m^2 for m >= 0.
+
+    w = 1/v solves the depressed cubic w^3 - (2/m) w - 8/m^2 = 0, whose
+    discriminant 16 (1 - m/54) / m^4 is positive for m < 54, so Cardano's
+    formula gives its one real root as w = u + 2 / (3 m u), with
+    u^3 = 4 r / m^2 and r = 1 + sqrt(1 - m/54).  With k = (4 r)^(1/3) and
+    c = m^(1/3), v = 3 k c^2 / (3 k^2 + 2 c): every term is positive, so
+    nothing cancels, and m = 0 gives v = 0.
+    """
+    k = (4.0 * (1.0 + math.sqrt(1.0 - m / 54.0))) ** (1.0 / 3.0)
+    c = m ** (1.0 / 3.0)
+    return 3.0 * k * c * c / (3.0 * k * k + 2.0 * c)
+
+
 def solve_g_for_energy(target: float) -> EnergyProgram:
     """All couplings in (0, 1] whose half-period energy equals ``target``.
 
@@ -261,14 +278,15 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
     search on E - target would miss the tangential root at target = 0.  With
     v = 1 - g^2, h = v^2 - 1 + v sqrt(v (8 + v)) rises strictly from -1 at
     g = 1 to 3 at g = 0, and squaring h = L gives the cubic
-    8 v^3 + 2 (L + 1) v^2 - (L + 1)^2 = 0.  Its real roots in [0, 1) that
-    squaring did not add (L + 1 >= v^2) are Newton-polished on h(g).  The
-    endpoint g = 1, a triple root at target = 1/9, is accepted when it
-    matches the target outright.  An unattainable target yields an empty
-    solution list, not an error.
+    f(v) = 8 v^3 + 2 m v^2 - m^2 = 0 with m = L + 1.  A root of h = L has
+    m >= v^2 (squaring adds the roots without it), so none exists for m < 0.
+    For m > 0, f(0) < 0 and f increases on v >= 0, so f has exactly one root
+    v >= 0, in closed form (``_cubic_root``), and m = 0 gives v = 0.  A root
+    v < 1 has m >= v^2, since m < v^2 would need v > 8; it is Newton-polished
+    on h(g).  The endpoint g = 1, a triple root at target = 1/9, is accepted
+    when it matches the target outright.  An unattainable target yields an
+    empty solution list, not an error.
     """
-    import numpy as np
-
     if not _is_real(target):
         raise DomainError(f"target must be a finite real number, got {target!r}")
     target = float(target)
@@ -278,18 +296,20 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
     roots: list[float] = []
     for level in {3.0 * math.sqrt(target), -3.0 * math.sqrt(target)}:
         m = level + 1.0
-        for root in np.polynomial.polynomial.polyroots([-m * m, 0.0, 2.0 * m, 8.0]):
-            if root.imag != 0.0 or not 0.0 <= root.real < 1.0 or m < root.real * root.real:
-                continue
-            g = math.sqrt(1.0 - root.real)
-            for _ in range(3):  # Newton on h(g), with dh/dg = -2 g dh/dv
-                v = 1.0 - g * g
-                slope = -4.0 * g * (v + math.sqrt(v) * (6.0 + v) / math.sqrt(8.0 + v))
-                residual = _energy_inner(g) - level
-                if residual == 0.0 or slope == 0.0:
-                    break
-                g = min(1.0, g - residual / slope)
-            roots.append(g)
+        if m < 0.0:
+            continue
+        root = _cubic_root(m)
+        if root >= 1.0:
+            continue
+        g = math.sqrt(1.0 - root)
+        for _ in range(3):  # Newton on h(g), with dh/dg = -2 g dh/dv
+            v = 1.0 - g * g
+            slope = -4.0 * g * (v + math.sqrt(v) * (6.0 + v) / math.sqrt(8.0 + v))
+            residual = _energy_inner(g) - level
+            if residual == 0.0 or slope == 0.0:
+                break
+            g = min(1.0, g - residual / slope)
+        roots.append(g)
     if abs(energy_at_pi(1.0) - target) <= _RESIDUAL_TOL:
         roots.append(1.0)
     roots.sort()
@@ -335,28 +355,24 @@ def scale_comb(solution: CombSolution, kappa: float) -> CombSolution:
     )
 
 
-@lru_cache(maxsize=None)
 def identify_energy_branch(
-    probe_couplings: tuple[float, ...] = (0.25, 0.55, 0.85),
+    probe_couplings: Sequence[float] = (0.25, 0.55, 0.85),
     tol: float = 1e-7,
 ) -> str:
-    """The branch whose simulated dynamics reproduce the closed-form energy.
+    """The branch whose dynamics reproduce the closed-form energy, found by the Laplace route.
 
-    Both branches are run through the spectral propagator at the probe
-    couplings; exactly one must match ``energy_at_pi`` within ``tol`` at
-    every probe.  The result is measured, not assumed.
+    On both branches, the central atom's energy at half the revival period,
+    s2(pi)^2, is measured at the probe couplings as the inverse Laplace
+    transform of its response (``inverse_laplace_s2``, a general route that
+    knows nothing of combs); exactly one branch must match ``energy_at_pi``
+    within ``tol`` at every probe.  The result is measured, not assumed.
     """
-    from . import dynamics
-
-    v0 = initial_state(2)
     matches: list[str] = []
     for branch in BRANCHES:
         worst = 0.0
         for g in probe_couplings:
-            solution = solve_comb_params(g, branch)
-            trajectory = dynamics.evolve_spectral(solution.params, v0, [math.pi])
-            simulated = float(abs(trajectory.states[0, 1]) ** 2)
-            worst = max(worst, abs(simulated - energy_at_pi(g)))
+            amplitude = _s2_at(solve_comb_params(g, branch).params, math.pi)
+            worst = max(worst, abs(amplitude * amplitude - energy_at_pi(g)))
         if worst <= tol:
             matches.append(branch)
     if len(matches) != 1:

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     ScheduleError,
 )
-from .model import N_MODES, SystemParams, _csv, _params_from_values, build_coupling_matrix
+from .model import N_MODES, SystemParams, _csv, _params_from_values, _times_array, build_coupling_matrix
 
 _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
@@ -66,11 +66,7 @@ def _check_state(v0) -> np.ndarray:
 
 
 def _check_times(times) -> np.ndarray:
-    t = np.array(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise InvalidParameterError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)):
-        raise InvalidParameterError("times must be finite")
+    t = _times_array(times)
     if np.any(np.diff(t) < 0.0):
         raise InvalidParameterError("times must be ascending")
     return t

@@ -124,6 +124,19 @@ def _first_invalid(g, delta, f1, f2) -> int:
     return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
+def _times_array(times) -> np.ndarray:
+    """``times`` as a new float array, checked to be a non-empty 1-d sequence
+    of finite values: the package's one rule for sample times."""
+    import numpy as np
+
+    t = np.array(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidParameterError("times must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(t)):
+        raise InvalidParameterError("times must be finite")
+    return t
+
+
 def initial_state(excited_index: int) -> np.ndarray:
     """Unit state vector with the excitation in one mode.
 

@@ -54,7 +54,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, SystemParams, _first_invalid, _is_array
+from .model import _NUM, SystemParams, _first_invalid, _is_array, _times_array
 
 if TYPE_CHECKING:
     import numpy as np
@@ -504,11 +504,14 @@ def s2_response(params: SystemParams, p: complex) -> complex:
 
 
 def _sinc_times(h, x):
-    """h * sin(h*x) / (h*x), h for x = 0: bounded by both |h| and 1/|x|."""
-    import numpy as np
-
+    """h * sin(h*x) / (h*x), h for x = 0: bounded by both |h| and 1/|x|.
+    h is a float or a float array; x is a float."""
     hx = h * x
-    return np.divide(np.sin(hx), x, out=h.copy(), where=hx != 0.0)
+    if _is_array(hx):
+        import numpy as np
+
+        return np.divide(np.sin(hx), x, out=h.copy(), where=hx != 0.0)
+    return math.sin(hx) / x if hx != 0.0 else h
 
 
 def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarray:
@@ -533,21 +536,29 @@ def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarr
     kernel and of the propagator's eigensolver.  s2 lies in the +1 sector of
     the mirror symmetry, so it is real.
 
-    Returns a float array of s2 values, one per requested time.
+    Returns a float array of s2 values, one per requested time.  Raises
+    InvalidParameterError unless ``times`` is a non-empty 1-d sequence of
+    finite values.
     """
-    import numpy as np
+    return _s2_at(params, _times_array(times))
 
-    t = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise InvalidParameterError("times must be finite")
+
+def _s2_at(params: SystemParams, t):
+    """s2 at t, a finite float (computed with ``math``, returning a float) or
+    a float array (computed with numpy); see ``inverse_laplace_s2``."""
+    xp = math
+    if _is_array(t):
+        import numpy as np
+
+        xp = np
     e, (g, delta, f1, f2) = _normalized(params)
     s1, s2, s3 = frequencies_from_charpoly(CharPoly(*_char_poly_coeffs(g, delta, f1, f2)))[3:]
     a, c = _s2_numerator(g, delta, f2)
-    t = np.ldexp(t, e)  # in the units of the normalized parameters
+    t = xp.ldexp(t, e)  # in the units of the normalized parameters
     half = 0.5 * t
     phi12, phi23 = (2.0 * _sinc_times(half, x + y) * _sinc_times(half, x - y) for x, y in ((s1, s2), (s2, s3)))
     q1, q2 = -s1 * s1, -s2 * s2
-    out = (q1 + q2 + a) * phi23 + np.cos(s3 * t)
+    out = (q1 + q2 + a) * phi23 + xp.cos(s3 * t)
     if s1 < s3:  # else a triple root, where N3(q1) = 0
         out += ((q1 + a) * q1 + c) * ((phi12 - phi23) / ((s3 - s1) * (s3 + s1)))
     return out

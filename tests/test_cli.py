@@ -377,29 +377,38 @@ _STARTUP_CASES = [
     (["spectrum", *_FLAGS, "--format", "json"], 0, []),
     (["spectrum", "--params", "p.txt"], 0, []),
     (["spectrum", "--comb", "A", "--g", "0.5"], 0, []),
+    (["spectrum", "--preset", "qubit"], 0, []),
+    (["spectrum", "--preset", "qubit", "--format", "json"], 0, []),
     (["comb", "--g", "0.5", "--branch", "A"], 0, []),
     (["energy", "--g", "0.5"], 0, []),
+    (["energy", "--target", "0.3"], 0, []),
+    ("trichain.identify_energy_branch()", None, []),
     (["spectrum", "--g", "0.5x", "--delta", "0", "--f1", "1", "--f2", "1"], 2, []),
     (["spectrum", "--params", "bad.txt"], 2, []),
     (["sweep", "--vary", "g", "--lo", "0", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"],
      0, ["numpy"]),
     (["evolve", *_FLAGS, "--n", "3"], 0, _DYNAMICS),
+    (["evolve", "--preset", "qubit"], 0, _DYNAMICS),
     (["figures", "--outdir", "figs"], 0, _DYNAMICS),
 ]
 
 
 @pytest.mark.parametrize("argv, exit_code, loaded", _STARTUP_CASES,
-                         ids=[" ".join(argv) if argv else "import" for argv, _, _ in _STARTUP_CASES])
+                         ids=[argv if isinstance(argv, str) else " ".join(argv) if argv else "import"
+                              for argv, _, _ in _STARTUP_CASES])
 def test_numpy_loads_only_where_arrays_are_made(tmp_path, argv, exit_code, loaded):
-    # A fresh interpreter: the single-point commands run on math alone, and no
-    # command loads scipy or numpy.ma.
+    # A fresh interpreter: the single-point commands and the energy-branch
+    # warm-up run on math alone, and no command loads scipy or numpy.ma.  A
+    # string case is a library statement, run after the import.
     (tmp_path / "p.txt").write_text("g = 0.5\ndelta = 0.3\nf1 = 0.8\nf2 = 0.9\n", encoding="utf-8")
     (tmp_path / "bad.txt").write_text("g = 0.5\ndelta = zero\nf1 = 1\nf2 = 1\n", encoding="utf-8")
     code = (
         "import contextlib, io, json, sys, trichain, trichain.cli\n"
         "code = None\n"
         "argv = json.loads(sys.argv[1])\n"
-        "if argv is not None:\n"
+        "if isinstance(argv, str):\n"
+        "    exec(argv)\n"
+        "elif argv is not None:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        try:\n"
         "            code = trichain.cli.main(argv)\n"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trichain import (
@@ -25,6 +25,7 @@ from trichain import (
     solve_comb_params,
     solve_g_for_energy,
 )
+from trichain.spectrum import _s2_at
 
 COMB_TARGET = (-2.0, -1.0, 0.0, 0.0, 1.0, 2.0)
 
@@ -47,6 +48,12 @@ class TestCombConstraints:
     def test_rejects_bad_spacing(self):
         with pytest.raises(DomainError):
             comb_constraints(SystemParams(g=0.0, delta=1.0, f1=1.0, f2=1.0), spacing=0.0)
+
+    @pytest.mark.parametrize("spacing", [-1.0, math.inf, math.nan, "1", None,
+                                         pytest.param(10**400, id="10**400"), True])
+    def test_rejects_spacing_that_is_not_a_positive_real(self, spacing):
+        with pytest.raises(DomainError):
+            comb_constraints(SystemParams(g=0.0, delta=1.0, f1=1.0, f2=1.0), spacing=spacing)
 
 
 class TestSolveCombParams:
@@ -153,6 +160,21 @@ class TestBranchIdentification:
         # regression: the measured match is branch B
         assert branch == "B"
 
+    def test_laplace_route_separates_the_branches(self):
+        # s2(pi)^2 by the inverse Laplace transform, against the closed form
+        # at the default probes: rounding on B, far off on A.
+        worst = {
+            branch: max(abs(_s2_at(solve_comb_params(g, branch).params, math.pi) ** 2 - energy_at_pi(g))
+                        for g in (0.25, 0.55, 0.85))
+            for branch in ("A", "B")
+        }
+        assert worst["B"] <= 1e-14
+        assert worst["A"] > 0.1
+
+    @pytest.mark.parametrize("probes", [[0.25], [0.25, 0.55], np.array([0.3, 0.9])])
+    def test_any_sequence_of_probes(self, probes):
+        assert identify_energy_branch(probes) == "B"
+
     def test_identified_branch_reproduces_closed_form(self):
         branch = identify_energy_branch()
         v0 = initial_state(2)
@@ -202,11 +224,67 @@ class TestSolveGForEnergy:
         roots = solve_g_for_energy(energy_at_pi(g)).g_solutions
         assert any(abs(root - g) <= 1e-9 for root in roots), (g, roots)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(0.0)
+    @example(1.0 / 9.0)
+    @example(1.0 / 9.0 - 1e-13)
+    @example(1.0 / 3.0)
+    @example(0.99999)
+    @example(1.0 - 2.0**-53)
+    def test_roots_against_mpmath(self, target):
+        # Each level L = +-3 sqrt(target) in (-1, 3) has one root of the
+        # inner function h, here in 40 digits; as in the solver, a root
+        # within 1e-9 of a smaller one is the same root.  Each returned root
+        # lies in the interval of couplings where h is within 8 eps of L: the
+        # problem's conditioning, as wide as evaluating h in floats makes it
+        # (measured <= 4.4 eps).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            scale = 3 * mpmath.sqrt(mpmath.mpf(target))
+            slack = 8 * mpmath.mpf(2) ** -52
+            expected = []
+            for level in sorted({scale, -scale}, reverse=True):  # h falls with g: ascending roots
+                exact = level_coupling(mpmath, level)
+                if -1 < level < 3 and (not expected or exact - expected[-1][0] > 1e-9):
+                    expected.append((exact, level_coupling(mpmath, level + slack),
+                                     level_coupling(mpmath, level - slack)))
+            roots = list(solve_g_for_energy(target).g_solutions)
+            if len(roots) > len(expected) and roots[-1] == 1.0 and abs(target - 1.0 / 9.0) <= 1e-12:
+                roots.pop()  # the g = 1 endpoint, accepted within 1e-12 of its energy 1/9
+            if len(roots) < len(expected) and expected[0][1] == 0:
+                expected.pop(0)  # within the conditioning of g = 0, outside the domain (0, 1]
+            assert len(roots) == len(expected), (target, roots)
+            for g, (exact, low, high) in zip(roots, expected):
+                assert low <= g <= high, (target, g, float(g - exact))
+
     def test_json_shape(self):
         program = solve_g_for_energy(0.0)
         data = program.to_json_dict()
         assert set(data) == {"target", "roots"}
         assert data["roots"] == list(program.g_solutions)
+
+
+def mp_inner(mpmath, g):
+    """h(g) = g^4 - 2 g^2 + (1 - g^2) sqrt(g^4 - 10 g^2 + 9) in mpmath."""
+    g2 = mpmath.mpf(g) ** 2
+    return g2 * g2 - 2 * g2 + (1 - g2) * mpmath.sqrt(g2 * g2 - 10 * g2 + 9)
+
+
+def level_coupling(mpmath, level):
+    """The coupling in [0, 1] where h, which falls strictly from 3 to -1, meets
+    ``level``, by bisection to the working precision; an end of [0, 1] for a
+    level beyond h's range."""
+    low, high = mpmath.mpf(0), mpmath.mpf(1)
+    if level <= -1:
+        return high
+    for _ in range(mpmath.mp.prec):
+        middle = (low + high) / 2
+        if mp_inner(mpmath, middle) > level:
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 class TestScaleComb:

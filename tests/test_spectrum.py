@@ -48,6 +48,7 @@ from trichain.spectrum import (
     _coefficient_gap,
     _mirror_frequencies,
     _nonequidistance,
+    _s2_at,
     _spectrum_record,
 )
 from conftest import random_params
@@ -635,6 +636,22 @@ class TestInverseLaplace:
     def test_rejects_non_finite_times(self, bad_time):
         with pytest.raises(InvalidParameterError, match="times must be finite"):
             inverse_laplace_s2(RESONANT.replace(g=0.5), [0.0, bad_time])
+
+    @pytest.mark.parametrize("times", [1.0, np.float64(1.0), np.array(1.0), [[0.0, 1.0]], [], np.empty((0, 2))],
+                             ids=["float", "float64", "0-d", "2-d", "empty", "empty 2-d"])
+    def test_rejects_times_that_are_not_a_non_empty_1d_sequence(self, times):
+        with pytest.raises(InvalidParameterError, match="times must be a non-empty 1-d sequence"):
+            inverse_laplace_s2(RESONANT.replace(g=0.5), times)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.one_of(generic_points, scaled_combs(0)),
+           t=st.floats(min_value=0.0, max_value=4.0 * math.pi))
+    def test_float_time_agrees_with_array_time(self, params, t):
+        # A float time runs on math, an array on numpy; their sin and cos may
+        # round differently, by ~1 ulp each.
+        value = _s2_at(params, t)
+        assert type(value) is float
+        assert abs(value - _s2_at(params, np.array([t]))[0]) <= 4.0 * 2.0**-52
 
     def test_near_the_resonant_triple_root(self):
         # Merging poles closer than 1e-7 and summing separate residues of the
