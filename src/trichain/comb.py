@@ -42,7 +42,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .model import SystemParams, _is_array, _is_real
-from .spectrum import DEFAULT_DEGENERACY_TOL, SweepConstraint, _s2_at, char_poly, eigenfrequencies
+from .spectrum import SweepConstraint, _s2_at, char_poly, eigenfrequencies
 
 BRANCHES = ("A", "B")
 
@@ -283,9 +283,10 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
     For m > 0, f(0) < 0 and f increases on v >= 0, so f has exactly one root
     v >= 0, in closed form (``_cubic_root``), and m = 0 gives v = 0.  A root
     v < 1 has m >= v^2, since m < v^2 would need v > 8; it is Newton-polished
-    on h(g).  The endpoint g = 1, a triple root at target = 1/9, is accepted
-    when it matches the target outright.  An unattainable target yields an
-    empty solution list, not an error.
+    on h(g).  m = 0 (target = 1/9) gives v = 0, the endpoint g = 1, a triple
+    root; a level with m < 0 has none, but g = 1 is accepted for it when it
+    matches the target outright.  An unattainable target yields an empty
+    solution list, not an error.
     """
     if not _is_real(target):
         raise DomainError(f"target must be a finite real number, got {target!r}")
@@ -297,6 +298,8 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
     for level in {3.0 * math.sqrt(target), -3.0 * math.sqrt(target)}:
         m = level + 1.0
         if m < 0.0:
+            if abs(energy_at_pi(1.0) - target) <= _RESIDUAL_TOL:
+                roots.append(1.0)
             continue
         root = _cubic_root(m)
         if root >= 1.0:
@@ -310,8 +313,6 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
                 break
             g = min(1.0, g - residual / slope)
         roots.append(g)
-    if abs(energy_at_pi(1.0) - target) <= _RESIDUAL_TOL:
-        roots.append(1.0)
     roots.sort()
     unique: list[float] = []
     for root in roots:
@@ -341,9 +342,7 @@ def scale_comb(solution: CombSolution, kappa: float) -> CombSolution:
     )
     spacing = kappa * solution.spacing
     residuals = comb_constraints(params, spacing=spacing)
-    spectrum = eigenfrequencies(
-        params, degeneracy_tol=DEFAULT_DEGENERACY_TOL * spacing
-    ).frequencies
+    spectrum = eigenfrequencies(params).frequencies
     return CombSolution(
         branch=solution.branch,
         g=params.g,
@@ -366,7 +365,15 @@ def identify_energy_branch(
     transform of its response (``inverse_laplace_s2``, a general route that
     knows nothing of combs); exactly one branch must match ``energy_at_pi``
     within ``tol`` at every probe.  The result is measured, not assumed.
+
+    Raises DomainError unless ``tol`` is a positive real number and the
+    probes are a non-empty sequence of couplings in (0, 1] that tell the
+    branches apart (they coincide at g = 1, and a loose ``tol`` matches both).
     """
+    if not _is_real(tol) or tol <= 0.0:
+        raise DomainError(f"tol must be a positive real number, got {tol!r}")
+    if len(probe_couplings) == 0:
+        raise DomainError("identify_energy_branch needs at least one probe coupling")
     matches: list[str] = []
     for branch in BRANCHES:
         worst = 0.0
@@ -375,8 +382,9 @@ def identify_energy_branch(
             worst = max(worst, abs(amplitude * amplitude - energy_at_pi(g)))
         if worst <= tol:
             matches.append(branch)
-    if len(matches) != 1:
-        raise ConsistencyError(
-            f"energy-branch identification expected exactly one match, got {matches}"
-        )
+    if len(matches) == len(BRANCHES):
+        probes = [float(g) for g in probe_couplings]
+        raise DomainError(f"probes {probes} do not separate the branches within tol={tol}")
+    if not matches:
+        raise ConsistencyError("no branch reproduces the closed-form energy at the probes")
     return matches[0]

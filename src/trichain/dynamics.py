@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     ScheduleError,
 )
-from .model import N_MODES, SystemParams, _csv, _params_from_values, _times_array, build_coupling_matrix
+from .model import N_MODES, SystemParams, _csv, _is_real, _params_from_values, _times_array, build_coupling_matrix
 
 _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
@@ -92,6 +92,8 @@ def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
 
 def propagator(params: SystemParams, t: float) -> np.ndarray:
     """The unitary U(t) = exp(-i M t) as a dense 6x6 matrix."""
+    if not _is_real(t):
+        raise InvalidParameterError(f"t must be a finite real number, got {t!r}")
     vecs, phases = _eigh_phases(params, [float(t)])
     return (vecs * phases[0]) @ vecs.T
 
@@ -109,13 +111,13 @@ def evolve_rk4(
     used.  The trajectory is sampled at every step and lands exactly on
     ``t_end`` (a shorter final step is taken if needed).  If the resulting
     norm drift exceeds ``norm_tol`` the step was too large for the spectral
-    radius and AccuracyError is raised.
+    radius and AccuracyError is raised.  ``dt``, ``t_end`` and ``norm_tol``
+    must be positive real numbers, else InvalidParameterError is raised.
     """
     v = _check_state(v0)
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise InvalidParameterError(f"t_end must be positive and finite, got {t_end}")
+    for name, value in (("dt", dt), ("t_end", t_end), ("norm_tol", norm_tol)):
+        if not _is_real(value) or value <= 0.0:
+            raise InvalidParameterError(f"{name} must be a positive real number, got {value!r}")
     a = -1j * build_coupling_matrix(params)
 
     def step(state: np.ndarray, h: float) -> np.ndarray:
@@ -162,6 +164,8 @@ class Schedule:
     """Ordered, contiguous g(t) segments over a fixed base parameter set.
 
     Only g is scheduled; delta, f1, f2 come from ``base`` and are held fixed.
+    Segment times and couplings must be finite real numbers, not bools or
+    strings; they are stored as floats.
     """
 
     segments: tuple[Segment, ...]
@@ -172,17 +176,20 @@ class Schedule:
             raise ScheduleError("schedule needs at least one segment")
         previous_end = None
         for seg in self.segments:
-            if not (math.isfinite(seg.t_start) and math.isfinite(seg.t_end)):
-                raise ScheduleError(f"segment times must be finite: {seg}")
+            if not all(map(_is_real, (seg.t_start, seg.t_end, seg.g))):
+                raise ScheduleError(f"segment times and coupling must be finite real numbers: {seg}")
             if seg.t_end <= seg.t_start:
                 raise ScheduleError(f"segment must have t_end > t_start: {seg}")
-            if not (math.isfinite(seg.g) and seg.g >= 0.0):
-                raise ScheduleError(f"segment coupling must be finite and >= 0: {seg}")
+            if seg.g < 0.0:
+                raise ScheduleError(f"segment coupling must be >= 0: {seg}")
             if previous_end is not None and abs(seg.t_start - previous_end) > _BOUNDARY_TOL:
                 raise ScheduleError(
                     f"segments must be contiguous: gap/overlap between t={previous_end} and {seg}"
                 )
             previous_end = seg.t_end
+        # as floats, as SystemParams stores its values
+        segments = tuple(Segment(float(s.t_start), float(s.t_end), float(s.g)) for s in self.segments)
+        object.__setattr__(self, "segments", segments)
 
     @property
     def t_start(self) -> float:
@@ -202,7 +209,8 @@ def schedule_from_json(text: str, base: SystemParams | None = None) -> Schedule:
     Accepts either an object {"base": {...}, "segments": [...]} or a bare
     segments array (then ``base`` must be supplied).  Each segment is an
     object {"t_start": ..., "t_end": ..., "g": ...}; the base object uses the
-    flat parameter keys g, delta, f1, f2 and optional omega0.
+    flat parameter keys g, delta, f1, f2 and optional omega0.  Every value
+    must be a JSON number: ``true`` and ``"0.5"`` are refused, as in the base.
     """
     try:
         data = json.loads(text)
@@ -223,11 +231,8 @@ def schedule_from_json(text: str, base: SystemParams | None = None) -> Schedule:
     if base is None:
         raise ScheduleError("schedule has no base parameters (none embedded, none supplied)")
     try:
-        segments = tuple(
-            Segment(t_start=float(s["t_start"]), t_end=float(s["t_end"]), g=float(s["g"]))
-            for s in raw_segments
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        segments = tuple(Segment(t_start=s["t_start"], t_end=s["t_end"], g=s["g"]) for s in raw_segments)
+    except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed segment entry: {exc}") from exc
     return Schedule(segments=segments, base=base)
 
@@ -297,6 +302,9 @@ def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> fl
     trajectory should be sampled densely (>= 100 points per unit time) around
     the center for the width to be meaningful.
     """
+    for name, value in (("center", center), ("threshold", threshold)):
+        if not _is_real(value):
+            raise DomainError(f"{name} must be a finite real number, got {value!r}")
     t = trajectory.times
     if center < t[0] or center > t[-1]:
         raise DomainError(f"center {center} outside trajectory window [{t[0]}, {t[-1]}]")

@@ -59,9 +59,10 @@ from .model import _NUM, SystemParams, _first_invalid, _is_array, _times_array
 if TYPE_CHECKING:
     import numpy as np
 
-#: Absolute tolerance (in comb-spacing units) used to cluster equal
-#: eigenfrequencies.  Well above the spectral kernel's rounding error at unit
-#: scale (a few 1e-16), well below the comb spacing.
+#: Tolerance used to cluster equal eigenfrequencies, relative to half the top
+#: frequency (``_threshold``): the spacing of a designed comb, so 1e-7 absolute
+#: on a unit comb.  Well above the spectral kernel's rounding error (a few
+#: 1e-16 relative), well below the comb spacing, at every scale.
 DEFAULT_DEGENERACY_TOL = 1e-7
 
 #: Largest gap ``_coefficient_gap`` passes.  Accurate singular values keep the
@@ -104,6 +105,8 @@ class Spectrum:
 
     ``clusters`` lists (representative value, multiplicity) for groups of
     frequencies within ``degeneracy_tol`` of their neighbours.
+    ``degeneracy_tol`` is the absolute gap that was applied: the relative
+    tolerance passed to ``eigenfrequencies`` times half the top frequency.
     """
 
     frequencies: tuple[float, ...]
@@ -240,6 +243,13 @@ def _check_degeneracy_tol(degeneracy_tol: float) -> None:
         raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
 
 
+def _threshold(freqs, tol):
+    """The absolute gap that the relative tolerance ``tol`` stands for: tol
+    times half the top frequency, which is the spacing of a designed comb.
+    It scales with the frequencies, and floats and arrays get the same bits."""
+    return 0.5 * tol * freqs[5]
+
+
 #: A pair of columns of T counts as orthogonal once the cosine of their angle
 #: is at most rows times eps.  At eps alone a rotation can flip the rounding
 #: residue from one side to the other for ever.
@@ -373,18 +383,16 @@ def eigenfrequencies(
     (``_mirror_frequencies``), an exact mirror image about 0, with exact
     zeros where delta = +-f2 or f1 = 0.  Their squares must reproduce the
     closed-form coefficients (c4, c2, c0) to a relative 1e-12 (see
-    ``_coefficient_gap``), else ConsistencyError is raised.
+    ``_coefficient_gap``), else ConsistencyError is raised.  They are
+    clustered at ``degeneracy_tol`` times half the top frequency.
     """
     _check_degeneracy_tol(degeneracy_tol)
     freqs = _mirror_frequencies(params.g, params.delta, params.f1, params.f2)
     gap = _coefficient_gap(freqs, params.g, params.delta, params.f1, params.f2)
     if not gap <= _COEFFICIENT_TOL:  # also refuses a NaN gap
         raise _gap_error(gap, params)
-    return Spectrum(
-        frequencies=freqs,
-        degeneracy_tol=degeneracy_tol,
-        clusters=_cluster(freqs, degeneracy_tol),
-    )
+    threshold = _threshold(freqs, degeneracy_tol)
+    return Spectrum(frequencies=freqs, degeneracy_tol=threshold, clusters=_cluster(freqs, threshold))
 
 
 def _nonequidistance(freqs, tol):
@@ -600,10 +608,11 @@ def sweep_spectrum_values(
     computed.
 
     All points go through one batched call of the spectral kernel, and every
-    point gets the check of ``eigenfrequencies``.  A failure raises the error
-    that running the points one at a time raises at the first failing point,
-    except that the constraint sees the whole grid first, so its errors come
-    before any spectrum error.
+    point gets the check of ``eigenfrequencies`` and its relative
+    ``degeneracy_tol``.  A failure raises the error that running the points
+    one at a time raises at the first failing point, except that the
+    constraint sees the whole grid first, so its errors come before any
+    spectrum error.
     """
     import numpy as np
 
@@ -632,7 +641,7 @@ def sweep_spectrum_values(
     if failed.any():
         k = int(np.argmax(failed))
         raise _gap_error(gaps[k], SystemParams(*(float(c[k]) for c in columns), omega0=base.omega0))
-    delta_err, undefined = _nonequidistance(freqs, degeneracy_tol)
+    delta_err, undefined = _nonequidistance(freqs, _threshold(freqs, degeneracy_tol))
     delta_err = np.where(undefined, None, delta_err)
     columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
@@ -677,9 +686,12 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
 def _spectrum_record(params: SystemParams, degeneracy_tol: float) -> dict:
     """The object ``trichain spectrum --format json`` writes.  ``degenerate``
     says that the non-equidistance error ``delta`` is undefined (None), which
-    is not ``Spectrum.degenerate``: w1 <= tol sets it without a cluster."""
+    is not ``Spectrum.degenerate``: w1 <= threshold sets it without a cluster.
+    ``degeneracy_tol`` is relative, as in ``eigenfrequencies``, so the record
+    of 2^k times the parameters has 2^k times the frequencies and cluster
+    values and the same flags and ``delta``."""
     spectrum = eigenfrequencies(params, degeneracy_tol)
-    delta_err, undefined = _nonequidistance(spectrum.frequencies, degeneracy_tol)
+    delta_err, undefined = _nonequidistance(spectrum.frequencies, spectrum.degeneracy_tol)
     report = degeneracy_discriminant(params)
     return {
         "frequencies": list(spectrum.frequencies),

@@ -175,6 +175,17 @@ class TestBranchIdentification:
     def test_any_sequence_of_probes(self, probes):
         assert identify_energy_branch(probes) == "B"
 
+    # Bad input, not a bug: the branches coincide at g = 1, and tol = 1 lets
+    # branch A's 0.39 mismatch pass too.
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": True}, {"tol": "1e-7"},
+        {"probe_couplings": []}, {"probe_couplings": np.array([])}, {"probe_couplings": [1.0]}, {"tol": 1.0},
+    ], ids=["nan_tol", "negative_tol", "zero_tol", "bool_tol", "string_tol", "no_probes", "empty_array",
+            "branches_coincide_at_g_1", "tol_matches_both"])
+    def test_bad_input_is_a_domain_error(self, kwargs):
+        with pytest.raises(DomainError):
+            identify_energy_branch(**kwargs)
+
     def test_identified_branch_reproduces_closed_form(self):
         branch = identify_energy_branch()
         v0 = initial_state(2)
@@ -199,6 +210,13 @@ class TestSolveGForEnergy:
     def test_target_one_ninth_includes_the_boundary(self):
         program = solve_g_for_energy(1.0 / 9.0)
         assert program.g_solutions == pytest.approx((0.5854074596907901, 1.0), abs=1e-9)
+
+    def test_just_below_one_ninth_the_endpoint_is_not_a_second_root(self):
+        # E(1) = 1/9 is within 1e-12 of the target, but the root 1.5e-9 below
+        # g = 1 is that same root, not a second one.
+        roots = solve_g_for_energy(1.0 / 9.0 - 1e-13).g_solutions
+        assert len(roots) == 2
+        assert roots[1] < 1.0
 
     def test_unattainable_targets_give_empty_results(self):
         assert solve_g_for_energy(1.5).g_solutions == ()
@@ -229,6 +247,7 @@ class TestSolveGForEnergy:
     @example(0.0)
     @example(1.0 / 9.0)
     @example(1.0 / 9.0 - 1e-13)
+    @example(1.0 / 9.0 + 1e-13)
     @example(1.0 / 3.0)
     @example(0.99999)
     @example(1.0 - 2.0**-53)
@@ -250,8 +269,8 @@ class TestSolveGForEnergy:
                     expected.append((exact, level_coupling(mpmath, level + slack),
                                      level_coupling(mpmath, level - slack)))
             roots = list(solve_g_for_energy(target).g_solutions)
-            if len(roots) > len(expected) and roots[-1] == 1.0 and abs(target - 1.0 / 9.0) <= 1e-12:
-                roots.pop()  # the g = 1 endpoint, accepted within 1e-12 of its energy 1/9
+            if len(roots) > len(expected) and roots[-1] == 1.0 and 1.0 / 9.0 < target <= 1.0 / 9.0 + 1e-12:
+                roots.pop()  # the g = 1 endpoint, accepted within 1e-12 above its energy 1/9
             if len(roots) < len(expected) and expected[0][1] == 0:
                 expected.pop(0)  # within the conditioning of g = 0, outside the domain (0, 1]
             assert len(roots) == len(expected), (target, roots)
@@ -306,6 +325,25 @@ class TestScaleComb:
         v0 = initial_state(2)
         final = evolve_spectral(scaled.params, v0, [4.0 * math.pi]).states[0]
         assert np.linalg.norm(final - v0) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.floats(min_value=0.05, max_value=1.0), branch=st.sampled_from("AB"),
+           k=st.integers(min_value=-200, max_value=200))
+    def test_power_of_two_scaling_is_exact(self, g, branch, k):
+        # The spectrum scales by 2^k and the residuals (c4 - 5k^2, c2 - 4k^4,
+        # c0) by 2^2k, 2^4k and 2^6k, bit for bit.
+        sol = solve_comb_params(g, branch)
+        unit, scaled = scale_comb(sol, 1.0), scale_comb(sol, math.ldexp(1.0, k))
+        assert scaled.spectrum == tuple(math.ldexp(w, k) for w in unit.spectrum)
+        assert scaled.residuals == tuple(math.ldexp(r, n * k) for r, n in zip(unit.residuals, (2, 4, 6)))
+
+    def test_subnormal_kappa_is_accepted(self):
+        # 1e-7 times this spacing rounds to 0: no absolute tolerance may be
+        # derived from the spacing.
+        sol = solve_comb_params(0.5, "A")
+        scaled = scale_comb(sol, 1e-320)
+        assert (scaled.g, scaled.f1) == (1e-320 * sol.g, 1e-320 * sol.f1)
+        assert scaled.spectrum[-1] > 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, float("inf")])
     def test_bad_kappa_rejected(self, bad):

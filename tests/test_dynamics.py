@@ -89,6 +89,11 @@ class TestPropagator:
         assert np.linalg.norm(u @ u.conj().T - np.eye(6), 2) <= 1e-12
         assert np.linalg.norm(u - np.eye(6), 2) <= 1e-9
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, True, "1.0"])
+    def test_rejects_a_time_that_is_not_a_finite_real(self, t):
+        with pytest.raises(InvalidParameterError):
+            propagator(RABI, t)
+
     def test_half_period_involution(self):
         sol = qubit_solution()
         u_half = propagator(sol.params, math.pi)
@@ -137,6 +142,15 @@ class TestEvolveRK4:
         params = SystemParams(g=3.0, delta=0.0, f1=3.0, f2=3.0)
         with pytest.raises(AccuracyError):
             evolve_rk4(params, initial_state(2), dt=0.8, t_end=20.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": True}, {"dt": 0.0}, {"dt": -1e-2}, {"dt": math.nan}, {"dt": "0.01"},
+        {"t_end": True}, {"t_end": -1.0}, {"t_end": math.inf},
+        {"norm_tol": math.nan}, {"norm_tol": 0.0},  # NaN would let every drift pass
+    ])
+    def test_rejects_a_step_or_end_that_is_not_a_positive_real(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            evolve_rk4(RABI, initial_state(2), **kwargs)
 
     def test_lands_exactly_on_t_end(self):
         traj = evolve_rk4(RABI, initial_state(2), dt=1e-2, t_end=0.105)
@@ -221,6 +235,9 @@ class TestSchedule:
             (Segment(0.0, 1.0, 0.5), Segment(0.8, 2.0, 0.0)),   # overlap
             (Segment(0.0, 0.0, 0.5),),                          # empty interval
             (Segment(0.0, 1.0, -0.2),),                         # negative coupling
+            (Segment(0.0, 1.0, True),),                         # bool coupling
+            (Segment(0.0, "1.0", 0.5),),                        # string time
+            (Segment(0.0, math.nan, 0.5),),                     # NaN time
         ],
     )
     def test_malformed_schedules_rejected(self, segments):
@@ -264,8 +281,17 @@ class TestSchedule:
             # a string value must not smuggle in a key of its own
             ('{"base": {"g": "0.5\\ndelta = 0.1", "f1": 1, "f2": 1}, "segments": []}',
              InvalidParameterError),
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}, '
+             '"segments": [{"t_start": 0, "t_end": 1, "g": true}]}', ScheduleError),
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}, '
+             '"segments": [{"t_start": 0, "t_end": 1, "g": "0.5"}]}', ScheduleError),
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}, '
+             '"segments": [{"t_start": "0", "t_end": 1, "g": 0.5}]}', ScheduleError),
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}, "segments": [{"t_start": 0, "t_end": 1}]}',
+             ScheduleError),
         ],
-        ids=["not_json", "base_not_object", "unknown_key", "missing_key", "bool_value", "string_value"],
+        ids=["not_json", "base_not_object", "unknown_key", "missing_key", "bool_value", "string_value",
+             "segment_bool_value", "segment_string_value", "segment_string_time", "segment_missing_key"],
     )
     def test_schedule_json_rejects_malformed_text(self, text, error):
         with pytest.raises(error):
@@ -316,3 +342,11 @@ class TestPlateauWidth:
         traj = evolve_spectral(RABI, initial_state(2), np.linspace(0.0, 1.0, 101))
         with pytest.raises(DomainError):
             plateau_width(traj, 2.0, 1e-3)
+
+    @pytest.mark.parametrize("center, threshold", [
+        (math.nan, 0.5), (True, 0.5), ("0.5", 0.5), (0.5, math.nan), (0.5, "1e-3"),
+    ], ids=["nan_center", "bool_center", "string_center", "nan_threshold", "string_threshold"])
+    def test_center_or_threshold_that_is_not_a_real_rejected(self, center, threshold):
+        traj = evolve_spectral(RABI, initial_state(2), np.linspace(0.0, 1.0, 101))
+        with pytest.raises(DomainError):
+            plateau_width(traj, center, threshold)

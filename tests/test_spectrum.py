@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
@@ -997,13 +998,14 @@ class TestScalarPathMatchesArrayPath:
         columns = np.array([astuple(p)[:4] for p in points]).T
         freqs = _mirror_frequencies(*columns)
         gaps = _coefficient_gap(freqs, *columns)
-        delta_err, undefined = _nonequidistance(freqs, tol)
-        for k, params in enumerate(points):
+        spectra = [eigenfrequencies(params, tol) for params in points]
+        # the absolute gap each point's relative tol stands for
+        delta_err, undefined = _nonequidistance(freqs, np.array([spectrum.degeneracy_tol for spectrum in spectra]))
+        for k, (params, spectrum) in enumerate(zip(points, spectra)):
             row = [float(w[k]) for w in freqs]
-            spectrum = eigenfrequencies(params, tol)
             assert bits(spectrum.frequencies) == bits(row)
             assert bits([_coefficient_gap(spectrum.frequencies, *astuple(params)[:4])]) == bits([gaps[k]])
-            means = [(float(np.mean(group)), len(group)) for group in chained_groups(row, tol)]
+            means = [(float(np.mean(group)), len(group)) for group in chained_groups(row, spectrum.degeneracy_tol)]
             assert bits([v for v, _ in spectrum.clusters]) == bits([v for v, _ in means])
             assert [m for _, m in spectrum.clusters] == [m for _, m in means]
             record = _spectrum_record(params, tol)
@@ -1015,6 +1017,58 @@ def chained_groups(freqs, tol):
     """Ascending frequencies split where neighbours are more than ``tol`` apart."""
     cuts = [0, *(i + 1 for i in range(len(freqs) - 1) if freqs[i + 1] - freqs[i] > tol), len(freqs)]
     return [freqs[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+class TestScaleCovariantVerdicts:
+    """``degeneracy_tol`` is relative to the spectrum's scale, so 2^k times
+    the parameters give 2^k times the frequencies, cluster values and applied
+    threshold, and the same flags, multiplicities and ``delta`` bits, at every
+    k in [-200, 200] (the points keep every nonzero value normal there).  An
+    absolute tolerance flagged (0.5, 0.3, 0.8, 0.9) * 2^k degenerate from
+    k = -23 down."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.one_of(generic_points, resonant_points, near_zero_pair_points, scaled_combs(0)),
+           tol=st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3]), k=st.integers(min_value=-200, max_value=200))
+    @example(params=SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9), tol=DEFAULT_DEGENERACY_TOL, k=-23)
+    @example(params=SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9), tol=DEFAULT_DEGENERACY_TOL, k=-200)
+    def test_spectrum_record(self, params, tol, k):
+        point = scaled(params, k)
+        base, spectrum = eigenfrequencies(params, tol), eigenfrequencies(point, tol)
+        assert bits(spectrum.frequencies) == bits([math.ldexp(w, k) for w in base.frequencies])
+        assert spectrum.degeneracy_tol == math.ldexp(base.degeneracy_tol, k)
+        expected = _spectrum_record(params, tol)
+        try:
+            record = _spectrum_record(point, tol)
+        except DomainError as exc:
+            assert "discriminant" in str(exc)  # above the float range, the only error scaling may add
+            return
+        assert bits(record["frequencies"]) == bits([math.ldexp(w, k) for w in expected["frequencies"]])
+        assert bits([v for v, _ in record["clusters"]]) == bits([math.ldexp(v, k) for v, _ in expected["clusters"]])
+        assert [m for _, m in record["clusters"]] == [m for _, m in expected["clusters"]]
+        assert record["degenerate"] is expected["degenerate"]
+        assert (record["delta"] is None) is (expected["delta"] is None)
+        if record["delta"] is not None:
+            assert bits([record["delta"]]) == bits([expected["delta"]])
+        assert record["zero_frequency_pair"] is expected["zero_frequency_pair"]
+        tiny = sys.float_info.min
+        if min(abs(record["discriminant"]), abs(expected["discriminant"])) >= tiny:
+            assert record["discriminant"] == math.ldexp(expected["discriminant"], 12 * k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.one_of(generic_points, resonant_points, near_zero_pair_points, scaled_combs(0)),
+           vary=st.sampled_from(["g", "delta", "f1", "f2"]), extra=st.lists(coupling, max_size=5),
+           tol=st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3]), k=st.integers(min_value=-200, max_value=200))
+    def test_sweep_rows(self, params, vary, extra, tol, k):
+        values = [getattr(params, vary), *extra]
+        rows = sweep_spectrum_values(params, vary, values, None, tol)
+        scaled_rows = sweep_spectrum_values(scaled(params, k), vary, [math.ldexp(v, k) for v in values], None, tol)
+        for row, scaled_row in zip(rows, scaled_rows, strict=True):
+            assert scaled_row.param == math.ldexp(row.param, k)
+            assert bits(scaled_row.frequencies) == bits([math.ldexp(w, k) for w in row.frequencies])
+            assert scaled_row.degenerate is row.degenerate
+            if not row.degenerate:
+                assert bits([scaled_row.delta_err]) == bits([row.delta_err])
 
 
 def assert_sweep_passes_pointwise(base, vary, values, branch=None):
