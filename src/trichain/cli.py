@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .comb import (
@@ -61,13 +60,19 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_text(path, text)
         _progress(f"wrote {path}")
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.write(text)
 
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as stream:
+            return stream.read()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
@@ -103,7 +108,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     text = _read_text(config_path, "config")
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         raise UsageError(f"config {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {config_path} must contain a JSON object")
@@ -240,23 +245,23 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     from . import dynamics
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = args.outdir or "."
+    os.makedirs(outdir, exist_ok=True)
     resonant = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
 
     _progress("fig2.csv: spectrum versus g, resonant chain")
     rows = sweep_spectrum(resonant, "g", 0.0, 3.0, 601)
-    (outdir / "fig2.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
+    _write_text(os.path.join(outdir, "fig2.csv"), sweep_rows_to_csv(rows))
 
     _progress("fig3.csv: non-equidistance error versus g, resonant chain")
     rows = sweep_spectrum(resonant, "g", 0.01, 3.0, 1000)
-    (outdir / "fig3.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
+    _write_text(os.path.join(outdir, "fig3.csv"), sweep_rows_to_csv(rows))
 
     _progress("fig4.csv: spectrum versus detuning at the comb coupling")
     anchor = solve_comb_params(QUBIT_COUPLING, "A")
     values = sorted({*np.linspace(0.0, 2.0, 801).tolist(), anchor.f2})
     rows = sweep_spectrum_values(anchor.params, "delta", values)
-    (outdir / "fig4.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
+    _write_text(os.path.join(outdir, "fig4.csv"), sweep_rows_to_csv(rows))
 
     _progress("fig5.csv: central-atom energy versus time for both presets")
     branch = identify_energy_branch()
@@ -267,7 +272,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         for coupling in (QUBIT_COUPLING, QUTRIT_COUPLING)
     )
     fig5 = dynamics._central_energies_to_csv(qubit, qutrit)
-    (outdir / "fig5.csv").write_text(fig5, encoding="utf-8")
+    _write_text(os.path.join(outdir, "fig5.csv"), fig5)
 
     print(f"wrote fig2.csv fig3.csv fig4.csv fig5.csv to {outdir}")
     return 0

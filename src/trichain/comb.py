@@ -32,8 +32,7 @@ assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
 
 from .errors import (
     BranchInfeasibleError,
@@ -42,7 +41,13 @@ from .errors import (
     InvalidParameterError,
 )
 from .model import SystemParams, _is_array, _is_real
-from .spectrum import SweepConstraint, _s2_at, char_poly, eigenfrequencies
+from .spectrum import _s2_at, char_poly, eigenfrequencies
+
+TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
+if TYPE_CHECKING:
+    from typing import Sequence
+
+    from .spectrum import SweepConstraint
 
 BRANCHES = ("A", "B")
 
@@ -58,21 +63,16 @@ _RESIDUAL_TOL = 1e-12
 _COMB_SPECTRUM_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class CombSolution:
-    """A parameter set satisfying the comb constraints, tagged by branch.
+class CombSolution(namedtuple("CombSolution", ("branch", "g", "delta", "f1", "f2", "residuals", "spectrum"))):
+    """A parameter set satisfying the comb constraints, tagged by branch; an
+    immutable named tuple.
 
     ``residuals`` are the three constraint defects (c4 - 5k^2, c2 - 4k^4, c0)
-    for spacing k; ``spectrum`` is the verified eigenfrequency set.
+    for spacing k, a tuple of floats; ``spectrum`` is the verified
+    eigenfrequency set, a tuple of six floats.
     """
 
-    branch: str
-    g: float
-    delta: float
-    f1: float
-    f2: float
-    residuals: tuple[float, float, float]
-    spectrum: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def spacing(self) -> float:
@@ -106,12 +106,11 @@ class CombSolution:
         )
 
 
-@dataclass(frozen=True)
-class EnergyProgram:
-    """Couplings achieving a requested central-atom energy at half period."""
+class EnergyProgram(namedtuple("EnergyProgram", ("target_e2", "g_solutions"))):
+    """Couplings achieving a requested central-atom energy at half period, an
+    immutable named tuple; ``g_solutions`` is a tuple of floats."""
 
-    target_e2: float
-    g_solutions: tuple[float, ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"target": self.target_e2, "roots": list(self.g_solutions)}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,7 +24,16 @@ from .errors import (
     InvalidParameterError,
     ScheduleError,
 )
-from .model import N_MODES, SystemParams, _csv, _is_real, _params_from_values, _times_array, build_coupling_matrix
+from .model import (
+    N_MODES,
+    SystemParams,
+    _CheckedRecord,
+    _csv,
+    _is_real,
+    _params_from_values,
+    _times_array,
+    build_coupling_matrix,
+)
 
 _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
@@ -33,21 +42,22 @@ _ENERGY_CSV_HEADER = "t,E_s1,E_s2,E_s3,E_a1,E_a2,E_a3"
 _CENTRAL_ENERGY_CSV_HEADER = "t,E_x2_qubit,E_x2_qutrit"
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled evolution: ``states[k]`` is the state vector at ``times[k]``."""
+class Trajectory(_CheckedRecord, namedtuple("Trajectory", ("times", "states"))):
+    """Sampled evolution: ``states[k]`` is the state vector at ``times[k]``.
 
-    times: np.ndarray
-    states: np.ndarray
+    An immutable named tuple of two arrays, which it makes read-only where it
+    owns their data.
+    """
 
-    def __post_init__(self):
-        if self.times.ndim != 1 or self.states.shape != (self.times.size, N_MODES):
-            raise InvalidParameterError(
-                f"trajectory shape mismatch: times {self.times.shape}, states {self.states.shape}"
-            )
-        for array in (self.times, self.states):
+    __slots__ = ()
+
+    def __new__(cls, times: np.ndarray, states: np.ndarray):
+        if times.ndim != 1 or states.shape != (times.size, N_MODES):
+            raise InvalidParameterError(f"trajectory shape mismatch: times {times.shape}, states {states.shape}")
+        for array in (times, states):
             if array.flags.owndata:
                 array.setflags(write=False)
+        return tuple.__new__(cls, (times, states))
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
@@ -73,8 +83,14 @@ def _check_times(times) -> np.ndarray:
 
 
 def _eigh_phases(params: SystemParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors V of M = V diag(w) V^T and the phase rows exp(-i w t_k)."""
+    """Eigenvectors V of M = V diag(w) V^T and the phase rows exp(-i w t_k).
+
+    Raises DomainError where a phase w*t would leave the float range.
+    """
     w, vecs = np.linalg.eigh(build_coupling_matrix(params))
+    w_max, t_max = float(np.max(np.abs(w))), float(np.max(np.abs(t)))
+    if not math.isfinite(w_max * t_max):  # Python floats: inf, not an overflow warning
+        raise DomainError(f"phases w*t overflow: max|w| = {w_max:.6g} times max|t| = {t_max:.6g} is not finite")
     return vecs, np.exp(-1j * np.outer(t, w))
 
 
@@ -150,32 +166,29 @@ def evolve_rk4(
     return trajectory
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One piece of a piecewise-constant coupling schedule."""
+class Segment(namedtuple("Segment", ("t_start", "t_end", "g"))):
+    """One piece of a piecewise-constant coupling schedule, an immutable named
+    tuple; ``Schedule`` checks it."""
 
-    t_start: float
-    t_end: float
-    g: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered, contiguous g(t) segments over a fixed base parameter set.
+class Schedule(_CheckedRecord, namedtuple("Schedule", ("segments", "base"))):
+    """Ordered, contiguous g(t) segments over a fixed base parameter set; an
+    immutable named tuple.
 
     Only g is scheduled; delta, f1, f2 come from ``base`` and are held fixed.
     Segment times and couplings must be finite real numbers, not bools or
-    strings; they are stored as floats.
+    strings; they are stored as floats, in a tuple of ``Segment``.
     """
 
-    segments: tuple[Segment, ...]
-    base: SystemParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.segments:
+    def __new__(cls, segments, base: SystemParams):
+        if not segments:
             raise ScheduleError("schedule needs at least one segment")
         previous_end = None
-        for seg in self.segments:
+        for seg in segments:
             if not all(map(_is_real, (seg.t_start, seg.t_end, seg.g))):
                 raise ScheduleError(f"segment times and coupling must be finite real numbers: {seg}")
             if seg.t_end <= seg.t_start:
@@ -188,8 +201,8 @@ class Schedule:
                 )
             previous_end = seg.t_end
         # as floats, as SystemParams stores its values
-        segments = tuple(Segment(float(s.t_start), float(s.t_end), float(s.g)) for s in self.segments)
-        object.__setattr__(self, "segments", segments)
+        segments = tuple(Segment(float(s.t_start), float(s.t_end), float(s.g)) for s in segments)
+        return tuple.__new__(cls, (segments, base))
 
     @property
     def t_start(self) -> float:
@@ -214,7 +227,7 @@ def schedule_from_json(text: str, base: SystemParams | None = None) -> Schedule:
     """
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
         raise ScheduleError(f"schedule is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         raw_segments = data.get("segments")

@@ -25,15 +25,14 @@ the corresponding revival time is 2*pi.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .errors import InvalidParameterError
 
+TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
     import numpy as np
 
@@ -65,9 +64,26 @@ def _is_array(value) -> bool:
     return numpy is not None and isinstance(value, numpy.ndarray)
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Model parameters.
+class _CheckedRecord:
+    """Base of the named-tuple records that check their fields in ``__new__``.
+
+    A plain named tuple's ``_make`` and ``_replace`` build the tuple without
+    calling ``__new__``; here both go through it, so no copy skips the checks.
+    Unpickling calls ``__new__`` too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class SystemParams(_CheckedRecord, namedtuple("SystemParams", _CONFIG_KEYS, defaults=(0.0,))):
+    """Model parameters, an immutable named tuple.
 
     g      inter-resonator coupling (>= 0)
     delta  detuning of resonators 1 and 3 relative to resonator 2
@@ -79,24 +95,29 @@ class SystemParams:
     is a gauge transformation and is rejected rather than silently absorbed.
     """
 
-    g: float
-    delta: float
-    f1: float
-    f2: float
-    omega0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("g", "delta", "f1", "f2", "omega0"):
-            value = getattr(self, name)
+    def __new__(cls, g, delta, f1, f2, omega0=0.0):
+        return tuple.__new__(cls, cls.__post_init__(g, delta, f1, f2, omega0))
+
+    @staticmethod
+    def __post_init__(*values) -> list[float]:
+        """The field values as checked floats, in field order.
+
+        ``__new__`` looks this hook up on the class at every construction, so
+        wrapping it (as ``bench/tracer.py`` does) sees every parameter set built.
+        """
+        floats = []
+        for name, value in zip(_CONFIG_KEYS, values):
             if not _is_real(value):
                 raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in _COUPLING_FIELDS:
-            if getattr(self, name) < 0.0:
-                raise InvalidParameterError(f"coupling {name} must be non-negative, got {getattr(self, name)}")
+            floats.append(float(value))
+        for name, value in zip(_CONFIG_KEYS, floats):
+            if name in _COUPLING_FIELDS and value < 0.0:
+                raise InvalidParameterError(f"coupling {name} must be non-negative, got {value}")
+        return floats
 
-    def replace(self, **changes) -> "SystemParams":
-        return dataclasses.replace(self, **changes)
+    replace = _CheckedRecord._replace
 
 
 def build_coupling_matrix(params: SystemParams) -> np.ndarray:

@@ -43,9 +43,8 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -56,8 +55,18 @@ from .errors import (
 )
 from .model import _NUM, SystemParams, _first_invalid, _is_array, _times_array
 
+TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
+    from typing import Callable, Sequence
+
     import numpy as np
+
+    #: Maps the parameter columns (g, delta, f1, f2), equal-length float arrays
+    #: over a sweep grid, to corrected columns in the same order.
+    SweepConstraint = Callable[
+        [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ]
 
 #: Tolerance used to cluster equal eigenfrequencies, relative to half the top
 #: frequency (``_threshold``): the spacing of a designed comb, so 1e-7 absolute
@@ -75,33 +84,23 @@ _TINY = sys.float_info.min
 
 _SWEEPABLE = ("g", "delta", "f1", "f2")
 
-#: Maps the parameter columns (g, delta, f1, f2), equal-length float arrays
-#: over a sweep grid, to corrected columns in the same order.
-SweepConstraint = Callable[
-    ["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"],
-    "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
-]
-
 _SWEEP_CSV_HEADER = "param,w1,w2,w3,w4,w5,w6,delta,degenerate"
 _SPECTRUM_CSV_HEADER = "w1,w2,w3,w4,w5,w6,delta,degenerate,discriminant,zero_frequency_pair"
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Coefficients of Det(p) = p^6 + c4*p^4 + c2*p^2 + c0."""
+class CharPoly(namedtuple("CharPoly", ("c4", "c2", "c0"))):
+    """Coefficients of Det(p) = p^6 + c4*p^4 + c2*p^2 + c0, an immutable named tuple."""
 
-    c4: float
-    c2: float
-    c0: float
+    __slots__ = ()
 
     def eval(self, p: complex) -> complex:
         q = p * p
         return ((q + self.c4) * q + self.c2) * q + self.c0
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Six real eigenfrequencies, ascending, with degeneracy metadata.
+class Spectrum(namedtuple("Spectrum", ("frequencies", "degeneracy_tol", "clusters"))):
+    """Six real eigenfrequencies, a tuple in ascending order, with degeneracy
+    metadata; an immutable named tuple.
 
     ``clusters`` lists (representative value, multiplicity) for groups of
     frequencies within ``degeneracy_tol`` of their neighbours.
@@ -109,9 +108,7 @@ class Spectrum:
     tolerance passed to ``eigenfrequencies`` times half the top frequency.
     """
 
-    frequencies: tuple[float, ...]
-    degeneracy_tol: float
-    clusters: tuple[tuple[float, int], ...]
+    __slots__ = ()
 
     @property
     def degenerate(self) -> bool:
@@ -123,9 +120,8 @@ class Spectrum:
         return self.frequencies[3:]
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Cubic discriminant plus the zero-frequency-pair flag.
+class DegeneracyReport(namedtuple("DegeneracyReport", ("discriminant", "zero_frequency_pair"))):
+    """Cubic discriminant plus the zero-frequency-pair flag, an immutable named tuple.
 
     ``discriminant`` vanishes exactly when the cubic in q = p^2 has a
     repeated root, i.e. when two distinct |w| values collide.  It is the
@@ -138,8 +134,7 @@ class DegeneracyReport:
     degenerate even though the cubic's roots may all be simple.
     """
 
-    discriminant: float
-    zero_frequency_pair: bool
+    __slots__ = ()
 
 
 def char_poly(params: SystemParams) -> CharPoly:
@@ -572,17 +567,15 @@ def _s2_at(params: SystemParams, t):
     return out
 
 
-class SweepRow(NamedTuple):
+class SweepRow(namedtuple("SweepRow", ("param", "frequencies", "delta_err", "degenerate"))):
     """One grid point of a parameter sweep, an immutable named tuple.
 
+    ``param`` is the swept value and ``frequencies`` a tuple of six floats.
     ``delta_err`` is the non-equidistance error, or None when it is
     undefined (degenerate spectrum), in which case ``degenerate`` is True.
     """
 
-    param: float
-    frequencies: tuple[float, ...]
-    delta_err: float | None
-    degenerate: bool
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

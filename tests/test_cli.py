@@ -251,6 +251,14 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("trichain: error:") and err.count("\n") == 1
 
+    def test_overflowing_phases_exit_2(self, capsys):
+        # max|w| = 1e308 is finite, w*t at t = 2*pi is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--g", "0", "--delta", "1e308", "--f1", "1", "--f2", "1", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("trichain: error:") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         assert run(["evolve", "--g", "0", "--delta", "0", "--f1", "1", "--f2", "1",
                     "--t-end", "1.0", "--n", "11", "--format", "json"]) == 0
@@ -367,6 +375,19 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
     assert err.startswith("trichain: error:") and "UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--config", "{path}"],
+    ["evolve", "--preset", "qubit", "--schedule", "{path}", "--t-end", "1", "--n", "3"],
+], ids=["config", "schedule"])
+def test_deeply_nested_json_file_exits_2(tmp_path, capsys, argv):
+    # json's parser recurses per bracket and raises RecursionError, not ValueError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000, encoding="utf-8")
+    assert run([arg.format(path=path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trichain: error:") and err.count("\n") == 1
+
+
 _FLAGS = ["--g", "0.5", "--delta", "0.3", "--f1", "0.8", "--f2", "0.9"]
 _DYNAMICS = ["numpy", "trichain.dynamics"]
 
@@ -421,6 +442,41 @@ def test_numpy_loads_only_where_arrays_are_made(tmp_path, argv, exit_code, loade
     result = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, check=True)
     assert json.loads(result.stdout) == [exit_code, loaded]
+
+
+def test_single_point_commands_load_no_dataclasses_typing_or_pathlib(tmp_path):
+    # python -S: without the site hook, which may load typing or pathlib itself.
+    # The steps share one interpreter, in order, so the first step that loads
+    # a module is the one whose list shows it.
+    steps = [
+        None,
+        "trichain.identify_energy_branch()",
+        ["spectrum", *_FLAGS],
+        ["spectrum", "--preset", "qubit"],
+        ["comb", "--g", "0.5", "--branch", "A"],
+        ["energy", "--g", "0.5"],
+        ["energy", "--target", "0.3"],
+    ]
+    code = (
+        "import io, json, sys, trichain.cli\n"
+        "results = []\n"
+        "for step in json.loads(sys.argv[1]):\n"
+        "    code = None\n"
+        "    if isinstance(step, str):\n"
+        "        exec(step)\n"
+        "    elif step is not None:\n"
+        "        sys.stdout = io.StringIO()\n"
+        "        code = trichain.cli.main(step)\n"
+        "        sys.stdout = sys.__stdout__\n"
+        "    modules = ['dataclasses', 'inspect', 'typing', 'pathlib']\n"
+        "    results.append([code, [m for m in modules if m in sys.modules]])\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trichain.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(steps)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [[None if step is None or isinstance(step, str) else 0, []]
+                                         for step in steps]
 
 
 class TestVerbosity:

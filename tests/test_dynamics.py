@@ -101,6 +101,23 @@ class TestPropagator:
         assert np.linalg.norm(u_half @ u_half - u_full, 2) <= 1e-9
 
 
+@pytest.mark.parametrize("params, t_end", [
+    (SystemParams(g=0.0, delta=1e308, f1=1.0, f2=1.0), 2.0 * math.pi),  # a huge frequency
+    (SystemParams(g=0.0, delta=0.0, f1=2.0, f2=2.0), 1.7e308),            # a huge time, max|w| = 2
+], ids=["frequency", "time"])
+def test_overflowing_phases_raise_domain_error(params, t_end):
+    # w*t beyond the float range would give NaN states, so each propagator refuses it.
+    v0 = initial_state(2)
+    schedule = Schedule(segments=(Segment(0.0, t_end, params.g),), base=params)
+    for propagate in (
+        lambda: evolve_spectral(params, v0, [0.0, t_end]),
+        lambda: propagator(params, t_end),
+        lambda: evolve_schedule(schedule, v0, [0.0, t_end]),
+    ):
+        with pytest.raises(DomainError, match="overflow"):
+            propagate()
+
+
 class TestEvolveRK4:
     def test_matches_spectral_at_default_step(self):
         sol = qubit_solution()

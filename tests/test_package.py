@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -79,3 +80,35 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'evolve'"):
         trichain.evolve
     assert not hasattr(trichain, "numpy")
+
+
+def _imports(node, guarded=False):
+    """(module, line, guarded) for every absolute import under ``node``, where
+    ``guarded`` says it sits in the body of an ``if TYPE_CHECKING:``."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name, node.lineno, guarded
+    elif isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            yield node.module, node.lineno, guarded
+    elif isinstance(node, ast.If) and "TYPE_CHECKING" in (getattr(node.test, "id", None),
+                                                          getattr(node.test, "attr", None)):
+        for child in node.body:
+            yield from _imports(child, True)
+        for child in node.orelse:
+            yield from _imports(child, guarded)
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _imports(child, guarded)
+
+
+def test_no_module_imports_dataclasses_or_typing_at_run_time():
+    # Both cost start-up (dataclasses pulls in inspect); this fails without a subprocess.
+    offenders = []
+    for path in sorted(Path(trichain.__file__).parent.glob("*.py")):
+        for module, line, guarded in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            root = module.split(".")[0]
+            if root == "dataclasses" or (root == "typing" and not guarded):
+                offenders.append(f"{path.name}:{line}: {module}")
+    assert offenders == []
+

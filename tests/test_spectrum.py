@@ -3,7 +3,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -191,7 +190,7 @@ class TestMirrorKernel:
 
     def test_matches_the_6x6_eigensolver(self, rng):
         draws = random_params(rng, 1000, coupling_hi=2.0, delta_hi=2.0)
-        points = [astuple(p)[:4] for p in draws]
+        points = [tuple(p)[:4] for p in draws]
         points += [(g, sign * f2, f1, f2) for g, _, f1, f2 in points[:200] for sign in (1.0, -1.0)]
         points += [(g, delta, 0.0, f2) for g, delta, _, f2 in points[:200]]
         points += [(g, 0.0, 1.0, 1.0) for g in np.logspace(-8, 3, 200)]
@@ -317,16 +316,16 @@ class TestNonequidistanceError:
 
 def exact_discriminant(params):
     """The cubic's discriminant in rational arithmetic, unrounded."""
-    c4, c2, c0 = _char_poly_coeffs(*(Fraction(x) for x in astuple(params)[:4]))
+    c4, c2, c0 = _char_poly_coeffs(*(Fraction(x) for x in tuple(params)[:4]))
     return 18 * c4 * c2 * c0 - 4 * c4**3 * c0 + c4**2 * c2**2 - 4 * c2**3 - 27 * c0**2
 
 
 def scaled(params, k):
-    return SystemParams(*(math.ldexp(x, k) for x in astuple(params)[:4]))
+    return SystemParams(*(math.ldexp(x, k) for x in tuple(params)[:4]))
 
 
 def coefficients_are_normal_or_zero(params):
-    return all(x == 0.0 or abs(x) >= np.finfo(float).tiny for x in astuple(char_poly(params)))
+    return all(x == 0.0 or abs(x) >= np.finfo(float).tiny for x in tuple(char_poly(params)))
 
 
 # Generic points and the near-degenerate manifolds: the resonant chain's
@@ -967,7 +966,7 @@ class TestBatchedSweepMatchesSinglePoint:
         columns = rng.uniform(0.0, 2.0, (4, 20000))
         columns[1] -= 1.0
         batched = np.array(_char_poly_coeffs(*columns)).T
-        single = [list(astuple(char_poly(SystemParams(*row)))) for row in columns.T.tolist()]
+        single = [list(tuple(char_poly(SystemParams(*row)))) for row in columns.T.tolist()]
         assert batched.tolist() == single
 
     @pytest.mark.parametrize("vary, values, branch", [
@@ -995,7 +994,7 @@ class TestScalarPathMatchesArrayPath:
                            min_size=1, max_size=8),
            tol=st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3]))
     def test_a_point_gives_the_bits_of_its_batch_row(self, points, tol):
-        columns = np.array([astuple(p)[:4] for p in points]).T
+        columns = np.array([tuple(p)[:4] for p in points]).T
         freqs = _mirror_frequencies(*columns)
         gaps = _coefficient_gap(freqs, *columns)
         spectra = [eigenfrequencies(params, tol) for params in points]
@@ -1004,7 +1003,7 @@ class TestScalarPathMatchesArrayPath:
         for k, (params, spectrum) in enumerate(zip(points, spectra)):
             row = [float(w[k]) for w in freqs]
             assert bits(spectrum.frequencies) == bits(row)
-            assert bits([_coefficient_gap(spectrum.frequencies, *astuple(params)[:4])]) == bits([gaps[k]])
+            assert bits([_coefficient_gap(spectrum.frequencies, *tuple(params)[:4])]) == bits([gaps[k]])
             means = [(float(np.mean(group)), len(group)) for group in chained_groups(row, spectrum.degeneracy_tol)]
             assert bits([v for v, _ in spectrum.clusters]) == bits([v for v, _ in means])
             assert [m for _, m in spectrum.clusters] == [m for _, m in means]
