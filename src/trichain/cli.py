@@ -43,6 +43,10 @@ from .spectrum import (
 
 _PRESETS = {"qubit": QUBIT_COUPLING, "qutrit": QUTRIT_COUPLING}
 
+#: Largest ``--n`` of ``sweep`` and ``evolve``, so that no option value asks
+#: for an allocation that fails with a MemoryError.
+_MAX_N = 5000
+
 # Destinations of the options _add_params_options adds.
 _PARAM_OPTIONS = ("g", "delta", "f1", "f2", "omega0", "params", "comb", "preset")
 
@@ -175,6 +179,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.lo is None or args.hi is None or args.n is None:
         raise UsageError("sweep requires --lo, --hi and --n")
+    if args.n > _MAX_N:
+        raise UsageError(f"--n must be at most {_MAX_N}, got {args.n}")
     if args.constraint and args.vary in ("f1", "f2"):
         raise UsageError(f"--constraint derives f1 and f2 from g; it cannot sweep {args.vary}")
     if getattr(args, args.vary) is None:
@@ -226,6 +232,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise UsageError(f"--t-end must be finite, got {args.t_end}")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.n > _MAX_N:
+        raise UsageError(f"--n must be at most {_MAX_N}, got {args.n}")
     times = np.linspace(0.0, args.t_end, args.n)
     v0 = initial_state(args.init)
     if schedule_text is not None:

@@ -40,7 +40,7 @@ from .errors import (
     DomainError,
     InvalidParameterError,
 )
-from .model import SystemParams, _is_array, _is_real
+from .model import SystemParams, _is_array, _is_real, _xp
 from .spectrum import _s2_at, char_poly, eigenfrequencies
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
@@ -135,13 +135,8 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
     return (cp.c4 - 5.0 * k2, cp.c2 - 4.0 * k2 * k2, cp.c0)
 
 
-def _check_coupling_domain(g):
-    """g as a float, or a float array whose points all lie in (0, 1]."""
-    if _is_array(g):
-        outside = ~((g > 0.0) & (g <= 1.0))
-        if outside.any():
-            _check_coupling_domain(float(g.flat[outside.argmax()]))  # raises that point's error
-        return g
+def _check_coupling_domain(g) -> float:
+    """g as a float in (0, 1]."""
     if not _is_real(g):
         raise DomainError(f"coupling g must be a finite real number, got {g!r}")
     g = float(g)
@@ -159,36 +154,32 @@ def _radicand(g):
 def _branch_squares(g, branch: str):
     """(f2^2, f1^2) for the requested branch at coupling g, a float or a float array.
 
-    On an array, the first failing point raises the error it raises alone.
+    A point fails outside (0, 1], where the inner square root is imaginary,
+    or where a square is negative.  The first failing point of an array
+    raises, as a float, the error it raises alone.
     """
     if branch not in BRANCHES:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    g = _check_coupling_domain(g)
-    radicand = _radicand(g)
-    array = _is_array(g)
-    if array:
-        import numpy as np
-
-        s = np.sqrt(np.maximum(radicand, 0.0))
-    else:
-        s = math.sqrt(max(radicand, 0.0))
-    g2 = g * g
-    if branch == "A":
-        f2_sq = ((5.0 - g2) - s) / 8.0
-        f1_sq = (5.0 - 3.0 * g2 + s) / 2.0
-    else:
-        f2_sq = ((5.0 - g2) + s) / 8.0
-        f1_sq = (5.0 - 3.0 * g2 - s) / 2.0
-    if array:
-        failed = (radicand < 0.0) | (f2_sq < 0.0) | (f1_sq < 0.0)
-        if failed.any():
+    if not _is_array(g):
+        g = _check_coupling_domain(g)
+    xp = _xp(g)
+    with xp.errstate(over="ignore", invalid="ignore"):  # points outside (0, 1] fail below
+        radicand = _radicand(g)
+        s = xp.sqrt(xp.maximum(radicand, 0.0))
+        g2 = g * g
+        if branch == "A":
+            f2_sq = ((5.0 - g2) - s) / 8.0
+            f1_sq = (5.0 - 3.0 * g2 + s) / 2.0
+        else:
+            f2_sq = ((5.0 - g2) + s) / 8.0
+            f1_sq = (5.0 - 3.0 * g2 - s) / 2.0
+    failed = xp.where((g > 0.0) & (g <= 1.0), (radicand < 0.0) | (f2_sq < 0.0) | (f1_sq < 0.0), True)
+    if xp.any(failed):
+        if _is_array(g):
             _branch_squares(float(g.flat[failed.argmax()]), branch)  # raises that point's error
-    elif radicand < 0.0:
-        raise DomainError(f"inner square root is imaginary at g={g}")
-    elif f2_sq < 0.0 or f1_sq < 0.0:
-        raise BranchInfeasibleError(
-            f"branch {branch} infeasible at g={g}: f2^2={f2_sq}, f1^2={f1_sq}"
-        )
+        if radicand < 0.0:
+            raise DomainError(f"inner square root is imaginary at g={g}")
+        raise BranchInfeasibleError(f"branch {branch} infeasible at g={g}: f2^2={f2_sq}, f1^2={f1_sq}")
     return f2_sq, f1_sq
 
 

@@ -177,14 +177,17 @@ class Schedule(_CheckedRecord, namedtuple("Schedule", ("segments", "base"))):
     """Ordered, contiguous g(t) segments over a fixed base parameter set; an
     immutable named tuple.
 
-    Only g is scheduled; delta, f1, f2 come from ``base`` and are held fixed.
-    Segment times and couplings must be finite real numbers, not bools or
-    strings; they are stored as floats, in a tuple of ``Segment``.
+    Only g is scheduled; delta, f1, f2 come from ``base``, a ``SystemParams``,
+    and are held fixed.  Segment times and couplings must be finite real
+    numbers, not bools or strings; they are stored as floats, in a tuple of
+    ``Segment``.
     """
 
     __slots__ = ()
 
     def __new__(cls, segments, base: SystemParams):
+        if not isinstance(base, SystemParams):
+            raise ScheduleError(f"schedule base must be a SystemParams, got {base!r}")
         if not segments:
             raise ScheduleError("schedule needs at least one segment")
         previous_end = None

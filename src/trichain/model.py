@@ -64,6 +64,45 @@ def _is_array(value) -> bool:
     return numpy is not None and isinstance(value, numpy.ndarray)
 
 
+class _FloatNamespace:
+    """The numpy names the kernels use, on Python floats (see ``_xp``).
+
+    ``where`` evaluates both arms, so a kernel guards what an arm would divide
+    by.  ``maximum`` and ``minimum`` give NaN where either value is NaN, and
+    the second value on a tie, as numpy does.  Python float arithmetic gives
+    inf and NaN without a warning, so ``errstate`` does nothing.
+    """
+
+    nan = math.nan
+    sqrt, sin, cos, frexp, ldexp, copysign = math.sqrt, math.sin, math.cos, math.frexp, math.ldexp, math.copysign
+    any = bool
+
+    def where(condition, a, b):
+        return a if condition else b
+
+    def maximum(a, b):
+        return a if a > b or a != a else b
+
+    def minimum(a, b):
+        return a if a < b or a != a else b
+
+    class errstate:
+        def __init__(self, **_):
+            pass
+
+        def __exit__(self, *_):
+            pass
+
+        __enter__ = __exit__
+
+
+def _xp(x):
+    """numpy for a numpy array, else ``_FloatNamespace``: the namespace a
+    kernel computes with, so that one body serves a point and a grid, and
+    both take the same operations in the same order."""
+    return sys.modules["numpy"] if _is_array(x) else _FloatNamespace
+
+
 class _CheckedRecord:
     """Base of the named-tuple records that check their fields in ``__new__``.
 

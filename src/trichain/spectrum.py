@@ -53,7 +53,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, SystemParams, _first_invalid, _is_array, _times_array
+from .model import _NUM, SystemParams, _first_invalid, _times_array, _xp
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -258,10 +258,6 @@ _MAX_SWEEPS = 30
 _COLUMN_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _if_else(condition, a, b):
-    return a if condition else b
-
-
 def _mirror_frequencies(g, delta, f1, f2):
     """(-s3, -s2, -s1, s1, s2, s3), ascending, for float parameters, or six
     such arrays for equal-length parameter arrays; s1 <= s2 <= s3 are the
@@ -271,28 +267,21 @@ def _mirror_frequencies(g, delta, f1, f2):
     until every pair is orthogonal; the column norms are then the singular
     values, each to high relative accuracy (Demmel & Veselic, SIAM J. Matrix
     Anal. Appl. 13, 1992).
-    - Each point is first divided exactly by the power of two 2^e that brings
-      its largest parameter to [0.5, 1), and the result multiplied back, so
-      the frequencies scale bitwise with the parameters and nothing overflows
-      on the way.
+    - Each point is first divided exactly by a power of two (``_normalized``),
+      and the result multiplied back, so the frequencies scale bitwise with
+      the parameters and nothing overflows on the way.
     - A pair rotates only where |gamma| > _ORTHOGONAL * sqrt(alpha * beta) > 0
       (alpha, beta the squared column norms, gamma their dot product).  A
       sweep that rotates no pair of a point leaves it unchanged for good, so
-      its bits do not depend on the rest of the batch, and floats and arrays,
-      which take the same operations in the same order, agree bitwise.
+      its bits do not depend on the rest of the batch.  Floats and arrays run
+      this one body through ``_xp``, so they take the same operations in the
+      same order and agree bitwise.
     - A column whose squared norm is below ``_TINY`` reads 0, i.e. a singular
       value below 2^-511 of the largest parameter; it is then exactly 0.
     - The negative half is 0.0 - s: an exact mirror, with 0 for a zero pair.
     """
-    arrays = _is_array(g)
-    if arrays:
-        import numpy as np
-
-        xp, where, larger = np, np.where, np.maximum
-    else:
-        xp, where, larger = math, _if_else, max
-    _, e = xp.frexp(larger(larger(abs(g), abs(delta)), larger(f1, f2)))
-    g, delta, f1, f2 = (xp.ldexp(x, -e) for x in (g, delta, f1, f2))
+    xp = _xp(g)
+    e, (g, delta, f1, f2) = _normalized(g, delta, f1, f2)
     columns = [(f1, g, -g), (0.0, delta + f2, 0.0), (0.0, 0.0, delta - f2)]
     norms = [x * x + y * y + z * z for x, y, z in columns]
     for _ in range(_MAX_SWEEPS):
@@ -303,13 +292,13 @@ def _mirror_frequencies(g, delta, f1, f2):
             gamma = ax * bx + ay * by + az * bz
             bound = _ORTHOGONAL * xp.sqrt(alpha * beta)
             rotate = (abs(gamma) > bound) & (bound > 0.0)
-            if not (rotate.any() if arrays else rotate):
+            if not xp.any(rotate):
                 continue
             rotated = True
             # tan of the angle that makes the pair orthogonal, the smaller root
             diff = beta - alpha
             root = abs(diff) + xp.sqrt(diff * diff + 4.0 * (gamma * gamma))
-            t = where(rotate, xp.copysign(2.0, diff) * gamma / where(rotate, root, 1.0), 0.0)
+            t = xp.where(rotate, xp.copysign(2.0, diff) * gamma / xp.where(rotate, root, 1.0), 0.0)
             c = 1.0 / xp.sqrt(1.0 + t * t)
             s = c * t
             a = (c * ax - s * bx, c * ay - s * by, c * az - s * bz)
@@ -319,15 +308,14 @@ def _mirror_frequencies(g, delta, f1, f2):
             norms[j] = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
         if not rotated:
             break
+    s1, s2, s3 = (xp.sqrt(xp.where(n < _TINY, 0.0, n)) for n in norms)
+    s1, s2 = xp.minimum(s1, s2), xp.maximum(s1, s2)  # a sorting network
+    s2, s3 = xp.minimum(s2, s3), xp.maximum(s2, s3)
+    s1, s2 = xp.minimum(s1, s2), xp.maximum(s1, s2)
     # Scaled back by 2^(e-2) and then by 4, so that a frequency beyond the
     # float range becomes inf (math.ldexp would raise OverflowError).
-    if arrays:
-        sigma = np.sort(np.sqrt(np.where(np.array(norms) < _TINY, 0.0, norms)), axis=0)
-        with np.errstate(over="ignore"):
-            s1, s2, s3 = (np.ldexp(s, e - 2) * 4.0 for s in sigma)
-    else:
-        sigma = sorted(0.0 if n < _TINY else math.sqrt(n) for n in norms)
-        s1, s2, s3 = (math.ldexp(s, e - 2) * 4.0 for s in sigma)
+    with xp.errstate(over="ignore"):
+        s1, s2, s3 = (xp.ldexp(s, e - 2) * 4.0 for s in (s1, s2, s3))
     return 0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3
 
 
@@ -346,21 +334,13 @@ def _coefficient_gap(freqs, g, delta, f1, f2):
     coefficients in the float range.  A NaN or infinite frequency gives a
     NaN or infinite gap.
     """
-    if _is_array(freqs[5]):
-        import numpy as np
-
-        with np.errstate(invalid="ignore"):  # an infinite top frequency
-            return np.max(_coefficient_gaps(np.maximum(freqs[5], _TINY), freqs, g, delta, f1, f2), axis=0)
-    # Python floats neither warn nor raise on inf and NaN here, and max(NaN, x) is NaN.
-    gaps = _coefficient_gaps(max(freqs[5], _TINY), freqs, g, delta, f1, f2)
-    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
-
-
-def _coefficient_gaps(scale, freqs, g, delta, f1, f2):
-    """The three |e_k - c_k| / scale^(2k) of ``_coefficient_gap``."""
-    c4, c2, c0 = _char_poly_coeffs(g / scale, delta / scale, f1 / scale, f2 / scale)
-    a, b, c = (x * x for x in (w / scale for w in freqs[3:]))
-    return [abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)]
+    xp = _xp(freqs[5])
+    scale = xp.maximum(freqs[5], _TINY)
+    with xp.errstate(invalid="ignore"):  # an infinite top frequency
+        c4, c2, c0 = _char_poly_coeffs(g / scale, delta / scale, f1 / scale, f2 / scale)
+        a, b, c = (x * x for x in (w / scale for w in freqs[3:]))
+        gaps = abs(a + b + c - c4), abs(a * (b + c) + b * c - c2), abs(a * b * c - c0)
+    return xp.maximum(xp.maximum(gaps[0], gaps[1]), gaps[2])
 
 
 def _gap_error(gap: float, params: SystemParams) -> ConsistencyError:
@@ -394,21 +374,17 @@ def _nonequidistance(freqs, tol):
     """Non-equidistance error and whether it is undefined, for six ascending
     frequencies, floats or arrays over a grid.  It is undefined where
     neighbours lie within ``tol`` (``_cluster``'s chaining rule) or
-    w1 <= ``tol``.  Where it is undefined, the error of a float is NaN and
-    that of an array element is whatever the division gives."""
-    if _is_array(freqs[3]):
-        import numpy as np
-
-        w = np.asarray(freqs)
-        w1, w2, w3 = w[3:]
-        undefined = (np.diff(w, axis=0) <= tol).any(axis=0) | (w1 <= tol)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            delta_err = np.abs(w2 / w1 - 3.0) + np.abs(w3 / w1 - 5.0)
-        return delta_err, undefined
+    w1 <= ``tol``, and the error is NaN there, for a float and for an array
+    element alike."""
+    xp = _xp(freqs[3])
     w1, w2, w3 = freqs[3:]
-    undefined = any(b - a <= tol for a, b in zip(freqs, freqs[1:])) or w1 <= tol
-    delta_err = math.nan if undefined else abs(w2 / w1 - 3.0) + abs(w3 / w1 - 5.0)
-    return delta_err, undefined
+    undefined = w1 <= tol
+    for a, b in zip(freqs, freqs[1:]):
+        undefined = undefined | (b - a <= tol)
+    w1 = xp.where(undefined, 1.0, w1)  # the float where evaluates both arms: never divide by 0
+    with xp.errstate(over="ignore"):  # a w1 just above a tiny tol
+        delta_err = abs(w2 / w1 - 3.0) + abs(w3 / w1 - 5.0)
+    return xp.where(undefined, xp.nan, delta_err), undefined
 
 
 def nonequidistance_error(spectrum: Spectrum) -> float:
@@ -466,13 +442,14 @@ def _s2_numerator(g, delta, f2):
     return 2.0 * (d2 + g2 + f22), d2 * d2 + 2.0 * d2 * g2 - 2.0 * d2 * f22 + 2.0 * g2 * f22 + f22 * f22
 
 
-def _normalized(params: SystemParams, size: float = 0.0) -> tuple[int, tuple[float, float, float, float]]:
-    """e and (g, delta, f1, f2) / 2^e, for the power of two 2^e that brings
-    the largest of the parameters and ``size`` to [0.5, 1): exact, so what is
-    computed from them scales bitwise, and nothing overflows on the way."""
-    values = (params.g, params.delta, params.f1, params.f2)
-    _, e = math.frexp(max(size, *map(abs, values)))
-    return e, tuple(math.ldexp(x, -e) for x in values)
+def _normalized(g, delta, f1, f2, size=0.0):
+    """e and (g, delta, f1, f2) / 2^e, floats or arrays, for the power of two
+    2^e that brings the largest of |g|, |delta|, f1, f2 (>= 0) and ``size``
+    to [0.5, 1): exact, so what is computed from them scales bitwise, and
+    nothing overflows on the way."""
+    xp = _xp(g)
+    _, e = xp.frexp(xp.maximum(xp.maximum(abs(g), abs(delta)), xp.maximum(xp.maximum(f1, f2), size)))
+    return e, tuple(xp.ldexp(x, -e) for x in (g, delta, f1, f2))
 
 
 def s2_response(params: SystemParams, p: complex) -> complex:
@@ -491,7 +468,7 @@ def s2_response(params: SystemParams, p: complex) -> complex:
         z = None
     if z is None or not cmath.isfinite(z):
         raise InvalidParameterError(f"p must be a finite number, got {p!r}")
-    e, (g, delta, f1, f2) = _normalized(params, max(abs(z.real), abs(z.imag)))
+    e, (g, delta, f1, f2) = _normalized(*params[:4], max(abs(z.real), abs(z.imag)))
     x = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
     cp = CharPoly(*_char_poly_coeffs(g, delta, f1, f2))
     det = cp.eval(x)
@@ -507,14 +484,11 @@ def s2_response(params: SystemParams, p: complex) -> complex:
 
 
 def _sinc_times(h, x):
-    """h * sin(h*x) / (h*x), h for x = 0: bounded by both |h| and 1/|x|.
+    """h * sin(h*x) / (h*x), h where h*x = 0: bounded by both |h| and 1/|x|.
     h is a float or a float array; x is a float."""
+    xp = _xp(h)
     hx = h * x
-    if _is_array(hx):
-        import numpy as np
-
-        return np.divide(np.sin(hx), x, out=h.copy(), where=hx != 0.0)
-    return math.sin(hx) / x if hx != 0.0 else h
+    return xp.where(hx != 0.0, xp.sin(hx) / (x or 1.0), h)  # x = 0 makes every h*x 0
 
 
 def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarray:
@@ -547,14 +521,9 @@ def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarr
 
 
 def _s2_at(params: SystemParams, t):
-    """s2 at t, a finite float (computed with ``math``, returning a float) or
-    a float array (computed with numpy); see ``inverse_laplace_s2``."""
-    xp = math
-    if _is_array(t):
-        import numpy as np
-
-        xp = np
-    e, (g, delta, f1, f2) = _normalized(params)
+    """s2 at t, a finite float or a float array; see ``inverse_laplace_s2``."""
+    xp = _xp(t)
+    e, (g, delta, f1, f2) = _normalized(*params[:4])
     s1, s2, s3 = frequencies_from_charpoly(CharPoly(*_char_poly_coeffs(g, delta, f1, f2)))[3:]
     a, c = _s2_numerator(g, delta, f2)
     t = xp.ldexp(t, e)  # in the units of the normalized parameters

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trichain
@@ -194,6 +196,30 @@ class TestEnergyCommand:
     def test_requires_exactly_one_mode(self):
         assert run(["energy"]) == 2
         assert run(["energy", "--target", "0", "--g", "0.5"]) == 2
+
+
+_SWEEP_ARGV = ["sweep", "--vary", "g", "--lo", "0", "--hi", "1", "--delta", "0", "--f1", "1", "--f2", "1"]
+
+
+@pytest.mark.parametrize("argv", [_SWEEP_ARGV, ["evolve", "--g", "0.5", "--delta", "0", "--f1", "1", "--f2", "1"]],
+                         ids=["sweep", "evolve"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_n_is_capped(tmp_path, capsys, argv, route):
+    # --n 10000000000000 used to exit 1 with a numpy MemoryError traceback.
+    def run_with_n(n):
+        if route == "flag":
+            return run([*argv, "--n", str(n)])
+        config = tmp_path / "n.json"
+        config.write_text(json.dumps({"n": n}))
+        return run([*argv, "--config", str(config)])
+
+    assert run_with_n(trichain.cli._MAX_N) == 0
+    capsys.readouterr()
+    for n in (trichain.cli._MAX_N + 1, 10_000_000_000_000):
+        assert run_with_n(n) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trichain: error: --n must be at most {trichain.cli._MAX_N}, got {n}\n"
 
 
 class TestEvolveCommand:
@@ -635,3 +661,120 @@ def reject_constant(name):
 ])
 def test_json_output_is_strict(argv):
     json.loads(stdout_of(argv), parse_constant=reject_constant)
+
+
+# The exit-code contract as a property over argv drawn from the parser's own
+# options.  Most draws give every option a valid value, the others give one
+# option a special float or any text, so that a fair share exits 0.
+# Input files are raw bytes, recursive JSON or a well-formed file of drawn
+# values.  --help and --version, which print prose and exit 0, are not
+# drawn; every path written to lies under tmp_path, so no call fails on I/O,
+# which is exit 1.
+
+_SPECIAL = {
+    float: ["0", "-0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308",
+            "nan", "-nan", "inf", "-inf", "1e400"],
+    int: ["-2", "0", "1", "5001", "10000000000000"],
+}
+_INPUT_DESTS = ("config", "schedule", "params")
+_PATH_DESTS = ("out", "outdir", *_INPUT_DESTS)
+_USUAL_DESTS = ("g", "delta", "f1", "f2", "vary", "lo", "hi", "n", "branch")  # the others are drawn less often
+_text = st.text(st.characters(blacklist_characters="\n"), max_size=8)  # argparse echoes an argument raw
+_json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_json = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
+_coupling = st.floats(0.0, 1.0)
+
+
+def _value(action, bad):
+    """The text of a value for ``action``: valid for its choices or type, or, if ``bad``, special or any."""
+    if bad:
+        return st.sampled_from(_SPECIAL.get(action.type, _SPECIAL[float])) | _text
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is float:
+        return _coupling.map(repr)
+    if action.type is int:
+        return (st.integers(1, 6) | st.integers(2, 600)).map(str)
+    return _text
+
+
+def _file(dest, actions, paths):
+    """Content for the input file of option ``dest``."""
+    if dest == "config":  # it names no input file, which might not exist
+        values = {a.dest: st.just(paths[a.dest]) if a.dest in _PATH_DESTS else _value(a, False) | _json_leaves
+                  for a in actions if a.dest not in _INPUT_DESTS}
+        well_formed = st.lists(st.sampled_from(sorted(values)), unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({key: values[key] for key in keys})).map(json.dumps)
+    elif dest == "schedule":
+        segment = st.fixed_dictionaries({"t_start": st.just(0.0), "t_end": st.floats(0.0, 10.0), "g": _coupling})
+        base = st.fixed_dictionaries({key: _coupling for key in ("g", "delta", "f1", "f2")})
+        well_formed = st.fixed_dictionaries({"base": base, "segments": st.lists(segment, max_size=2)}).map(json.dumps)
+    else:
+        well_formed = st.dictionaries(st.sampled_from(["g", "delta", "f1", "f2", "omega0"]), _coupling).map(
+            lambda values: "".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    return st.one_of(st.binary(max_size=40), _json.map(json.dumps), well_formed)
+
+
+def _subcommands():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _mostly(usual, rare):
+    """``usual`` about seven times in ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: usual if k < 7 else rare)
+
+
+def _csv_is_rectangular(text):
+    header, *rows, last = text.split("\n")
+    return last == "" and len(rows) > 0 and all(row.count(",") == header.count(",") for row in rows)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_argv_exits_0_or_2_with_parsable_output(tmp_path, capsys, monkeypatch, data):
+    monkeypatch.delenv("TRICHAIN_VERBOSE", raising=False)
+    work = tempfile.mkdtemp(dir=tmp_path)  # one per call: no file is left from the last
+    monkeypatch.chdir(work)
+    paths = {dest: os.path.join(work, dest) for dest in _PATH_DESTS}
+    commands = _subcommands()
+    junk = _text.filter(lambda text: not text.startswith("-"))  # not --help or --version
+    name = data.draw(_mostly(st.sampled_from(sorted(commands)), junk), label="command")
+    argv = [name]
+    if name in commands:
+        actions = [a for a in commands[name]._actions if a.option_strings and a.dest != "help"]
+        bad = data.draw(_mostly(st.none(), st.sampled_from([a.dest for a in actions])), label="bad option")
+        for action in actions:
+            if action.dest != bad and data.draw(st.integers(0, 9)) >= (9 if action.dest in _USUAL_DESTS else 1):
+                continue
+            value = paths.get(action.dest) or data.draw(_value(action, action.dest == bad), label=action.dest)
+            argv += [action.option_strings[0], value]
+            if action.dest in _INPUT_DESTS:
+                content = data.draw(_file(action.dest, actions, paths), label=action.dest + " file")
+                with open(value, "wb") as stream:
+                    stream.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        error_lines = [line for line in err.split("\n") if ": error: " in line]
+        assert len(error_lines) == 1 and err.endswith(error_lines[0] + "\n")
+        assert not err.startswith("trichain: error:") or err.count("\n") == 1
+        return
+    assert err == ""
+    if name == "figures":
+        outdir = out.removeprefix("wrote fig2.csv fig3.csv fig4.csv fig5.csv to ").removesuffix("\n")
+        assert outdir in (".", paths["outdir"])
+        for figure in ("fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv"):
+            assert _csv_is_rectangular(Path(outdir, figure).read_text(encoding="utf-8"))
+        return
+    text = out or Path(paths["out"]).read_text(encoding="utf-8")
+    if text.startswith(("{", "[")):
+        json.loads(text, parse_constant=reject_constant)
+    else:
+        assert _csv_is_rectangular(text)

@@ -261,6 +261,14 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             Schedule(segments=segments, base=RABI)
 
+    @pytest.mark.parametrize("base", [None, (0.5, 0.0, 1.0, 1.0, 0.0), {"g": 0.5, "delta": 0.0, "f1": 1.0, "f2": 1.0}])
+    def test_base_that_is_not_system_params_rejected(self, base):
+        # a None base used to build, and evolve_schedule then raised AttributeError
+        with pytest.raises(ScheduleError, match="base"):
+            Schedule(segments=(Segment(0.0, 1.0, 0.5),), base=base)
+        with pytest.raises(ScheduleError, match="base"):
+            Schedule(segments=(Segment(0.0, 1.0, 0.5),), base=RABI)._replace(base=base)
+
     def test_uncovered_times_rejected(self):
         schedule = Schedule(segments=(Segment(0.0, 1.0, 0.5),), base=RABI)
         with pytest.raises(ScheduleError):

@@ -112,3 +112,10 @@ def test_no_module_imports_dataclasses_or_typing_at_run_time():
                 offenders.append(f"{path.name}:{line}: {module}")
     assert offenders == []
 
+
+def test_spectrum_kernels_do_not_branch_on_float_against_array():
+    # One body per kernel, for a point and a grid alike, through model._xp.
+    tree = ast.parse((Path(trichain.__file__).parent / "spectrum.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_is_array" not in names

@@ -1011,6 +1011,22 @@ class TestScalarPathMatchesArrayPath:
             assert record["degenerate"] is bool(undefined[k])
             assert record["delta"] == (None if undefined[k] else float(delta_err[k]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(st.one_of(generic_points, resonant_points, near_zero_pair_points, scaled_combs(60)),
+                           min_size=1, max_size=8),
+           tol=st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3]))
+    @example(points=[RESONANT, SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9)], tol=DEFAULT_DEGENERACY_TOL)
+    def test_nonequidistance_gives_the_bits_of_its_batch_row(self, points, tol):
+        # Undefined rows too: a point and a batch row both read NaN there.
+        columns = np.array([tuple(p)[:4] for p in points]).T
+        spectra = [eigenfrequencies(params, tol) for params in points]
+        batch = _nonequidistance(_mirror_frequencies(*columns), np.array([s.degeneracy_tol for s in spectra]))
+        for k, spectrum in enumerate(spectra):
+            delta_err, undefined = _nonequidistance(spectrum.frequencies, spectrum.degeneracy_tol)
+            assert type(delta_err) is float and type(undefined) is bool
+            assert bits([delta_err]) == bits([batch[0][k]])
+            assert undefined is bool(batch[1][k])
+
 
 def chained_groups(freqs, tol):
     """Ascending frequencies split where neighbours are more than ``tol`` apart."""
