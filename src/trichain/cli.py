@@ -31,7 +31,7 @@ from .comb import (
     solve_g_for_energy,
 )
 from .errors import TrichainError
-from .model import SystemParams, initial_state, params_from_config
+from .model import _CONFIG_KEYS, _PHYSICAL_KEYS, SystemParams, initial_state, params_from_config
 from .spectrum import (
     DEFAULT_DEGENERACY_TOL,
     _spectrum_record,
@@ -48,11 +48,16 @@ _PRESETS = {"qubit": QUBIT_COUPLING, "qutrit": QUTRIT_COUPLING}
 _MAX_N = 5000
 
 # Destinations of the options _add_params_options adds.
-_PARAM_OPTIONS = ("g", "delta", "f1", "f2", "omega0", "params", "comb", "preset")
+_PARAM_OPTIONS = (*_CONFIG_KEYS, "params", "comb", "preset")
 
 
 class UsageError(Exception):
     """Invalid flag combination or missing required option."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # on one line, though argparse echoes an unrecognized argument raw
+        super().error(message.replace("\r", "\\r").replace("\n", "\\n"))
 
 
 def _progress(message: str) -> None:
@@ -141,7 +146,7 @@ def _config_value(config_path: str, key: str, action: argparse.Action, value):
 
 
 def _resolve_params(args: argparse.Namespace) -> SystemParams:
-    derived = [name for name in ("delta", "f1", "f2") if getattr(args, name) is not None]
+    derived = [name for name in _PHYSICAL_KEYS[1:] if getattr(args, name) is not None]
     if args.preset is not None:
         if args.comb is not None or args.g is not None or derived:
             raise UsageError("--preset fixes g and the comb branch; drop the other parameter flags")
@@ -156,12 +161,12 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
     values: dict[str, float] = {}
     if args.params is not None:
         file_params = params_from_config(_read_text(args.params, "params file"))
-        values = {key: getattr(file_params, key) for key in ("g", "delta", "f1", "f2", "omega0")}
-    for key in ("g", "delta", "f1", "f2", "omega0"):
+        values = file_params._asdict()
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    missing = [key for key in ("g", "delta", "f1", "f2") if key not in values]
+    missing = [key for key in _PHYSICAL_KEYS if key not in values]
     if missing:
         raise UsageError(f"missing parameters: {', '.join('--' + m for m in missing)}")
     return SystemParams(**values)
@@ -287,7 +292,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trichain",
         description="Spectra, comb design and single-excitation dynamics "
         "of a three-resonator atom-cavity chain.",
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="spectrum sweep over one parameter")
     _add_params_options(p)
-    p.add_argument("--vary", choices=("g", "delta", "f1", "f2"), required=True)
+    p.add_argument("--vary", choices=_PHYSICAL_KEYS, required=True)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--n", type=int, default=None)

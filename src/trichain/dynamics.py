@@ -1,9 +1,9 @@
 """Time evolution of the single-excitation state.
 
 Two independent propagation routes are provided on purpose: the spectral
-propagator (exact up to eigensolver precision) and a fixed-step RK4
-integrator that never touches the eigendecomposition.  Their agreement is a
-standing cross-check on both.
+propagator, the Jacobi kernel of ``eigenfrequencies`` in the mirror basis, and
+a fixed-step RK4 integrator that never touches the decomposition.  Their
+agreement is a standing cross-check on both.
 
 Piecewise-constant control of the inter-resonator coupling g is modelled as
 an instantaneous quench: the state is continuous across segment boundaries
@@ -25,6 +25,7 @@ from .errors import (
     ScheduleError,
 )
 from .model import (
+    _MIRROR_BASIS,
     N_MODES,
     SystemParams,
     _CheckedRecord,
@@ -34,12 +35,15 @@ from .model import (
     _times_array,
     build_coupling_matrix,
 )
+from .spectrum import _check_gaps, _jacobi
 
 _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
 
 _ENERGY_CSV_HEADER = "t,E_s1,E_s2,E_s3,E_a1,E_a2,E_a3"
 _CENTRAL_ENERGY_CSV_HEADER = "t,E_x2_qubit,E_x2_qutrit"
+
+_BASIS = np.array(_MIRROR_BASIS)
 
 
 class Trajectory(_CheckedRecord, namedtuple("Trajectory", ("times", "states"))):
@@ -82,36 +86,53 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def _eigh_phases(params: SystemParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors V of M = V diag(w) V^T and the phase rows exp(-i w t_k).
+def _mirror_svd(g, delta, f1, f2, omega0=0.0):
+    """(e, sigma, U, V): T / 2^e = U diag(sigma) V^T, U = W / sigma from the sweep, of a
+    point or a batch of arrays; row k of U and V is their column k in the modes.  Checked
+    as in ``eigenfrequencies``, but for an infinite frequency, which ``_flow`` refuses."""
+    vectors = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # V, before the sweep rotates it
+    freqs, e, columns, sigma = _jacobi(g, delta, f1, f2, vectors)
+    if np.all(freqs[5] != math.inf):
+        _check_gaps(freqs, (g, delta, f1, f2), omega0)
+    sigma = np.array(sigma).T
+    w, v = np.empty((2, *sigma.shape, 3))
+    for k in range(3):
+        for r in range(3):
+            w[..., k, r], v[..., k, r] = columns[k][r], vectors[k][r]
+    return e, sigma, (w / np.where(sigma > 0.0, sigma, 1.0)[..., None]) @ _BASIS[:3], v @ _BASIS[3:]
 
-    Raises DomainError where a phase w*t would leave the float range.
-    """
-    w, vecs = np.linalg.eigh(build_coupling_matrix(params))
-    w_max, t_max = float(np.max(np.abs(w))), float(np.max(np.abs(t)))
-    if not math.isfinite(w_max * t_max):  # Python floats: inf, not an overflow warning
+
+def _flow(svd, v0, t) -> np.ndarray:
+    """exp(-i M t) v0 for the 1-d ``t`` and a state, or rows of states, ``v0``.  With
+    W = U sigma and s, c = sin, cos(sigma t / 2) in units of T / 2^e, the sinc form in the
+    mirror basis reads x(t) = x0 - U (2 s^2 * U^T x0) - i U (2 s c * V^T y0) and y(t) =
+    y0 - V (2 s^2 * V^T y0) - i V (2 s c * U^T x0): one real product of (s^2, s c, 1) with
+    a 7x6 matrix, with no division, no cancellation, and bitwise scale covariance."""
+    e, sigma, u, v = svd
+    w_max, t_max = 4.0 * math.ldexp(float(sigma.max()), int(e) - 2), float(np.abs(t).max())  # inf, not an error
+    if not math.isfinite(w_max * t_max):
         raise DomainError(f"phases w*t overflow: max|w| = {w_max:.6g} times max|t| = {t_max:.6g} is not finite")
-    return vecs, np.exp(-1j * np.outer(t, w))
+    half = np.ldexp(np.multiply.outer(0.5 * sigma, t), e)
+    s, c = np.sin(half), np.cos(half)
+    terms = np.concatenate((s * s, s * c, np.ones((1, t.size))))
+    a, b = (v0 @ u.T)[..., None], (v0 @ v.T)[..., None]  # U^T x0, V^T y0
+    k = np.concatenate((-2.0 * (a * u + b * v), -2j * (b * u + a * v), v0[..., None, :]), axis=-2)
+    return (terms.T @ k.view(float)).view(complex)
 
 
 def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
-    """Propagate with the symmetric eigendecomposition M = V diag(w) V^T.
-
-    v(t) = V exp(-i w t) V^T v0; unitary to eigensolver precision, including
-    at spectral degeneracies (V stays orthonormal).
-    """
+    """Propagate by the singular value decomposition of T from the kernel of ``eigenfrequencies``
+    (see ``_flow``): unitary to rounding at degeneracies too, as U and V stay orthonormal."""
     v = _check_state(v0)
     t = _check_times(times)
-    vecs, phases = _eigh_phases(params, t)
-    return Trajectory(times=t, states=(phases * (vecs.T @ v)) @ vecs.T)
+    return Trajectory(times=t, states=_flow(_mirror_svd(*params), v, t))
 
 
 def propagator(params: SystemParams, t: float) -> np.ndarray:
-    """The unitary U(t) = exp(-i M t) as a dense 6x6 matrix."""
+    """The unitary U(t) = exp(-i M t) as a dense 6x6 matrix: each unit state's flow."""
     if not _is_real(t):
         raise InvalidParameterError(f"t must be a finite real number, got {t!r}")
-    vecs, phases = _eigh_phases(params, [float(t)])
-    return (vecs * phases[0]) @ vecs.T
+    return _flow(_mirror_svd(*params), np.eye(N_MODES), np.array([float(t)]))[:, 0].T
 
 
 def evolve_rk4(
@@ -215,9 +236,6 @@ class Schedule(_CheckedRecord, namedtuple("Schedule", ("segments", "base"))):
     def t_end(self) -> float:
         return self.segments[-1].t_end
 
-    def params_for(self, segment: Segment) -> SystemParams:
-        return self.base.replace(g=segment.g)
-
 
 def schedule_from_json(text: str, base: SystemParams | None = None) -> Schedule:
     """Load a schedule from JSON.
@@ -267,6 +285,7 @@ def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
             f"schedule covers [{schedule.t_start}, {schedule.t_end}] "
             f"but times span [{t[0]}, {t[-1]}]"
         )
+    svd = _mirror_svd(np.array([seg.g for seg in schedule.segments]), *schedule.base[1:])
     states = np.empty((t.size, N_MODES), dtype=complex)
     cursor = 0
     segment_state = v
@@ -275,12 +294,10 @@ def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
             stop = int(np.searchsorted(t, seg.t_end + _BOUNDARY_TOL, side="right"))
         else:
             stop = max(cursor, int(np.searchsorted(t, seg.t_end, side="left")))
-        # the extra last phase row carries the state across the quench boundary
+        # the extra last row carries the state across the quench boundary
         local = np.append(t[cursor:stop], seg.t_end) - seg.t_start
-        vecs, phases = _eigh_phases(schedule.params_for(seg), local)
-        coeffs = vecs.T @ segment_state
-        states[cursor:stop] = (phases[:-1] * coeffs) @ vecs.T
-        segment_state = vecs @ (phases[-1] * coeffs)
+        flowed = _flow([part[index] for part in svd], segment_state, local)
+        states[cursor:stop], segment_state = flowed[:-1], flowed[-1]
         cursor = stop
     return Trajectory(times=t, states=states)
 

@@ -40,6 +40,14 @@ N_MODES = 6
 
 _COUPLING_FIELDS = ("g", "f1", "f2")
 _CONFIG_KEYS = ("g", "delta", "f1", "f2", "omega0")
+_PHYSICAL_KEYS = _CONFIG_KEYS[:4]  # the keys a parameter set needs: all but the bookkeeping omega0
+
+#: The mirror coordinates over the modes (see ``spectral_mirror_operator``):
+#: x1 = s2, x2, x3 = (s1 - s3 +- (a1 + a3))/2; y1 = a2, y2, y3 = (s1 + s3 +- (a1 - a3))/2.
+_MIRROR_BASIS = (
+    (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.5, 0.0, -0.5, 0.5, 0.0, 0.5), (0.5, 0.0, -0.5, -0.5, 0.0, -0.5),
+    (0.0, 0.0, 0.0, 0.0, 1.0, 0.0), (0.5, 0.0, 0.5, 0.5, 0.0, -0.5), (0.5, 0.0, 0.5, -0.5, 0.0, 0.5),
+)
 
 
 def _is_real(value) -> bool:
@@ -75,7 +83,7 @@ class _FloatNamespace:
 
     nan = math.nan
     sqrt, sin, cos, frexp, ldexp, copysign = math.sqrt, math.sin, math.cos, math.frexp, math.ldexp, math.copysign
-    any = bool
+    any = all = bool
 
     def where(condition, a, b):
         return a if condition else b
@@ -218,22 +226,15 @@ def spectral_mirror_operator() -> np.ndarray:
     """The involution S with S M S^-1 = -M for every parameter set.
 
     S combines the spatial mirror (site 1 <-> 3, field 1 <-> 3) with the
-    alternating sign pattern diag(-1, 1, -1, 1, -1, 1).  Its existence forces
-    the eigenvalue multiset of M to be symmetric about zero.  In the basis of
-    its +1 eigenvectors (s2, (s1 - s3)/sqrt2, (a1 + a3)/sqrt2) and its -1
-    eigenvectors (a2, (s1 + s3)/sqrt2, (a1 - a3)/sqrt2), M is
-    [[0, B], [B^T, 0]] with B = [[f1, 0, 0], [0, delta, f2],
-    [sqrt2 g, f2, delta]], so its spectrum is +-sigma(B).  Rotating the last
-    two rows and columns of B by 45 degrees gives the lower-triangular T of
-    ``spectrum._mirror_frequencies``.
+    alternating sign pattern diag(-1, 1, -1, 1, -1, 1).  In its eigenbasis
+    ``_MIRROR_BASIS``, rows x1..x3 (+1) and y1..y3 (-1), M is
+    [[0, T], [T^T, 0]] with the T of ``spectrum``, so the spectrum of M is
+    +-sigma(T).  S = X^T X - Y^T Y exactly, all entries being 0, +-1/2 or 1.
     """
     import numpy as np
 
-    d = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-    p = np.zeros((N_MODES, N_MODES))
-    for i, j in ((0, 2), (2, 0), (1, 1), (3, 5), (5, 3), (4, 4)):
-        p[i, j] = 1.0
-    return d @ p
+    q = np.array(_MIRROR_BASIS)
+    return q.T @ (q * [[1.0], [1.0], [1.0], [-1.0], [-1.0], [-1.0]])
 
 
 #: Every CSV number the package writes.  ``"%.12g" % x`` and ``format(x, ".12g")``
@@ -282,7 +283,7 @@ def _params_from_values(values: dict, source: str) -> SystemParams:
     unknown = [key for key in values if key not in _CONFIG_KEYS]
     if unknown:
         raise InvalidParameterError(f"{source} has unknown keys: {', '.join(map(repr, unknown))}")
-    missing = [key for key in ("g", "delta", "f1", "f2") if key not in values]
+    missing = [key for key in _PHYSICAL_KEYS if key not in values]
     if missing:
         raise InvalidParameterError(f"{source} missing required keys: {', '.join(missing)}")
     for key, value in values.items():

@@ -25,8 +25,8 @@ Eigenfrequencies come from the chain's mirror symmetry: the involution
 
     T = [[f1, 0, 0], [g, delta + f2, 0], [-g, 0, delta - f2]],
 
-whose singular values one batched one-sided Jacobi kernel computes for a
-single point or a whole sweep (``_mirror_frequencies``).  They are checked
+whose singular values (and vectors, for the dynamics) one batched one-sided
+Jacobi kernel computes for a point or a whole sweep (``_jacobi``).  They are checked
 against the closed-form coefficients: by Vieta, the squared positive
 frequencies have the elementary symmetric functions c4, c2 and c0.  The
 check is relative to the spectrum's scale and well conditioned at any
@@ -53,7 +53,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, SystemParams, _first_invalid, _times_array, _xp
+from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _times_array, _xp
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -81,8 +81,6 @@ _COEFFICIENT_TOL = 1e-12
 #: The smallest normal float.  The check takes it as the scale of an all-zero
 #: spectrum, and the kernel reads a column whose squared norm is below it as 0.
 _TINY = sys.float_info.min
-
-_SWEEPABLE = ("g", "delta", "f1", "f2")
 
 _SWEEP_CSV_HEADER = "param,w1,w2,w3,w4,w5,w6,delta,degenerate"
 _SPECTRUM_CSV_HEADER = "w1,w2,w3,w4,w5,w6,delta,degenerate,discriminant,zero_frequency_pair"
@@ -259,9 +257,14 @@ _COLUMN_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _mirror_frequencies(g, delta, f1, f2):
-    """(-s3, -s2, -s1, s1, s2, s3), ascending, for float parameters, or six
-    such arrays for equal-length parameter arrays; s1 <= s2 <= s3 are the
-    singular values of T (see the module docstring).
+    """+-sigma(T) of ``_jacobi``, six floats or arrays in ascending order."""
+    return _jacobi(g, delta, f1, f2)[0]
+
+
+def _jacobi(g, delta, f1, f2, vectors=None):
+    """+-sigma(T) ascending (see the module docstring), e, W and sigma, for
+    floats or equal-length arrays: T / 2^e = W V^T, W's columns and norms in
+    T's order.  ``vectors`` (V's columns), if handed in, get each rotation.
 
     One-sided (Hestenes) Jacobi rotates pairs of T's columns, cyclically,
     until every pair is orthogonal; the column norms are then the singular
@@ -306,9 +309,13 @@ def _mirror_frequencies(g, delta, f1, f2):
             columns[i], columns[j] = a, b
             norms[i] = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
             norms[j] = b[0] * b[0] + b[1] * b[1] + b[2] * b[2]
+            if vectors is not None:
+                (ax, ay, az), (bx, by, bz) = vectors[i], vectors[j]
+                vectors[i] = (c * ax - s * bx, c * ay - s * by, c * az - s * bz)
+                vectors[j] = (s * ax + c * bx, s * ay + c * by, s * az + c * bz)
         if not rotated:
             break
-    s1, s2, s3 = (xp.sqrt(xp.where(n < _TINY, 0.0, n)) for n in norms)
+    s1, s2, s3 = sigma = [xp.sqrt(xp.where(n < _TINY, 0.0, n)) for n in norms]
     s1, s2 = xp.minimum(s1, s2), xp.maximum(s1, s2)  # a sorting network
     s2, s3 = xp.minimum(s2, s3), xp.maximum(s2, s3)
     s1, s2 = xp.minimum(s1, s2), xp.maximum(s1, s2)
@@ -316,7 +323,7 @@ def _mirror_frequencies(g, delta, f1, f2):
     # float range becomes inf (math.ldexp would raise OverflowError).
     with xp.errstate(over="ignore"):
         s1, s2, s3 = (xp.ldexp(s, e - 2) * 4.0 for s in (s1, s2, s3))
-    return 0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3
+    return (0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3), e, columns, sigma
 
 
 def _coefficient_gap(freqs, g, delta, f1, f2):
@@ -343,10 +350,16 @@ def _coefficient_gap(freqs, g, delta, f1, f2):
     return xp.maximum(xp.maximum(gaps[0], gaps[1]), gaps[2])
 
 
-def _gap_error(gap: float, params: SystemParams) -> ConsistencyError:
-    return ConsistencyError(
-        f"spectral kernel frequencies miss the closed-form coefficients by {gap:.3e} (relative) for {params}"
-    )
+def _check_gaps(freqs, columns, omega0):
+    """Raise ConsistencyError at the first point whose gap is NaN or too large."""
+    gaps = _coefficient_gap(freqs, *columns)
+    if not _xp(gaps).all(gaps <= _COEFFICIENT_TOL):
+        import numpy as np
+
+        k = int(np.argmin(gaps <= _COEFFICIENT_TOL))
+        point = SystemParams(*(float(np.ravel(np.broadcast_to(c, np.shape(gaps)))[k]) for c in columns), omega0)
+        raise ConsistencyError(f"spectral kernel frequencies miss the closed-form coefficients by "
+                               f"{np.ravel(gaps)[k]:.3e} (relative) for {point}")
 
 
 def eigenfrequencies(
@@ -363,9 +376,7 @@ def eigenfrequencies(
     """
     _check_degeneracy_tol(degeneracy_tol)
     freqs = _mirror_frequencies(params.g, params.delta, params.f1, params.f2)
-    gap = _coefficient_gap(freqs, params.g, params.delta, params.f1, params.f2)
-    if not gap <= _COEFFICIENT_TOL:  # also refuses a NaN gap
-        raise _gap_error(gap, params)
+    _check_gaps(freqs, params[:4], params.omega0)
     threshold = _threshold(freqs, degeneracy_tol)
     return Spectrum(frequencies=freqs, degeneracy_tol=threshold, clusters=_cluster(freqs, threshold))
 
@@ -510,7 +521,7 @@ def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarr
     first term is dropped.  The parameters are divided by a power of two, and
     the times multiplied by it, so s2(2^k*p, 2^-k*t) equals s2(p, t) bitwise
     where nothing underflows.  The route is independent of the spectral
-    kernel and of the propagator's eigensolver.  s2 lies in the +1 sector of
+    kernel, which the propagator runs too.  s2 lies in the +1 sector of
     the mirror symmetry, so it is real.
 
     Returns a float array of s2 values, one per requested time.  Raises
@@ -578,12 +589,12 @@ def sweep_spectrum_values(
     """
     import numpy as np
 
-    if vary not in _SWEEPABLE:
-        raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_SWEEPABLE}")
+    if vary not in _PHYSICAL_KEYS:
+        raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_PHYSICAL_KEYS}")
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1:
         raise InvalidParameterError(f"sweep values must be a 1-d sequence, got shape {grid.shape}")
-    columns = [grid if name == vary else np.full(len(grid), getattr(base, name)) for name in _SWEEPABLE]
+    columns = [grid if name == vary else np.full(len(grid), getattr(base, name)) for name in _PHYSICAL_KEYS]
     bad = _first_invalid(*columns)
     if bad < len(grid):
         # The points before it go first, as they would one at a time.
@@ -598,11 +609,7 @@ def sweep_spectrum_values(
             SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
     _check_degeneracy_tol(degeneracy_tol)
     freqs = _mirror_frequencies(*columns)
-    gaps = _coefficient_gap(freqs, *columns)
-    failed = ~(gaps <= _COEFFICIENT_TOL)  # also fails a NaN gap
-    if failed.any():
-        k = int(np.argmax(failed))
-        raise _gap_error(gaps[k], SystemParams(*(float(c[k]) for c in columns), omega0=base.omega0))
+    _check_gaps(freqs, columns, base.omega0)
     delta_err, undefined = _nonequidistance(freqs, _threshold(freqs, degeneracy_tol))
     delta_err = np.where(undefined, None, delta_err)
     columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()

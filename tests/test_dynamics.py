@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import trichain.dynamics as dynamics_module
+import trichain.spectrum as spectrum_module
 from trichain import (
     AccuracyError,
+    ConsistencyError,
     DomainError,
     InvalidParameterError,
     QUBIT_COUPLING,
@@ -14,6 +19,8 @@ from trichain import (
     ScheduleError,
     Segment,
     SystemParams,
+    build_coupling_matrix,
+    eigenfrequencies,
     energies,
     energies_to_csv,
     evolve_rk4,
@@ -113,6 +120,136 @@ def test_overflowing_phases_raise_domain_error(params, t_end):
         lambda: evolve_spectral(params, v0, [0.0, t_end]),
         lambda: propagator(params, t_end),
         lambda: evolve_schedule(schedule, v0, [0.0, t_end]),
+    ):
+        with pytest.raises(DomainError, match="overflow"):
+            propagate()
+
+
+# Points where the spectrum degenerates are the normal case: f1 = 0 and
+# delta = +-f2 give a zero pair, g = delta = 0 the resonant chain, and the
+# designed combs a double zero.  Each point is scaled by 2^k.
+_coupling = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0))
+
+
+@st.composite
+def _chains(draw):
+    g, f1, f2 = draw(_coupling), draw(_coupling), draw(_coupling)
+    delta = draw(st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([f2, -f2, 0.0])))
+    return SystemParams(g=g, delta=delta, f1=f1, f2=f2)
+
+
+_combs = st.builds(lambda g, branch: solve_comb_params(g, branch).params,
+                   st.floats(min_value=0.05, max_value=1.0), st.sampled_from("AB"))
+_points = st.one_of(_chains(), _combs)
+_scales = st.integers(min_value=-60, max_value=60)
+
+
+def _scaled(params, k):
+    return SystemParams(*(math.ldexp(x, k) for x in params[:4]))
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+class TestMirrorFlow:
+    """The spectral route: exp(-iMt) in the mirror basis, from the Jacobi kernel of ``eigenfrequencies``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=_points, k=_scales, t_end=st.floats(min_value=0.1, max_value=60.0))
+    @example(params=RABI, k=0, t_end=2.0 * math.pi)
+    @example(params=SystemParams(g=0.0, delta=0.0, f1=0.0, f2=0.0), k=0, t_end=1.0)
+    def test_mirror_sectors_from_the_central_atom(self, params, k, t_end):
+        # From s2 the +1 sector (x) stays real and the -1 sector (y) imaginary,
+        # so s1, s3 and a1, a3 hold mirrored amplitudes (== is bitwise but for
+        # the sign of a zero), and their energies are the same bits.
+        point = _scaled(params, k)
+        times = np.linspace(0.0, math.ldexp(t_end, -k), 41)
+        trajectory = evolve_spectral(point, initial_state(2), times)
+        s1, s2, s3, a1, a2, a3 = trajectory.states.T
+        assert not np.any(s2.imag) and not np.any(a2.real)
+        assert np.array_equal(s1.real, -s3.real) and np.array_equal(s1.imag, s3.imag)
+        assert np.array_equal(a1.real, a3.real) and np.array_equal(a1.imag, -a3.imag)
+        table = energies(trajectory)
+        assert _bits(table[:, 1]) == _bits(table[:, 3])  # E_s1 = E_s3
+        assert _bits(table[:, 4]) == _bits(table[:, 6])  # E_a1 = E_a3
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=_points, k=_scales, t=st.floats(min_value=-100.0, max_value=100.0))
+    def test_propagator_is_unitary(self, params, k, t):
+        u = propagator(_scaled(params, k), math.ldexp(t, -k))
+        assert np.linalg.norm(u @ u.conj().T - np.eye(6), 2) <= 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=_points, k=_scales, init=st.integers(min_value=1, max_value=6),
+           t_end=st.floats(min_value=0.1, max_value=60.0))
+    def test_scaling_the_parameters_scales_time_bitwise(self, params, k, init, t_end):
+        times = np.linspace(0.0, t_end, 17)
+        scaled = evolve_spectral(_scaled(params, k), initial_state(init), times)
+        stretched = evolve_spectral(params, initial_state(init), np.ldexp(times, k))
+        assert _bits(scaled.states) == _bits(stretched.states)
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=_points, k=_scales)
+    def test_flow_uses_the_frequencies_of_eigenfrequencies(self, params, k):
+        point = _scaled(params, k)
+        e, sigma, _, _ = dynamics_module._mirror_svd(*point)
+        assert _bits(sorted(4.0 * math.ldexp(float(s), e - 2) for s in sigma)) == _bits(
+            eigenfrequencies(point).positive)
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9),
+        SystemParams(g=0.5, delta=0.3, f1=0.0, f2=0.9),  # f1 = 0: a zero pair
+        SystemParams(g=0.5, delta=0.9, f1=0.8, f2=0.9),  # delta = f2: a zero pair
+        SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0),  # the resonant chain: a triple |w|
+    ], ids=["generic", "f1_zero", "delta_f2", "resonant"])
+    @pytest.mark.parametrize("t", [0.7, 5.0, 50.0])
+    def test_propagator_against_mpmath_expm(self, params, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            generator = mpmath.matrix(build_coupling_matrix(params).tolist())
+            exact = mpmath.expm(generator * mpmath.mpc(0, -t))
+            exact = np.array([[complex(exact[i, j]) for j in range(6)] for i in range(6)])
+        assert np.max(np.abs(propagator(params, t) - exact)) <= 1e-13
+
+    def test_a_schedule_makes_one_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return jacobi(*args)
+
+        jacobi = dynamics_module._jacobi
+        monkeypatch.setattr(dynamics_module, "_jacobi", counted)
+        bounds = np.linspace(0.0, 4.0 * math.pi, 9)
+        segments = tuple(Segment(float(bounds[i]), float(bounds[i + 1]), 0.1 * i) for i in range(8))
+        schedule = Schedule(segments=segments, base=qubit_solution().params)
+        evolve_schedule(schedule, initial_state(2), np.linspace(0.0, 4.0 * math.pi, 101))
+        assert len(calls) == 1 and np.shape(calls[0][0]) == (8,)
+
+    def test_a_sweep_that_does_not_converge_raises_consistency_error(self, monkeypatch):
+        # Unrotated columns of T are not its singular vectors: the flow would
+        # not be unitary, and the coefficient check refuses their norms.
+        monkeypatch.setattr(spectrum_module, "_MAX_SWEEPS", 0)
+        params = SystemParams(g=0.5, delta=0.3, f1=0.8, f2=0.9)
+        schedule = Schedule(segments=(Segment(0.0, 1.0, params.g),), base=params)
+        for propagate in (
+            lambda: evolve_spectral(params, initial_state(2), [0.0, 1.0]),
+            lambda: propagator(params, 1.0),
+            lambda: evolve_schedule(schedule, initial_state(2), [0.0, 1.0]),
+        ):
+            with pytest.raises(ConsistencyError, match="for SystemParams.g=0.5, delta=0.3,"):
+                propagate()
+
+
+def test_overflowing_frequencies_raise_domain_error():
+    # The top frequency of g = 1.5e308 is beyond the float range at any t.
+    params = SystemParams(g=1.5e308, delta=0.0, f1=1.0, f2=1.0)
+    schedule = Schedule(segments=(Segment(0.0, 1.0, params.g),), base=params)
+    for propagate in (
+        lambda: evolve_spectral(params, initial_state(2), [0.0, 1e-300]),
+        lambda: propagator(params, 0.0),
+        lambda: evolve_schedule(schedule, initial_state(2), [0.0, 1.0]),
     ):
         with pytest.raises(DomainError, match="overflow"):
             propagate()

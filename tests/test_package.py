@@ -119,3 +119,14 @@ def test_spectrum_kernels_do_not_branch_on_float_against_array():
     names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_is_array" not in names
+
+
+def test_no_module_calls_a_dense_eigensolver():
+    # One spectral kernel: eigenfrequencies, the sweeps and the dynamics all run spectrum._jacobi.
+    offenders = []
+    for path in sorted(Path(trichain.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        offenders += [f"{path.name}: {name}" for name in sorted(names & {"eigh", "eigvalsh"})]
+    assert offenders == []
