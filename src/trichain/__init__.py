@@ -12,14 +12,13 @@ The package is organized around four pure-function layers:
 
 plus :mod:`trichain.cli`, the ``trichain`` command-line front end.
 
-``import trichain`` loads neither numpy nor :mod:`trichain.dynamics`, the
-all-array layer: the dynamics names resolve on first access (PEP 562), and
-the other modules import numpy inside the functions that make or take
-arrays.  One spectrum, one comb, one half-period energy, its inversion and
-the energy-branch identification (by the Laplace route) are computed with
-``math`` and exact integers, so ``trichain spectrum`` (``--preset``
-included), ``comb`` and ``energy`` (``--g`` or ``--target``) never load
-numpy; ``sweep``, ``evolve`` and ``figures`` do.
+``import trichain`` loads neither numpy nor :mod:`trichain.dynamics`: the
+dynamics names resolve on first access (PEP 562), and every module imports
+numpy inside the functions that make or take arrays.  One spectrum, one
+comb, one half-period energy, its inversion and the energy-branch
+identification (by the Laplace route) are computed with ``math`` and exact
+integers, and ``sweep``, ``evolve`` and ``figures`` run the same kernels
+point by point and sample by sample on floats, so no CLI command loads numpy.
 """
 
 from .errors import (
@@ -91,8 +90,8 @@ _DYNAMICS = frozenset({
 
 
 def __getattr__(name):
-    """Import :mod:`trichain.dynamics`, and numpy with it, on first use of one
-    of its names, and bind the name here so later lookups are plain."""
+    """Import :mod:`trichain.dynamics` on first use of one of its names, and
+    bind the name here so later lookups are plain."""
     if name not in _DYNAMICS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import dynamics

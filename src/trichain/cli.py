@@ -3,7 +3,9 @@ evolution runs, and reference figure data, with CSV/JSON output.
 
 Commands parse options and write text; each record's CSV and JSON come from
 the module that computes it.  Options declare their defaults, and ``--config``
-values replace those before a second parse, so explicit flags win.
+values replace those before a second parse, so explicit flags win.  No
+command imports numpy: the grids of ``sweep``, ``evolve`` and ``figures`` run
+point by point on the float kernels, with the bits of the batched routes.
 
 Exit codes are a stable scripting contract: 0 success, 1 I/O failure,
 2 usage or validation error.  The environment variable TRICHAIN_VERBOSE
@@ -31,14 +33,14 @@ from .comb import (
     solve_g_for_energy,
 )
 from .errors import TrichainError
-from .model import _CONFIG_KEYS, _PHYSICAL_KEYS, SystemParams, initial_state, params_from_config
+from .model import _CONFIG_KEYS, _PHYSICAL_KEYS, SystemParams, _csv, _linspace, _unit_state, params_from_config
 from .spectrum import (
     DEFAULT_DEGENERACY_TOL,
+    _grid,
     _spectrum_record,
     _spectrum_record_to_csv,
+    _sweep_points,
     sweep_rows_to_csv,
-    sweep_spectrum,
-    sweep_spectrum_values,
 )
 
 _PRESETS = {"qubit": QUBIT_COUPLING, "qutrit": QUTRIT_COUPLING}
@@ -193,7 +195,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     constraint = branch_constraint(args.constraint) if args.constraint else None
     _progress(f"sweeping {args.vary} over [{args.lo}, {args.hi}] with {args.n} points")
-    rows = sweep_spectrum(params, args.vary, args.lo, args.hi, args.n, constraint, args.degeneracy_tol)
+    grid = _grid(args.lo, args.hi, args.n, _linspace)  # sweep_spectrum's, one point at a time
+    rows = _sweep_points(params, args.vary, grid, constraint, args.degeneracy_tol)
     if args.format == "json":
         _write_output(args.out, _json_dumps([row.to_json_dict() for row in rows]))
     else:
@@ -222,8 +225,6 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import dynamics
 
     schedule_text = None
@@ -239,23 +240,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise UsageError("--n must be at least 2")
     if args.n > _MAX_N:
         raise UsageError(f"--n must be at most {_MAX_N}, got {args.n}")
-    times = np.linspace(0.0, args.t_end, args.n)
-    v0 = initial_state(args.init)
+    times = _linspace(0.0, args.t_end, args.n)
+    v0 = _unit_state(args.init)
     if schedule_text is not None:
-        schedule = dynamics.schedule_from_json(schedule_text, base=params)
-        trajectory = dynamics.evolve_schedule(schedule, v0, times)
-    else:
-        trajectory = dynamics.evolve_spectral(params, v0, times)
+        params = dynamics.schedule_from_json(schedule_text, base=params)
+    rows = dynamics._energy_rows(params, v0, times)
     if args.format == "json":
-        _write_output(args.out, _json_dumps(dynamics._energies_to_json_dict(trajectory)))
+        _write_output(args.out, _json_dumps(dynamics._energies_to_json_dict(rows)))
     else:
-        _write_output(args.out, dynamics.energies_to_csv(trajectory))
+        _write_output(args.out, _csv(dynamics._ENERGY_CSV_HEADER, rows))
     return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from . import dynamics
 
     outdir = args.outdir or "."
@@ -263,25 +260,24 @@ def cmd_figures(args: argparse.Namespace) -> int:
     resonant = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
 
     _progress("fig2.csv: spectrum versus g, resonant chain")
-    rows = sweep_spectrum(resonant, "g", 0.0, 3.0, 601)
+    rows = _sweep_points(resonant, "g", _linspace(0.0, 3.0, 601))
     _write_text(os.path.join(outdir, "fig2.csv"), sweep_rows_to_csv(rows))
 
     _progress("fig3.csv: non-equidistance error versus g, resonant chain")
-    rows = sweep_spectrum(resonant, "g", 0.01, 3.0, 1000)
+    rows = _sweep_points(resonant, "g", _linspace(0.01, 3.0, 1000))
     _write_text(os.path.join(outdir, "fig3.csv"), sweep_rows_to_csv(rows))
 
     _progress("fig4.csv: spectrum versus detuning at the comb coupling")
     anchor = solve_comb_params(QUBIT_COUPLING, "A")
-    values = sorted({*np.linspace(0.0, 2.0, 801).tolist(), anchor.f2})
-    rows = sweep_spectrum_values(anchor.params, "delta", values)
+    values = sorted({*_linspace(0.0, 2.0, 801), anchor.f2})
+    rows = _sweep_points(anchor.params, "delta", values)
     _write_text(os.path.join(outdir, "fig4.csv"), sweep_rows_to_csv(rows))
 
     _progress("fig5.csv: central-atom energy versus time for both presets")
     branch = identify_energy_branch()
-    times = np.linspace(0.0, 2.0 * math.pi, 2001)
-    v0 = initial_state(2)
+    times = _linspace(0.0, 2.0 * math.pi, 2001)
     qubit, qutrit = (
-        dynamics.evolve_spectral(solve_comb_params(coupling, branch).params, v0, times)
+        dynamics._energy_rows(solve_comb_params(coupling, branch).params, _unit_state(2), times)
         for coupling in (QUBIT_COUPLING, QUTRIT_COUPLING)
     )
     fig5 = dynamics._central_energies_to_csv(qubit, qutrit)

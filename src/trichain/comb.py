@@ -216,19 +216,18 @@ def solve_comb_params(g: float, branch: str) -> CombSolution:
 def branch_constraint(branch: str) -> SweepConstraint:
     """Sweep constraint that re-derives f1 and f2 from g at every grid point.
 
-    It maps the columns (g, delta, f1, f2), equal-length arrays, to new
-    columns.  Only the atom-field couplings are replaced; g and delta pass
-    through, so a detuning sweep at fixed g probes departures from the
-    designed comb.
+    It maps the columns (g, delta, f1, f2), equal-length float arrays or one
+    point's floats, to new columns.  Only the atom-field couplings are
+    replaced; g and delta pass through, so a detuning sweep at fixed g probes
+    departures from the designed comb.
     """
     if branch not in BRANCHES:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
     def apply(g, delta, f1, f2):
-        import numpy as np
-
-        f2_sq, f1_sq = _branch_squares(np.asarray(g, dtype=float), branch)
-        return g, delta, np.sqrt(f1_sq), np.sqrt(f2_sq)
+        xp = _xp(g)
+        f2_sq, f1_sq = _branch_squares(g, branch)
+        return g, delta, xp.sqrt(f1_sq), xp.sqrt(f2_sq)
 
     return apply
 

@@ -8,15 +8,20 @@ agreement is a standing cross-check on both.
 Piecewise-constant control of the inter-resonator coupling g is modelled as
 an instantaneous quench: the state is continuous across segment boundaries
 while the generator jumps.
+
+The spectral flow is one formula in real arithmetic (``_flow``), so a sample
+on floats gets the bits of a time array: the CLI builds its rows one sample at
+a time without numpy, which only the functions that make arrays import.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-
-import numpy as np
+from itertools import chain
+from operator import mul
 
 from .errors import (
     AccuracyError,
@@ -33,17 +38,20 @@ from .model import (
     _is_real,
     _params_from_values,
     _times_array,
+    _xp,
     build_coupling_matrix,
 )
 from .spectrum import _check_gaps, _jacobi
+
+TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
+if TYPE_CHECKING:
+    import numpy as np
 
 _STATE_NORM_TOL = 1e-8
 _BOUNDARY_TOL = 1e-9
 
 _ENERGY_CSV_HEADER = "t,E_s1,E_s2,E_s3,E_a1,E_a2,E_a3"
 _CENTRAL_ENERGY_CSV_HEADER = "t,E_x2_qubit,E_x2_qutrit"
-
-_BASIS = np.array(_MIRROR_BASIS)
 
 
 class Trajectory(_CheckedRecord, namedtuple("Trajectory", ("times", "states"))):
@@ -64,10 +72,14 @@ class Trajectory(_CheckedRecord, namedtuple("Trajectory", ("times", "states"))):
         return tuple.__new__(cls, (times, states))
 
     def norms(self) -> np.ndarray:
+        import numpy as np
+
         return np.linalg.norm(self.states, axis=1)
 
 
 def _check_state(v0) -> np.ndarray:
+    import numpy as np
+
     v = np.array(v0, dtype=complex)
     if v.shape != (N_MODES,):
         raise InvalidParameterError(f"state must have shape ({N_MODES},), got {v.shape}")
@@ -81,43 +93,87 @@ def _check_state(v0) -> np.ndarray:
 
 def _check_times(times) -> np.ndarray:
     t = _times_array(times)
-    if np.any(np.diff(t) < 0.0):
+    if (t[1:] < t[:-1]).any():
         raise InvalidParameterError("times must be ascending")
     return t
 
 
 def _mirror_svd(g, delta, f1, f2, omega0=0.0):
     """(e, sigma, U, V): T / 2^e = U diag(sigma) V^T, U = W / sigma from the sweep, of a
-    point or a batch of arrays; row k of U and V is their column k in the modes.  Checked
-    as in ``eigenfrequencies``, but for an infinite frequency, which ``_flow`` refuses."""
+    point or a batch of arrays; row k of U and V is their column k in the modes, a list
+    of six.  Checked as in ``eigenfrequencies``."""
     vectors = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # V, before the sweep rotates it
     freqs, e, columns, sigma = _jacobi(g, delta, f1, f2, vectors)
-    if np.all(freqs[5] != math.inf):
-        _check_gaps(freqs, (g, delta, f1, f2), omega0)
-    sigma = np.array(sigma).T
-    w, v = np.empty((2, *sigma.shape, 3))
-    for k in range(3):
-        for r in range(3):
-            w[..., k, r], v[..., k, r] = columns[k][r], vectors[k][r]
-    return e, sigma, (w / np.where(sigma > 0.0, sigma, 1.0)[..., None]) @ _BASIS[:3], v @ _BASIS[3:]
+    _check_gaps(freqs, (g, delta, f1, f2), omega0)
+    where = _xp(freqs[5]).where
+    u = [_in_modes([x / where(s > 0.0, s, 1.0) for x in w], _MIRROR_BASIS[:3]) for w, s in zip(columns, sigma)]
+    return e, sigma, u, [_in_modes(column, _MIRROR_BASIS[3:]) for column in vectors]
 
 
-def _flow(svd, v0, t) -> np.ndarray:
-    """exp(-i M t) v0 for the 1-d ``t`` and a state, or rows of states, ``v0``.  With
-    W = U sigma and s, c = sin, cos(sigma t / 2) in units of T / 2^e, the sinc form in the
-    mirror basis reads x(t) = x0 - U (2 s^2 * U^T x0) - i U (2 s c * V^T y0) and y(t) =
-    y0 - V (2 s^2 * V^T y0) - i V (2 s c * U^T x0): one real product of (s^2, s c, 1) with
-    a 7x6 matrix, with no division, no cancellation, and bitwise scale covariance."""
+def _in_modes(coordinates, basis):
+    a, b, c = coordinates
+    return [a * x + b * y + c * z for x, y, z in zip(*basis)]
+
+
+def _flow(svd, v0, t_max):
+    """exp(-i M t) v0 for |t| <= ``t_max`` as ``_at`` evaluates it, (e, sigma, v0, pairs, columns),
+    for ``v0`` the twelve parts of a state as floats: the real parts of its amplitudes,
+    then their imaginary parts.  With W = U sigma, the sinc form in the mirror basis
+    reads x(t) = x0 - U (2 s^2 * U^T x0) - i U (2 s c * V^T y0) and y(t) = y0 - V (2 s^2
+    * V^T y0) - i V (2 s c * U^T x0) (see ``_terms``), so part m is v0[m] plus each term j
+    times a fixed coefficient, columns[m][j]; pairs[m] lists the (j, coefficient) that are not 0."""
+    _check_phases(svd, t_max)
     e, sigma, u, v = svd
-    w_max, t_max = 4.0 * math.ldexp(float(sigma.max()), int(e) - 2), float(np.abs(t).max())  # inf, not an error
+    rows = [[], [], [], [], [], []]
+    for k, (uk, vk) in enumerate(zip(u, v)):  # a = U^T x0 and b = V^T y0, their real and imaginary parts
+        ar, ai, br, bi = (sum(map(mul, part, w)) for w in (uk, vk) for part in (v0[:N_MODES], v0[N_MODES:]))
+        rows[k] = [-2.0 * (p * x + q * y) for p, q in ((ar, br), (ai, bi)) for x, y in zip(uk, vk)]
+        rows[3 + k] = [sign * (p * x + q * y) for sign, p, q in ((2.0, bi, ai), (-2.0, br, ar)) for x, y in zip(uk, vk)]
+    columns = list(zip(*rows))
+    return e, sigma, v0, [[(j, c) for j, c in enumerate(column) if c] for column in columns], columns
+
+
+def _at(flow, t) -> list:
+    """The twelve parts of a ``_flow`` at t, floats for a float t, arrays for an array (whose samples may
+    have flows of their own, as fields of arrays): each adds its terms in one order, so both give the same bits."""
+    e, sigma, parts, pairs = flow[:4]
+    terms = _terms(e, sigma, t)
+    out = []
+    for x, part_pairs in zip(parts, pairs):
+        for j, c in part_pairs:
+            x = x + terms[j] * c
+        out.append(x)
+    return out
+
+
+def _check_phases(svd, t_max) -> None:
+    e, sigma, _, _ = svd
+    w_max, t_max = 4.0 * math.ldexp(max(sigma), e - 2), float(t_max)  # inf, not an error
     if not math.isfinite(w_max * t_max):
         raise DomainError(f"phases w*t overflow: max|w| = {w_max:.6g} times max|t| = {t_max:.6g} is not finite")
-    half = np.ldexp(np.multiply.outer(0.5 * sigma, t), e)
-    s, c = np.sin(half), np.cos(half)
-    terms = np.concatenate((s * s, s * c, np.ones((1, t.size))))
-    a, b = (v0 @ u.T)[..., None], (v0 @ v.T)[..., None]  # U^T x0, V^T y0
-    k = np.concatenate((-2.0 * (a * u + b * v), -2j * (b * u + a * v), v0[..., None, :]), axis=-2)
-    return (terms.T @ k.view(float)).view(complex)
+
+
+def _terms(e, sigma, t):
+    """(s_1^2, s_2^2, s_3^2, s_1 c_1, s_2 c_2, s_3 c_3) at t, a float or an array,
+    where s_k, c_k = sin, cos(sigma_k t / 2) in units of T / 2^e."""
+    xp = _xp(t)
+    sc = [(xp.sin(h), xp.cos(h)) for h in (xp.ldexp(0.5 * s * t, e) for s in sigma)]
+    return [s * s for s, _ in sc] + [s * c for s, c in sc]
+
+
+def _parts(v) -> list[float]:
+    """A state array as its twelve parts (see ``_flow``)."""
+    return [*v.real.tolist(), *v.imag.tolist()]
+
+
+def _states(t, parts) -> np.ndarray:
+    """Rows of states at the times t from twelve parts, arrays over t or floats."""
+    import numpy as np
+
+    parts = np.broadcast_arrays(t, *parts)[1:]
+    states = np.empty((t.size, N_MODES), dtype=complex)
+    states.real, states.imag = np.transpose(parts[:N_MODES]), np.transpose(parts[N_MODES:])
+    return states
 
 
 def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
@@ -125,14 +181,23 @@ def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
     (see ``_flow``): unitary to rounding at degeneracies too, as U and V stay orthonormal."""
     v = _check_state(v0)
     t = _check_times(times)
-    return Trajectory(times=t, states=_flow(_mirror_svd(*params), v, t))
+    return Trajectory(times=t, states=_states(t, _evolve(params, _parts(v), t)))
 
 
 def propagator(params: SystemParams, t: float) -> np.ndarray:
-    """The unitary U(t) = exp(-i M t) as a dense 6x6 matrix: each unit state's flow."""
+    """The unitary U(t) = exp(-i M t) as a dense 6x6 matrix: the terms of ``_flow``
+    for every unit state at once, 1 - 2 (U^T S U + V^T S V) - 2i (U^T C V + V^T C U)
+    with S and C the diagonals of its s^2 and s c terms."""
+    import numpy as np
+
     if not _is_real(t):
         raise InvalidParameterError(f"t must be a finite real number, got {t!r}")
-    return _flow(_mirror_svd(*params), np.eye(N_MODES), np.array([float(t)]))[:, 0].T
+    e, sigma, u, v = svd = _mirror_svd(*params)
+    _check_phases(svd, abs(t))
+    terms = np.array(_terms(e, sigma, float(t)))[:, None]
+    u, v = np.array(u), np.array(v)
+    cross = u.T @ (terms[3:] * v)
+    return np.eye(N_MODES) - 2.0 * (u.T @ (terms[:3] * u) + v.T @ (terms[:3] * v)) - 2j * (cross + cross.T)
 
 
 def evolve_rk4(
@@ -151,6 +216,8 @@ def evolve_rk4(
     radius and AccuracyError is raised.  ``dt``, ``t_end`` and ``norm_tol``
     must be positive real numbers, else InvalidParameterError is raised.
     """
+    import numpy as np
+
     v = _check_state(v0)
     for name, value in (("dt", dt), ("t_end", t_end), ("norm_tol", norm_tol)):
         if not _is_real(value) or value <= 0.0:
@@ -280,33 +347,62 @@ def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
     """
     v = _check_state(v0)
     t = _check_times(times)
-    if t[0] < schedule.t_start - _BOUNDARY_TOL or t[-1] > schedule.t_end + _BOUNDARY_TOL:
-        raise ScheduleError(
-            f"schedule covers [{schedule.t_start}, {schedule.t_end}] "
-            f"but times span [{t[0]}, {t[-1]}]"
-        )
-    svd = _mirror_svd(np.array([seg.g for seg in schedule.segments]), *schedule.base[1:])
-    states = np.empty((t.size, N_MODES), dtype=complex)
-    cursor = 0
-    segment_state = v
-    for index, seg in enumerate(schedule.segments):
-        if index == len(schedule.segments) - 1:
-            stop = int(np.searchsorted(t, seg.t_end + _BOUNDARY_TOL, side="right"))
-        else:
-            stop = max(cursor, int(np.searchsorted(t, seg.t_end, side="left")))
-        # the extra last row carries the state across the quench boundary
-        local = np.append(t[cursor:stop], seg.t_end) - seg.t_start
-        flowed = _flow([part[index] for part in svd], segment_state, local)
-        states[cursor:stop], segment_state = flowed[:-1], flowed[-1]
-        cursor = stop
-    return Trajectory(times=t, states=states)
+    return Trajectory(times=t, states=_states(t, _evolve(schedule, _parts(v), t)))
+
+
+def _evolve(system, v0, t) -> list:
+    """The twelve parts (see ``_flow``) of the state from ``v0`` at the
+    ascending times ``t`` under a SystemParams or a Schedule: arrays over an
+    array t, or per sample, without numpy, for a list of floats."""
+    batched = not isinstance(t, list)
+    if not isinstance(system, Schedule):
+        flow = _flow(_mirror_svd(*system), v0, max(abs(t[0]), abs(t[-1])))
+        return _at(flow, t) if batched else [_at(flow, x) for x in t]
+    if t[0] < system.t_start - _BOUNDARY_TOL or t[-1] > system.t_end + _BOUNDARY_TOL:
+        raise ScheduleError(f"schedule covers [{system.t_start}, {system.t_end}] but times span [{t[0]}, {t[-1]}]")
+    if batched:  # one kernel call for every segment, read back as floats
+        import numpy as np
+
+        e, sigma, u, v = _mirror_svd(*np.broadcast_arrays([seg.g for seg in system.segments], *system.base[1:4]),
+                                     system.base.omega0)
+        table = np.transpose(np.broadcast_arrays(*sigma, *chain(*u, *v))).tolist()
+        svds = [(k, row[:3], [row[3:9], row[9:15], row[15:21]], [row[21:27], row[27:33], row[33:]])
+                for k, row in zip(e.tolist(), table)]
+    else:
+        svds = [_mirror_svd(seg.g, *system.base[1:]) for seg in system.segments]
+    flows, a, state = [], 0, v0  # each segment's flow serves t[a:b], in the local time t - t_start
+    for index, (seg, svd) in enumerate(zip(system.segments, svds)):
+        b = bisect_right(t, seg.t_end + _BOUNDARY_TOL) if index == len(svds) - 1 else max(a, bisect_left(t, seg.t_end))
+        ends = [seg.t_end, *t[a:b][:1], *t[a:b][-1:]]  # the largest |t - t_start| is at one of them
+        flows.append((_flow(svd, state, max(abs(x - seg.t_start) for x in ends)), seg.t_start, a, b))
+        state, a = _at(flows[-1][0], seg.t_end - seg.t_start), b  # the state across the quench
+    if not batched:
+        return [_at(flow, x - t0) for flow, t0, a, b in flows for x in t[a:b]]
+    # One evaluation of every sample, with the fields of its segment's flow.
+    counts = [b - a for _, _, a, b in flows]
+    table = np.repeat(np.transpose([[*flow[1], *flow[2], *chain(*flow[4])] for flow, _, _, _ in flows]), counts, axis=1)
+    pairs = [list(enumerate(rows)) for rows in table[15:].reshape(2 * N_MODES, 6, -1)]
+    flow = np.repeat([flow[0] for flow, _, _, _ in flows], counts), table[:3], table[3:15], pairs
+    return _at(flow, t - np.repeat([t0 for _, t0, _, _ in flows], counts))
+
+
+def _energy_rows(system, v0, times: list[float]) -> list[list[float]]:
+    """The rows of ``energies`` from the twelve parts ``v0`` at ``times``, a list of floats, under a
+    SystemParams or a Schedule: with the checks and bits of ``evolve_spectral`` and ``evolve_schedule``."""
+    if any(map(float.__lt__, times[1:], times)):
+        raise InvalidParameterError("times must be ascending")
+    parts = _evolve(system, v0, times)
+    return [[x, *(r * r + i * i for r, i in zip(p[:N_MODES], p[N_MODES:]))] for x, p in zip(times, parts)]
 
 
 def energies(trajectory: Trajectory) -> np.ndarray:
-    """Per-mode energies: columns (t, E_s1, E_s2, E_s3, E_a1, E_a2, E_a3)."""
+    """Per-mode energies re^2 + im^2: columns (t, E_s1, E_s2, E_s3, E_a1, E_a2, E_a3)."""
+    import numpy as np
+
     table = np.empty((trajectory.times.size, 1 + N_MODES))
     table[:, 0] = trajectory.times
-    table[:, 1:] = np.abs(trajectory.states) ** 2
+    re, im = trajectory.states.real, trajectory.states.imag
+    table[:, 1:] = re * re + im * im
     return table
 
 
@@ -314,18 +410,18 @@ def energies_to_csv(trajectory: Trajectory) -> str:
     return _csv(_ENERGY_CSV_HEADER, energies(trajectory).tolist())
 
 
-def _energies_to_json_dict(trajectory: Trajectory) -> dict:
-    """The object ``trichain evolve --format json`` writes: the times, and the
-    energies keyed by their ``energies_to_csv`` column names."""
-    times, *columns = energies(trajectory).T.tolist()
+def _energies_to_json_dict(rows) -> dict:
+    """The object ``trichain evolve --format json`` writes from rows of
+    ``energies``: the times, and the energies keyed by their column names."""
+    times, *columns = map(list, zip(*rows))
     return {"times": times, "energies": dict(zip(_ENERGY_CSV_HEADER.split(",")[1:], columns))}
 
 
-def _central_energies_to_csv(qubit: Trajectory, qutrit: Trajectory) -> str:
+def _central_energies_to_csv(qubit, qutrit) -> str:
     """The table ``trichain figures`` writes as fig5.csv: the central atom's
-    energy over the common times of a qubit and a qutrit run."""
-    columns = [np.abs(trajectory.states[:, 1]) ** 2 for trajectory in (qubit, qutrit)]
-    return _csv(_CENTRAL_ENERGY_CSV_HEADER, np.column_stack([qubit.times, *columns]).tolist())
+    energy over the common times of the ``energies`` rows of a qubit and a
+    qutrit run."""
+    return _csv(_CENTRAL_ENERGY_CSV_HEADER, ([a[0], a[2], b[2]] for a, b in zip(qubit, qutrit)))
 
 
 def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> float:
@@ -341,8 +437,8 @@ def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> fl
     t = trajectory.times
     if center < t[0] or center > t[-1]:
         raise DomainError(f"center {center} outside trajectory window [{t[0]}, {t[-1]}]")
-    e2 = np.abs(trajectory.states[:, 1]) ** 2
-    idx = int(np.argmin(np.abs(t - center)))
+    e2 = abs(trajectory.states[:, 1]) ** 2
+    idx = int(abs(t - center).argmin())
     if e2[idx] > threshold:
         return 0.0
     lo = idx

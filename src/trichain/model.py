@@ -21,6 +21,10 @@ off-diagonal couplings are the atom-field constants f2, f1, f2 on sites
 
 All quantities are expressed in units where the designed comb spacing is 1;
 the corresponding revival time is 2*pi.
+
+numpy is imported only where an array is made: ``_xp`` hands a kernel numpy
+for an array and a namespace of the same names over ``math`` for a float, and
+``_linspace`` makes numpy's uniform grid as floats, for the CLI's grids.
 """
 
 from __future__ import annotations
@@ -109,6 +113,22 @@ def _xp(x):
     kernel computes with, so that one body serves a point and a grid, and
     both take the same operations in the same order."""
     return sys.modules["numpy"] if _is_array(x) else _FloatNamespace
+
+
+def _tolist(x) -> list:
+    """A kernel's output as Python numbers: an array's elements, or a float in a list of one."""
+    return x.tolist() if _is_array(x) else [x]
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``numpy.linspace(lo, hi, n).tolist()`` for n >= 2, bit for bit, without
+    numpy: point i is i * step + lo, or i / (n - 1) * (hi - lo) + lo where the
+    step is 0 (a subnormal width), and the last point is hi."""
+    width = hi - lo
+    step = width / (n - 1)
+    points = [i * step + lo for i in range(n)] if step != 0.0 else [i / (n - 1) * width + lo for i in range(n)]
+    points[-1] = hi
+    return points
 
 
 class _CheckedRecord:
@@ -211,15 +231,19 @@ def initial_state(excited_index: int) -> np.ndarray:
     ``excited_index`` is 1-based in the ordering (s1, s2, s3, a1, a2, a3),
     so ``initial_state(2)`` puts the excitation on the second atom.
     """
+    import numpy as np
+
+    return np.array(_unit_state(excited_index)[:N_MODES], dtype=complex)
+
+
+def _unit_state(excited_index: int) -> list[float]:
+    """``initial_state(excited_index)`` as twelve floats: the real parts of
+    its amplitudes and then their imaginary parts."""
     if not isinstance(excited_index, int) or isinstance(excited_index, bool):
         raise InvalidParameterError(f"excited_index must be an integer, got {excited_index!r}")
     if not 1 <= excited_index <= N_MODES:
         raise InvalidParameterError(f"excited_index must be in 1..{N_MODES}, got {excited_index}")
-    import numpy as np
-
-    v = np.zeros(N_MODES, dtype=complex)
-    v[excited_index - 1] = 1.0
-    return v
+    return [float(mode == excited_index - 1) for mode in range(N_MODES)] + [0.0] * N_MODES
 
 
 def spectral_mirror_operator() -> np.ndarray:

@@ -53,7 +53,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _times_array, _xp
+from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _times_array, _tolist, _xp
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -351,15 +351,16 @@ def _coefficient_gap(freqs, g, delta, f1, f2):
 
 
 def _check_gaps(freqs, columns, omega0):
-    """Raise ConsistencyError at the first point whose gap is NaN or too large."""
+    """Raise at the first point whose gap is NaN or too large: DomainError where
+    its top frequency overflows, which is input out of range, else ConsistencyError."""
     gaps = _coefficient_gap(freqs, *columns)
     if not _xp(gaps).all(gaps <= _COEFFICIENT_TOL):
-        import numpy as np
-
-        k = int(np.argmin(gaps <= _COEFFICIENT_TOL))
-        point = SystemParams(*(float(np.ravel(np.broadcast_to(c, np.shape(gaps)))[k]) for c in columns), omega0)
+        k = _tolist(gaps <= _COEFFICIENT_TOL).index(False)
+        point = SystemParams(*(_tolist(c)[k] for c in columns), omega0)
+        if _tolist(freqs[5])[k] == math.inf:
+            raise DomainError(f"the top frequency overflows the float range (+-1.8e308) for {point}")
         raise ConsistencyError(f"spectral kernel frequencies miss the closed-form coefficients by "
-                               f"{np.ravel(gaps)[k]:.3e} (relative) for {point}")
+                               f"{_tolist(gaps)[k]:.3e} (relative) for {point}")
 
 
 def eigenfrequencies(
@@ -608,12 +609,47 @@ def sweep_spectrum_values(
         if bad < len(grid):
             SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
     _check_degeneracy_tol(degeneracy_tol)
-    freqs = _mirror_frequencies(*columns)
-    _check_gaps(freqs, columns, base.omega0)
-    delta_err, undefined = _nonequidistance(freqs, _threshold(freqs, degeneracy_tol))
-    delta_err = np.where(undefined, None, delta_err)
+    freqs, delta_err, undefined = _sweep_fields(columns, base.omega0, degeneracy_tol)
     columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
+
+
+def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
+    """``sweep_spectrum_values`` on an ascending list of floats, one point at a
+    time and without numpy: the same rows and errors, as an invalid value can
+    only lead such a grid."""
+    k = _PHYSICAL_KEYS.index(vary)
+    for value in values:
+        if not (math.isfinite(value) and (value >= 0.0 or vary == "delta")):  # the rule of SystemParams
+            base.replace(**{vary: value})  # raises its error
+    points = [(*base[:k], value, *base[k + 1:4]) for value in values]
+    if constraint is not None:
+        points = [constraint(*point) for point in points]
+        for point in points:
+            SystemParams(*point)  # raises the first failing point's error
+    _check_degeneracy_tol(degeneracy_tol)
+    return [SweepRow(value, *_sweep_fields(point, base.omega0, degeneracy_tol)) for value, point in zip(values, points)]
+
+
+def _sweep_fields(columns, omega0, degeneracy_tol):
+    """A SweepRow's frequencies, delta_err and degenerate flag at the parameter
+    ``columns``: arrays, for one batched kernel call, or one point's floats,
+    checked as in ``eigenfrequencies``; both give the same bits."""
+    freqs = _mirror_frequencies(*columns)
+    _check_gaps(freqs, columns, omega0)
+    delta_err, undefined = _nonequidistance(freqs, _threshold(freqs, degeneracy_tol))
+    return freqs, _xp(undefined).where(undefined, None, delta_err), undefined
+
+
+def _grid(lo, hi, n, linspace):
+    """The uniform grid of ``sweep_spectrum``, made by ``linspace`` once the range is checked."""
+    if n < 2:
+        raise InvalidParameterError(f"sweep needs n >= 2 grid points, got {n}")
+    if not math.isfinite(hi - lo):  # also when lo or hi is not finite
+        raise InvalidParameterError(f"sweep range must be finite with a finite width, got [{lo}, {hi}]")
+    if not (lo < hi):
+        raise InvalidParameterError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
+    return linspace(lo, hi, n)
 
 
 def sweep_spectrum(
@@ -628,14 +664,7 @@ def sweep_spectrum(
     """Spectrum sweep over a uniform grid of ``n`` points in [lo, hi]."""
     import numpy as np
 
-    if n < 2:
-        raise InvalidParameterError(f"sweep needs n >= 2 grid points, got {n}")
-    if not math.isfinite(hi - lo):  # also when lo or hi is not finite
-        raise InvalidParameterError(f"sweep range must be finite with a finite width, got [{lo}, {hi}]")
-    if not (lo < hi):
-        raise InvalidParameterError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, n)
-    return sweep_spectrum_values(base, vary, grid, constraint, degeneracy_tol)
+    return sweep_spectrum_values(base, vary, _grid(lo, hi, n, np.linspace), constraint, degeneracy_tol)
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import trichain
@@ -29,7 +29,8 @@ from trichain import (
     sweep_spectrum_values,
 )
 from trichain.cli import build_parser, main
-from trichain.spectrum import _spectrum_record
+from trichain.model import _linspace
+from trichain.spectrum import _grid, _spectrum_record, _sweep_points
 
 
 def run(args):
@@ -426,8 +427,12 @@ def test_deeply_nested_json_file_exits_2(tmp_path, capsys, argv):
 
 
 _FLAGS = ["--g", "0.5", "--delta", "0.3", "--f1", "0.8", "--f2", "0.9"]
-_DYNAMICS = ["numpy", "trichain.dynamics"]
+_DYNAMICS = ["trichain.dynamics"]
+_SWEEP = ["sweep", "--vary", "g", "--lo", "0", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"]
 
+
+_SCHEDULE_JSON = json.dumps([{"t_start": 0.0, "t_end": 2.0, "g": 0.7556142107},
+                             {"t_start": 2.0, "t_end": 7.0, "g": 0.2}])
 
 _STARTUP_CASES = [
     (None, None, []),
@@ -443,11 +448,22 @@ _STARTUP_CASES = [
     ("trichain.identify_energy_branch()", None, []),
     (["spectrum", "--g", "0.5x", "--delta", "0", "--f1", "1", "--f2", "1"], 2, []),
     (["spectrum", "--params", "bad.txt"], 2, []),
-    (["sweep", "--vary", "g", "--lo", "0", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"],
-     0, ["numpy"]),
+    (_SWEEP, 0, []),
+    (["sweep", "--vary", "g", "--lo", "0.5", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1",
+      "--constraint", "A", "--format", "json"], 0, []),
     (["evolve", *_FLAGS, "--n", "3"], 0, _DYNAMICS),
     (["evolve", "--preset", "qubit"], 0, _DYNAMICS),
+    (["evolve", "--preset", "qubit", "--schedule", "s.json", "--format", "json"], 0, _DYNAMICS),
     (["figures", "--outdir", "figs"], 0, _DYNAMICS),
+    # The error exits of the array commands, each found by a different layer.
+    (["sweep", "--vary", "g", "--lo", "-1", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"],
+     2, []),
+    ([*_SWEEP, "--degeneracy-tol", "0"], 2, []),
+    (["sweep", "--vary", "g", "--lo", "1.4e308", "--hi", "1.5e308", "--n", "3", "--delta", "0", "--f1", "1",
+      "--f2", "1"], 2, []),
+    (["evolve", *_FLAGS, "--t-end", "-1", "--n", "3"], 2, _DYNAMICS),
+    (["evolve", "--g", "0", "--delta", "1e308", "--f1", "1", "--f2", "1"], 2, _DYNAMICS),
+    (["evolve", "--preset", "qubit", "--schedule", "s.json", "--t-end", "9"], 2, _DYNAMICS),
 ]
 
 
@@ -460,6 +476,7 @@ def test_numpy_loads_only_where_arrays_are_made(tmp_path, argv, exit_code, loade
     # string case is a library statement, run after the import.
     (tmp_path / "p.txt").write_text("g = 0.5\ndelta = 0.3\nf1 = 0.8\nf2 = 0.9\n", encoding="utf-8")
     (tmp_path / "bad.txt").write_text("g = 0.5\ndelta = zero\nf1 = 1\nf2 = 1\n", encoding="utf-8")
+    (tmp_path / "s.json").write_text(_SCHEDULE_JSON, encoding="utf-8")
     code = (
         "import contextlib, io, json, sys, trichain, trichain.cli\n"
         "code = None\n"
@@ -514,6 +531,34 @@ def test_single_point_commands_load_no_dataclasses_typing_or_pathlib(tmp_path):
                             capture_output=True, text=True, check=True)
     assert json.loads(result.stdout) == [[None if step is None or isinstance(step, str) else 0, []]
                                          for step in steps]
+
+
+def test_array_commands_load_no_numpy_dataclasses_typing_or_pathlib(tmp_path):
+    # The sibling of the guard above for the commands that run grids point by point.
+    (tmp_path / "s.json").write_text(_SCHEDULE_JSON, encoding="utf-8")
+    steps = [
+        _SWEEP,
+        ["sweep", "--vary", "delta", "--lo", "-1", "--hi", "1", "--n", "9", "--g", "0.5", "--f1", "1", "--f2", "1",
+         "--constraint", "B", "--format", "json"],
+        ["evolve", *_FLAGS, "--n", "5"],
+        ["evolve", "--preset", "qubit", "--schedule", "s.json", "--n", "5", "--format", "json"],
+        ["figures", "--outdir", "figs"],
+    ]
+    code = (
+        "import io, json, sys, trichain.cli\n"
+        "results = []\n"
+        "for step in json.loads(sys.argv[1]):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = trichain.cli.main(step)\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "    modules = ['numpy', 'dataclasses', 'inspect', 'typing', 'pathlib']\n"
+        "    results.append([code, [m for m in modules if m in sys.modules]])\n"
+        "print(json.dumps(results))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(trichain.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-S", "-c", code, json.dumps(steps)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [[0, []] for _ in steps]
 
 
 class TestVerbosity:
@@ -646,6 +691,95 @@ class TestRecordsMatchTheInlineBuilders:
         argv = ["evolve", *param_flags(params), f"--t-end={t_end!r}", "--n", str(n), "--init", str(init)]
         trajectory = evolve_spectral(params, initial_state(init), np.linspace(0.0, t_end, n))
         assert stdout_of(argv + ["--format", "json"]) == reference_evolve_json(trajectory)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(base=st.one_of(random_point, comb_point), bounds=st.lists(st.floats(min_value=0.05, max_value=3.0),
+                                                                     min_size=0, max_size=3, unique=True),
+           g=st.lists(coupling, min_size=4, max_size=4), t_end=st.floats(min_value=0.0, max_value=20.0),
+           n=st.integers(min_value=2, max_value=30), init=st.integers(min_value=1, max_value=6))
+    def test_evolve_schedule_json(self, base, bounds, g, t_end, n, init):
+        # Segments from 0 at the drawn bounds; the last ends after t_end.
+        ends = [*sorted(bounds), max([*bounds, t_end]) + 0.5]
+        segments = [{"t_start": a, "t_end": b, "g": x} for a, b, x in zip([0.0, *ends], ends, g)]
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "schedule.json")
+            with open(path, "w", encoding="utf-8") as stream:
+                json.dump(segments, stream)
+            argv = ["evolve", *param_flags(base), "--schedule", path, f"--t-end={t_end!r}", "--n", str(n),
+                    "--init", str(init), "--format", "json"]
+            schedule = trichain.schedule_from_json(json.dumps(segments), base)
+            try:
+                expected = 0, reference_evolve_json(
+                    trichain.evolve_schedule(schedule, initial_state(init), np.linspace(0.0, t_end, n))), ""
+            except TrichainError as exc:
+                expected = 2, "", f"trichain: error: {exc}\n"
+            assert outputs_of(argv) == expected
+
+
+# `trichain sweep` runs its points one at a time on floats, `sweep_spectrum`
+# as one batch on arrays: the same rows and bytes, or the same error.
+
+def _scaled_point(params, k):
+    return SystemParams(*(math.ldexp(x, k) for x in params[:4]))
+
+
+@st.composite
+def _sweeps(draw):
+    constraint = draw(st.sampled_from([None, None, "A", "B"]))
+    base = draw(comb_point if constraint else st.one_of(
+        random_point, resonant_point, zero_pair_point, comb_point, random_point.map(lambda p: p.replace(f1=0.0))))
+    vary = draw(st.sampled_from(["g", "delta"] if constraint else ["g", "delta", "f1", "f2"]))
+    lo = draw(st.floats(min_value=1e-3, max_value=1.0) if constraint and vary == "g" else st.floats(-2.0, 2.0))
+    hi = lo + draw(st.floats(min_value=1e-3, max_value=1.5))  # with a constraint, g may leave (0, 1] mid-grid
+    special = draw(st.sampled_from([None, None, "zero", "mirror"]))
+    if special == "zero" and vary != "delta" and not constraint:  # the resonant g = 0, or f1 = 0, is the first point
+        lo = 0.0
+    elif special == "mirror" and vary == "delta" and base.f2 > 0.0:  # delta = -f2 and +f2 end the grid
+        lo, hi = -base.f2, base.f2
+    k = 0 if constraint else draw(st.sampled_from([0, 0, -30, 17, 200, -500]))
+    base, lo, hi = _scaled_point(base, k), math.ldexp(lo, k), math.ldexp(hi, k)
+    return base, vary, lo, hi, draw(st.integers(min_value=2, max_value=60)), constraint, \
+        draw(st.sampled_from([DEFAULT_DEGENERACY_TOL, 1e-3, 0.3]))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TrichainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_sweeps())
+@example(case=(SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0), "g", 1.4e308, 1.5e308, 5, None,
+               DEFAULT_DEGENERACY_TOL))  # the top frequency overflows
+@example(case=(SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0), "g", -1.0, 1.0, 5, None, DEFAULT_DEGENERACY_TOL))
+@example(case=(SystemParams(g=0.5, delta=0.9, f1=1.0, f2=0.9), "delta", -0.9, 0.9, 3, "A", DEFAULT_DEGENERACY_TOL))
+@example(case=(SystemParams(g=0.7556142107, delta=0.0, f1=1.0, f2=1.0), "g", 0.5, 1.5, 11, "B",
+               DEFAULT_DEGENERACY_TOL))
+def test_sweep_command_matches_sweep_spectrum(case):
+    base, vary, lo, hi, n, constraint, tol = case
+    batched = _outcome(lambda: trichain.sweep_spectrum(
+        base, vary, lo, hi, n, constraint and trichain.branch_constraint(constraint), tol))
+    per_point = _outcome(lambda: _sweep_points(
+        base, vary, _grid(lo, hi, n, _linspace), constraint and trichain.branch_constraint(constraint), tol))
+    assert per_point == batched
+    argv = ["sweep", *param_flags(base), "--vary", vary, f"--lo={lo!r}", f"--hi={hi!r}", "--n", str(n),
+            "--degeneracy-tol", repr(tol), *(["--constraint", constraint] if constraint else [])]
+    for fmt in ("csv", "json"):
+        if isinstance(batched, tuple):
+            expected = 2, "", f"trichain: error: {batched[1]}\n"
+        elif fmt == "csv":
+            expected = 0, trichain.sweep_rows_to_csv(batched), ""
+        else:
+            expected = 0, json.dumps([row.to_json_dict() for row in batched], indent=2) + "\n", ""
+        assert outputs_of([*argv, "--format", fmt]) == expected
+
+
+def test_negative_t_end_is_refused_as_descending_times(capsys):
+    assert run(["evolve", "--preset", "qubit", "--t-end", "-1", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "trichain: error: times must be ascending\n"
 
 
 def reject_constant(name):

@@ -1,5 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trichain import (
     DomainError,
@@ -15,7 +20,7 @@ from trichain import (
     solve_g_for_energy,
     spectral_mirror_operator,
 )
-from trichain.model import _params_from_values
+from trichain.model import _linspace, _params_from_values
 from conftest import random_params
 
 # 0-based positions of the allowed nonzero entries of M
@@ -185,3 +190,23 @@ def test_config_accepts_comments_and_compact_form():
 def test_config_rejects_malformed_input(text):
     with pytest.raises(InvalidParameterError):
         params_from_config(text)
+
+
+_magnitude = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=1e-300),  # subnormal and tiny: subnormal widths and steps
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(min_value=-1074, max_value=1000).map(lambda k: math.ldexp(1.0, k)),
+)
+_end = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), _magnitude)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=_end, hi=_end, n=st.integers(min_value=2, max_value=5000))
+@example(lo=0.0, hi=0.0, n=2001)  # evolve --t-end 0
+@example(lo=0.0, hi=-1.0, n=3)  # a negative --t-end: descending
+@example(lo=0.0, hi=5e-324, n=5000)  # a subnormal width: the step is 0
+@example(lo=1.0, hi=math.nextafter(1.0, 2.0), n=7)
+@example(lo=-sys.float_info.max / 2, hi=sys.float_info.max / 2, n=5000)
+def test_linspace_is_numpys_bit_for_bit(lo, hi, n):
+    assert np.array(_linspace(lo, hi, n)).tobytes() == np.linspace(lo, hi, n).tobytes()

@@ -166,9 +166,10 @@ class TestEigenfrequencies:
     def test_non_finite_frequencies_fail_the_check(self):
         # The eigensolver overflows to +-inf, the gap turns NaN, and a NaN gap
         # must fail the check (silently: a RuntimeWarning fails the test suite).
-        with pytest.raises(ConsistencyError, match="by nan"):
+        # A top frequency beyond the float range is input out of range, not a bug.
+        with pytest.raises(DomainError, match="overflows the float range"):
             eigenfrequencies(RESONANT.replace(g=1.7e308))
-        with pytest.raises(ConsistencyError, match="by nan .* for SystemParams.g=1.7e.308,"):
+        with pytest.raises(DomainError, match="overflows .* for SystemParams.g=1.7e.308,"):
             sweep_spectrum_values(RESONANT, "g", [1e170, 1.7e308])
 
 
