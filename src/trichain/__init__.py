@@ -21,72 +21,17 @@ integers, and ``sweep``, ``evolve`` and ``figures`` run the same kernels
 point by point and sample by sample on floats, so no CLI command loads numpy.
 """
 
-from .errors import (
-    AccuracyError,
-    BranchInfeasibleError,
-    ConsistencyError,
-    DegenerateSpectrumError,
-    DomainError,
-    InvalidParameterError,
-    PoleError,
-    ScheduleError,
-    TrichainError,
-)
-from .model import (
-    N_MODES,
-    SystemParams,
-    build_coupling_matrix,
-    initial_state,
-    params_from_config,
-    params_to_config,
-    spectral_mirror_operator,
-)
-from .spectrum import (
-    DEFAULT_DEGENERACY_TOL,
-    CharPoly,
-    DegeneracyReport,
-    Spectrum,
-    SweepRow,
-    char_poly,
-    degeneracy_discriminant,
-    eigenfrequencies,
-    frequencies_from_charpoly,
-    inverse_laplace_s2,
-    nonequidistance_error,
-    s2_response,
-    sweep_rows_to_csv,
-    sweep_spectrum,
-    sweep_spectrum_values,
-)
-from .comb import (
-    BRANCHES,
-    QUBIT_COUPLING,
-    QUTRIT_COUPLING,
-    CombSolution,
-    EnergyProgram,
-    branch_constraint,
-    comb_constraints,
-    energy_at_pi,
-    identify_energy_branch,
-    scale_comb,
-    solve_comb_params,
-    solve_g_for_energy,
-)
+# Each star import also binds its submodule here, whose __all__ the package's extends.
+from .errors import *
+from .model import *
+from .spectrum import *
+from .comb import *
 
-#: Names of :mod:`trichain.dynamics` that ``__getattr__`` resolves on first access.
-_DYNAMICS = frozenset({
-    "Schedule",
-    "Segment",
-    "Trajectory",
-    "energies",
-    "energies_to_csv",
-    "evolve_rk4",
-    "evolve_schedule",
-    "evolve_spectral",
-    "plateau_width",
-    "propagator",
-    "schedule_from_json",
-})
+#: Names of :mod:`trichain.dynamics` that ``__getattr__`` resolves on first access, in ``__all__`` order.
+_DYNAMICS = (
+    "Trajectory", "Schedule", "Segment", "evolve_spectral", "evolve_rk4", "evolve_schedule", "propagator",
+    "schedule_from_json", "energies", "energies_to_csv", "plateau_width",
+)
 
 
 def __getattr__(name):
@@ -103,67 +48,7 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *_DYNAMICS})
 
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "TrichainError",
-    "InvalidParameterError",
-    "DomainError",
-    "BranchInfeasibleError",
-    "DegenerateSpectrumError",
-    "PoleError",
-    "ConsistencyError",
-    "AccuracyError",
-    "ScheduleError",
-    # model
-    "N_MODES",
-    "SystemParams",
-    "build_coupling_matrix",
-    "initial_state",
-    "spectral_mirror_operator",
-    "params_to_config",
-    "params_from_config",
-    # spectrum
-    "DEFAULT_DEGENERACY_TOL",
-    "CharPoly",
-    "Spectrum",
-    "DegeneracyReport",
-    "SweepRow",
-    "char_poly",
-    "frequencies_from_charpoly",
-    "eigenfrequencies",
-    "nonequidistance_error",
-    "degeneracy_discriminant",
-    "s2_response",
-    "inverse_laplace_s2",
-    "sweep_spectrum",
-    "sweep_spectrum_values",
-    "sweep_rows_to_csv",
-    # comb
-    "BRANCHES",
-    "QUBIT_COUPLING",
-    "QUTRIT_COUPLING",
-    "CombSolution",
-    "EnergyProgram",
-    "comb_constraints",
-    "solve_comb_params",
-    "branch_constraint",
-    "energy_at_pi",
-    "solve_g_for_energy",
-    "scale_comb",
-    "identify_energy_branch",
-    # dynamics
-    "Trajectory",
-    "Schedule",
-    "Segment",
-    "evolve_spectral",
-    "evolve_rk4",
-    "evolve_schedule",
-    "propagator",
-    "schedule_from_json",
-    "energies",
-    "energies_to_csv",
-    "plateau_width",
-]
+__all__ = ["__version__", *errors.__all__, *model.__all__, *spectrum.__all__, *comb.__all__, *_DYNAMICS]

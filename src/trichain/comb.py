@@ -49,6 +49,12 @@ if TYPE_CHECKING:
 
     from .spectrum import SweepConstraint
 
+__all__ = [
+    "BRANCHES", "QUBIT_COUPLING", "QUTRIT_COUPLING", "CombSolution", "EnergyProgram", "comb_constraints",
+    "solve_comb_params", "branch_constraint", "energy_at_pi", "solve_g_for_energy", "scale_comb",
+    "identify_energy_branch",
+]
+
 BRANCHES = ("A", "B")
 
 #: Coupling that empties the central atom at half the revival period

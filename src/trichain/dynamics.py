@@ -34,6 +34,7 @@ from .model import (
     N_MODES,
     SystemParams,
     _CheckedRecord,
+    _checked_array,
     _csv,
     _is_real,
     _params_from_values,
@@ -80,7 +81,7 @@ class Trajectory(_CheckedRecord, namedtuple("Trajectory", ("times", "states"))):
 def _check_state(v0) -> np.ndarray:
     import numpy as np
 
-    v = np.array(v0, dtype=complex)
+    v = _checked_array(v0, complex, "state amplitudes must be finite numbers")
     if v.shape != (N_MODES,):
         raise InvalidParameterError(f"state must have shape ({N_MODES},), got {v.shape}")
     if not np.all(np.isfinite(v.view(float))):

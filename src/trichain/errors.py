@@ -1,5 +1,10 @@
 """Exception hierarchy for the trichain package."""
 
+__all__ = [
+    "TrichainError", "InvalidParameterError", "DomainError", "BranchInfeasibleError",
+    "DegenerateSpectrumError", "PoleError", "ConsistencyError", "AccuracyError", "ScheduleError",
+]
+
 
 class TrichainError(Exception):
     """Base class for all errors raised by this package."""

@@ -40,6 +40,11 @@ TYPE_CHECKING = False  # true for static type checkers only: importing typing co
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "N_MODES", "SystemParams", "build_coupling_matrix", "initial_state", "spectral_mirror_operator",
+    "params_to_config", "params_from_config",
+]
+
 N_MODES = 6
 
 _COUPLING_FIELDS = ("g", "f1", "f2")
@@ -74,6 +79,25 @@ def _is_array(value) -> bool:
     exist before numpy is loaded."""
     numpy = sys.modules.get("numpy")
     return numpy is not None and isinstance(value, numpy.ndarray)
+
+
+def _checked_array(values, dtype, error: str) -> np.ndarray:
+    """``values`` as a new numpy array of ``dtype``, float or complex, whose
+    elements are numbers by ``_is_real``, or for complex have real and
+    imaginary parts that are; the first that is not raises
+    InvalidParameterError with the text ``error``.  A numpy array of such a
+    dtype needs no check of its elements' type, but may hold NaN or inf.
+    The shape is the caller's to check."""
+    import numpy as np
+
+    if _is_array(values) and values.dtype.kind in ("fiu" if dtype is float else "fiuc"):
+        return np.array(values, dtype=dtype)
+    items = np.array(values, dtype=object)
+    for item in items.flat:
+        complex_item = dtype is complex and isinstance(item, numbers.Complex) and not isinstance(item, bool)
+        if not all(map(_is_real, (item.real, item.imag) if complex_item else (item,))):
+            raise InvalidParameterError(f"{error}, got {item!r}")
+    return items.astype(dtype)
 
 
 class _FloatNamespace:
@@ -214,10 +238,10 @@ def _first_invalid(g, delta, f1, f2) -> int:
 
 def _times_array(times) -> np.ndarray:
     """``times`` as a new float array, checked to be a non-empty 1-d sequence
-    of finite values: the package's one rule for sample times."""
+    of finite real numbers: the package's one rule for sample times."""
     import numpy as np
 
-    t = np.array(times, dtype=float)
+    t = _checked_array(times, float, "times must be finite real numbers")
     if t.ndim != 1 or t.size == 0:
         raise InvalidParameterError("times must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(t)):

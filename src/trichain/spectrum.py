@@ -53,7 +53,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _times_array, _tolist, _xp
+from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _is_real, _times_array, _tolist, _xp
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -67,6 +67,12 @@ if TYPE_CHECKING:
         [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ]
+
+__all__ = [
+    "DEFAULT_DEGENERACY_TOL", "CharPoly", "Spectrum", "DegeneracyReport", "SweepRow", "char_poly",
+    "frequencies_from_charpoly", "eigenfrequencies", "nonequidistance_error", "degeneracy_discriminant",
+    "s2_response", "inverse_laplace_s2", "sweep_spectrum", "sweep_spectrum_values", "sweep_rows_to_csv",
+]
 
 #: Tolerance used to cluster equal eigenfrequencies, relative to half the top
 #: frequency (``_threshold``): the spacing of a designed comb, so 1e-7 absolute
@@ -182,7 +188,11 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     Real Cubic Equation", 1986).  Near a repeated root the members of the
     cluster keep an error ~eps^(1/m) at multiplicity m; their mean stays well
     conditioned.  Raises DomainError for a non-finite coefficient and
-    ConsistencyError where the cubic cannot have three real roots <= 0.
+    ConsistencyError where the cubic cannot have three real roots <= 0,
+    except that a cubic with complex or positive roots is a DomainError
+    where c4 < 2^-320: c2 and c0, up to c4^2/3 and c4^3/27, may then have
+    lost bits to underflow, as ``char_poly`` of parameters below ~2^-160
+    does.
     """
     if not all(map(math.isfinite, (cp.c4, cp.c2, cp.c0))):
         raise DomainError(f"characteristic polynomial coefficients are outside the float range (+-1.8e308): {cp}")
@@ -195,6 +205,17 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
         b, c, d = (math.ldexp(x, -2 * m * k) for k, x in ((1, cp.c4), (2, cp.c2), (3, cp.c0)))
     except OverflowError:
         raise ConsistencyError(f"c2 or c0 is far above its bound by c4 for {cp}") from None
+    try:
+        return _cubic_frequencies(cp, m, b, c, d)
+    except ConsistencyError:
+        if m > -160:
+            raise
+        raise DomainError(f"characteristic polynomial coefficients are too close to underflow "
+                          f"(c4 < 2^-320) to solve reliably: {cp}") from None
+
+
+def _cubic_frequencies(cp: CharPoly, m: int, b: float, c: float, d: float) -> tuple[float, ...]:
+    """``frequencies_from_charpoly`` from its cubic divided by 4^m, q^3 + b q^2 + c q + d."""
     # q = t - b/3 turns the cubic into t^3 + p t + r, whose p <= 0 but for rounding.
     p = min(c - b * b / 3.0, 0.0)
     r = d + b * (2.0 * b * b - 9.0 * c) / 27.0
@@ -232,7 +253,7 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def _check_degeneracy_tol(degeneracy_tol: float) -> None:
-    if not 0.0 < degeneracy_tol < math.inf:
+    if not (_is_real(degeneracy_tol) and degeneracy_tol > 0.0):
         raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
 
 
@@ -254,6 +275,12 @@ _ORTHOGONAL = 3 * sys.float_info.epsilon
 _MAX_SWEEPS = 30
 
 _COLUMN_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+#: Below it, 4 gamma^2 in a rotation's tangent nears the bottom of the float
+#: range (2^-1022), where it loses bits or reads 0, so that pair's diff and
+#: gamma are first scaled up by one power of two (Drmac, SIAM J. Sci. Comput.
+#: 18, 1997).  The tangent has degree 0 in them, so no other bit moves.
+_TINY_GAMMA = 2.0**-480
 
 
 def _mirror_frequencies(g, delta, f1, f2):
@@ -281,6 +308,8 @@ def _jacobi(g, delta, f1, f2, vectors=None):
       same order and agree bitwise.
     - A column whose squared norm is below ``_TINY`` reads 0, i.e. a singular
       value below 2^-511 of the largest parameter; it is then exactly 0.
+    - A pair whose |gamma| is below ``_TINY_GAMMA`` gets its tangent from diff
+      and gamma scaled by a power of two, so that 4 gamma^2 does not underflow.
     - The negative half is 0.0 - s: an exact mirror, with 0 for a zero pair.
     """
     xp = _xp(g)
@@ -293,13 +322,18 @@ def _jacobi(g, delta, f1, f2, vectors=None):
             (ax, ay, az), (bx, by, bz) = columns[i], columns[j]
             alpha, beta = norms[i], norms[j]
             gamma = ax * bx + ay * by + az * bz
+            magnitude = abs(gamma)
             bound = _ORTHOGONAL * xp.sqrt(alpha * beta)
-            rotate = (abs(gamma) > bound) & (bound > 0.0)
+            rotate = (magnitude > bound) & (bound > 0.0)
             if not xp.any(rotate):
                 continue
             rotated = True
             # tan of the angle that makes the pair orthogonal, the smaller root
             diff = beta - alpha
+            tiny = rotate & (magnitude < _TINY_GAMMA)
+            if xp.any(tiny):
+                k = xp.where(tiny, xp.frexp(xp.maximum(abs(diff), magnitude))[1], 0)
+                diff, gamma = xp.ldexp(diff, -k), xp.ldexp(gamma, -k)
             root = abs(diff) + xp.sqrt(diff * diff + 4.0 * (gamma * gamma))
             t = xp.where(rotate, xp.copysign(2.0, diff) * gamma / xp.where(rotate, root, 1.0), 0.0)
             c = 1.0 / xp.sqrt(1.0 + t * t)
@@ -583,23 +617,27 @@ def sweep_spectrum_values(
 
     All points go through one batched call of the spectral kernel, and every
     point gets the check of ``eigenfrequencies`` and its relative
-    ``degeneracy_tol``.  A failure raises the error that running the points
-    one at a time raises at the first failing point, except that the
-    constraint sees the whole grid first, so its errors come before any
-    spectrum error.
+    ``degeneracy_tol``.  The checks run in this order, and each raises at
+    its first failing point: ``vary``, ``degeneracy_tol``, the values (by
+    the rule of SystemParams), the constraint over every point, the
+    constrained points (by the same rule), the spectra.  An empty list of
+    values gives no rows and reaches no constraint.  ``_sweep_points`` takes
+    the points one at a time in the same order, so both give the same rows
+    and errors.
     """
     import numpy as np
 
-    if vary not in _PHYSICAL_KEYS:
-        raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_PHYSICAL_KEYS}")
-    grid = np.asarray(values, dtype=float)
+    k = _vary_index(vary)
+    _check_degeneracy_tol(degeneracy_tol)
+    fast = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"  # no element needs a check of its type
+    grid = np.asarray(values, dtype=float if fast else object)
     if grid.ndim != 1:
         raise InvalidParameterError(f"sweep values must be a 1-d sequence, got shape {grid.shape}")
-    columns = [grid if name == vary else np.full(len(grid), getattr(base, name)) for name in _PHYSICAL_KEYS]
+    if not fast:
+        grid = np.array(_checked_values(base, k, grid), dtype=float)
+    columns = [grid if i == k else np.full(len(grid), base[i]) for i in range(4)]
     bad = _first_invalid(*columns)
     if bad < len(grid):
-        # The points before it go first, as they would one at a time.
-        sweep_spectrum_values(base, vary, grid[:bad], constraint, degeneracy_tol)
         base.replace(**{vary: float(grid[bad])})  # raises that point's error
     if len(grid) == 0:
         return []
@@ -608,27 +646,41 @@ def sweep_spectrum_values(
         bad = _first_invalid(*columns)
         if bad < len(grid):
             SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
-    _check_degeneracy_tol(degeneracy_tol)
     freqs, delta_err, undefined = _sweep_fields(columns, base.omega0, degeneracy_tol)
     columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
 
 
 def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
-    """``sweep_spectrum_values`` on an ascending list of floats, one point at a
-    time and without numpy: the same rows and errors, as an invalid value can
-    only lead such a grid."""
-    k = _PHYSICAL_KEYS.index(vary)
-    for value in values:
-        if not (math.isfinite(value) and (value >= 0.0 or vary == "delta")):  # the rule of SystemParams
-            base.replace(**{vary: value})  # raises its error
+    """``sweep_spectrum_values`` one point at a time, on floats and without
+    numpy: its checks in its order, so the same rows and errors."""
+    k = _vary_index(vary)
+    _check_degeneracy_tol(degeneracy_tol)
+    values = _checked_values(base, k, values)
     points = [(*base[:k], value, *base[k + 1:4]) for value in values]
     if constraint is not None:
         points = [constraint(*point) for point in points]
         for point in points:
             SystemParams(*point)  # raises the first failing point's error
-    _check_degeneracy_tol(degeneracy_tol)
     return [SweepRow(value, *_sweep_fields(point, base.omega0, degeneracy_tol)) for value, point in zip(values, points)]
+
+
+def _vary_index(vary) -> int:
+    """The index of the swept parameter in (g, delta, f1, f2)."""
+    if vary not in _PHYSICAL_KEYS:
+        raise InvalidParameterError(f"unknown sweep parameter {vary!r}; expected one of {_PHYSICAL_KEYS}")
+    return _PHYSICAL_KEYS.index(vary)
+
+
+def _checked_values(base, k, values) -> list[float]:
+    """The values of parameter ``k`` as floats, by the rule of SystemParams: the
+    first that it rejects raises its error."""
+    checked = []
+    for value in values:
+        if not (isinstance(value, float) and math.isfinite(value) and (value >= 0.0 or k == 1)):
+            value = base.replace(**{_PHYSICAL_KEYS[k]: value})[k]  # raises, or gives the float of a number
+        checked.append(value)
+    return checked
 
 
 def _sweep_fields(columns, omega0, degeneracy_tol):
@@ -643,9 +695,14 @@ def _sweep_fields(columns, omega0, degeneracy_tol):
 
 def _grid(lo, hi, n, linspace):
     """The uniform grid of ``sweep_spectrum``, made by ``linspace`` once the range is checked."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise InvalidParameterError(f"sweep needs an integer n, got {n!r}")
     if n < 2:
         raise InvalidParameterError(f"sweep needs n >= 2 grid points, got {n}")
-    if not math.isfinite(hi - lo):  # also when lo or hi is not finite
+    if not (_is_real(lo) and _is_real(hi)):
+        raise InvalidParameterError(f"sweep range must be finite real numbers, got [{lo!r}, {hi!r}]")
+    lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):
         raise InvalidParameterError(f"sweep range must be finite with a finite width, got [{lo}, {hi}]")
     if not (lo < hi):
         raise InvalidParameterError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")

@@ -777,9 +777,55 @@ def test_sweep_command_matches_sweep_spectrum(case):
         assert outputs_of([*argv, "--format", fmt]) == expected
 
 
+# Both sweep routes check in one order: vary, degeneracy_tol, the values, the
+# constraint over every point, the constrained points, the spectra.  Explicit
+# value lists may be unsorted or empty, and hold values of any type.
+
+@st.composite
+def _value_sweeps(draw):
+    constraint = draw(st.sampled_from([None, "A", "B"]))
+    base = draw(st.one_of(random_point, resonant_point, zero_pair_point, comb_point))
+    vary = draw(st.sampled_from(["g", "delta", "f1", "f2", "omega0"]))
+    value = st.one_of(st.floats(-0.5, 2.0), st.sampled_from([0.0, 1.0, 1.5, -0.2, math.nan, math.inf, base.f2,
+                                                             -base.f2, 2, True, "0.5", None, 1j]))
+    values = draw(st.lists(value, max_size=12))
+    tol = draw(st.sampled_from([DEFAULT_DEGENERACY_TOL, DEFAULT_DEGENERACY_TOL, 0.3, 0.0, -1.0, math.nan, True]))
+    return base, vary, values, constraint, tol
+
+
+def _rows_or_error(sweep, base, vary, values, constraint, tol):
+    """The CSV and JSON bytes of the rows and their frequencies' bits, or the error's class and message."""
+    try:
+        rows = sweep(base, vary, values, constraint and trichain.branch_constraint(constraint), tol)
+    except TrichainError as exc:
+        return type(exc), str(exc)
+    return (trichain.sweep_rows_to_csv(rows), json.dumps([row.to_json_dict() for row in rows]),
+            [float.hex(w) for row in rows for w in row.frequencies])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_value_sweeps())
+@example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [1.5, -0.2], "A", DEFAULT_DEGENERACY_TOL))
+@example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [], None, -1.0))
+@example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [0.9, 0.2, 0.5], "B", DEFAULT_DEGENERACY_TOL))
+def test_sweep_values_match_point_by_point(case):
+    assert _rows_or_error(_sweep_points, *case) == _rows_or_error(sweep_spectrum_values, *case)
+
+
 def test_negative_t_end_is_refused_as_descending_times(capsys):
     assert run(["evolve", "--preset", "qubit", "--t-end", "-1", "--n", "3"]) == 2
     assert capsys.readouterr().err == "trichain: error: times must be ascending\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["sweep", "--vary", "g", "--lo", "1e-5", "--hi", "1e-3", "--n", "5"],
+    ["evolve", "--n", "5"],
+])
+def test_rotation_whose_tangent_underflows_exits_0(argv):
+    # The tangent's 4 gamma^2 underflowed to 0 here: a ZeroDivisionError traceback.
+    code, out, err = outputs_of([*argv, "--g", "1e-5", "--delta", "0", "--f1", "1", "--f2", "1e-79"])
+    assert (code, err) == (0, "") and out
 
 
 def reject_constant(name):
@@ -828,7 +874,10 @@ _text = st.text(max_size=8)
 _json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 _json = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=4)
                      | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
-_coupling = st.floats(0.0, 1.0)
+# A third of the valid floats are tiny but not zero, down to the subnormals, where
+# products of parameters underflow.
+_coupling = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                      st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, -1)))
 
 
 def _value(action, bad):

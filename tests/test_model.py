@@ -11,14 +11,19 @@ from trichain import (
     InvalidParameterError,
     SystemParams,
     build_coupling_matrix,
+    eigenfrequencies,
     energy_at_pi,
+    evolve_spectral,
     initial_state,
+    inverse_laplace_s2,
     params_from_config,
     params_to_config,
     scale_comb,
     solve_comb_params,
     solve_g_for_energy,
     spectral_mirror_operator,
+    sweep_spectrum,
+    sweep_spectrum_values,
 )
 from trichain.model import _linspace, _params_from_values
 from conftest import random_params
@@ -159,6 +164,44 @@ def test_bools_strings_nan_and_huge_ints_are_refused(site, value):
     call, error = _SCALAR_ENTRY_POINTS[site]
     with pytest.raises(error, match="finite"):
         call(value)
+
+
+# The elements of a sequence, and the other numeric arguments, obey the same rule.
+_BASE = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
+_REFUSED = {
+    "sweep value True": (lambda: sweep_spectrum_values(_BASE, "g", [True, 0.5]), "g must be a finite real number"),
+    "sweep value str": (lambda: sweep_spectrum_values(_BASE, "g", ["0.5"]), "got '0.5'"),
+    "sweep value text": (lambda: sweep_spectrum_values(_BASE, "g", ["x"]), "got 'x'"),
+    "sweep value complex": (lambda: sweep_spectrum_values(_BASE, "g", [1j]), "got 1j"),
+    "sweep value None": (lambda: sweep_spectrum_values(_BASE, "g", [None]), "got None"),
+    "sweep value bool array": (lambda: sweep_spectrum_values(_BASE, "g", np.array([True])), "got True"),
+    "sweep lo str": (lambda: sweep_spectrum(_BASE, "g", "0", 1, 3), "sweep range must be finite real numbers"),
+    "sweep n float": (lambda: sweep_spectrum(_BASE, "g", 0, 1, 3.0), "sweep needs an integer n, got 3.0"),
+    "sweep n bool": (lambda: sweep_spectrum(_BASE, "g", 0, 1, True), "sweep needs an integer n, got True"),
+    "degeneracy_tol True": (lambda: eigenfrequencies(_BASE, degeneracy_tol=True), "degeneracy_tol must be"),
+    "times str": (lambda: evolve_spectral(_BASE, initial_state(2), ["0", "1.5"]), "times must be finite real"),
+    "times bool": (lambda: evolve_spectral(_BASE, initial_state(2), [0.0, True]), "got True"),
+    "Laplace times str": (lambda: inverse_laplace_s2(_BASE, ["0", "1.5"]), "got '0'"),
+    "Laplace times bool": (lambda: inverse_laplace_s2(_BASE, [0.0, True]), "got True"),
+    "state str": (lambda: evolve_spectral(_BASE, ["1", 0, 0, 0, 0, 0], [0.0]), "state amplitudes must be finite"),
+    "state bool": (lambda: evolve_spectral(_BASE, [0, True, 0, 0, 0, 0], [0.0]), "got True"),
+    "state inf": (lambda: evolve_spectral(_BASE, [0, complex(1, math.inf), 0, 0, 0, 0], [0.0]), "got \\(1\\+infj\\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_sequences_and_numeric_arguments_are_refused_by_the_scalar_rule(case):
+    call, message = _REFUSED[case]
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
+
+
+def test_number_arrays_and_numbers_of_any_real_type_are_accepted():
+    assert sweep_spectrum_values(_BASE, "g", np.array([0, 1])) == sweep_spectrum_values(_BASE, "g", [0.0, 1.0])
+    assert sweep_spectrum_values(_BASE, "g", [0, np.float32(0.5)]) == sweep_spectrum_values(_BASE, "g", [0.0, 0.5])
+    assert sweep_spectrum(_BASE, "g", 0, 1, np.int64(3)) == sweep_spectrum(_BASE, "g", 0.0, 1.0, 3)
+    expected = evolve_spectral(_BASE, initial_state(2), [0.0, 1.0]).states
+    assert (evolve_spectral(_BASE, [0, 1, 0, 0, 0, np.complex64(0)], [0, 1]).states == expected).all()
 
 
 def test_config_round_trip():

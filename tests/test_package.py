@@ -42,6 +42,17 @@ def test_all_is_pinned():
     assert trichain.__all__ == ["__version__", *DEFINED_IN]
 
 
+@pytest.mark.parametrize("module", ["errors", "model", "spectrum", "comb"])
+def test_each_module_declares_its_public_names(module):
+    assert importlib.import_module("trichain." + module).__all__ == PUBLIC[module]
+
+
+def test_dynamics_names_are_declared_once_in_the_package():
+    # dynamics loads lazily, so the package lists its names, and dynamics declares no __all__.
+    assert list(trichain._DYNAMICS) == PUBLIC["dynamics"]
+    assert not hasattr(importlib.import_module("trichain.dynamics"), "__all__")
+
+
 def test_names_resolve_lazily_to_their_defining_objects():
     # A fresh interpreter, so that nothing has touched trichain.dynamics yet.
     code = (

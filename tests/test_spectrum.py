@@ -38,6 +38,10 @@ from trichain import (
     QUBIT_COUPLING,
     TrichainError,
     branch_constraint,
+    comb_constraints,
+    energies,
+    evolve_rk4,
+    propagator,
 )
 import trichain.model as model_module
 import trichain.spectrum as spectrum_module
@@ -46,6 +50,7 @@ from trichain.spectrum import (
     _char_poly_coeffs,
     _cluster,
     _coefficient_gap,
+    _jacobi,
     _mirror_frequencies,
     _nonequidistance,
     _s2_at,
@@ -273,6 +278,70 @@ class TestTinyOuterCoupling:
         freqs = np.array([row.frequencies for row in rows])
         assert len(rows) == len(self.values)
         assert np.all(freqs[:, 5] == 3.0) and bits(freqs[:, 2:4]) == bits(np.zeros((len(rows), 2)))
+
+
+class TestUnderflowingRotation:
+    """At g = 1e-5, delta = 0, f1 = 1, f2 = 1e-79 a pair of T's columns has a
+    dot product gamma ~1e-168 that beats its rotation bound, and 4 gamma^2
+    read 0: the tangent divided by 0, a ZeroDivisionError on floats and NaN
+    with a ConsistencyError on arrays, at valid parameters."""
+
+    point = SystemParams(g=1e-5, delta=0.0, f1=1.0, f2=1e-79)
+
+    def test_both_routes_give_the_singular_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        freqs = eigenfrequencies(self.point).frequencies
+        assert freqs[4:] == (1e-79, 1.0000000001)
+        with mpmath.workdps(120):  # a normwise-accurate SVD: 1e-79 of the largest needs > 79 digits
+            smallest = min(mpmath.svd_r(mpmath.matrix([[1, 0, 0], [1e-5, 1e-79, 0], [-1e-5, 0, -1e-79]]),
+                                        compute_uv=False))
+            assert abs(freqs[3] - smallest) <= 2e-16 * smallest
+        (row,) = sweep_spectrum_values(self.point, "g", np.array([1e-5]))
+        assert bits(row.frequencies) == bits(freqs)
+
+    # g, delta and f2 as m * 2^k times f1, down to below the smallest subnormal,
+    # with exact zeros and delta = +-f2.  k is drawn more often near 0 (a g
+    # that beats the rotation bound) and near -260 (a product of two such
+    # values that squares to below the float range).
+    relative = st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(0.5, 1.0), st.one_of(
+        st.integers(-1100, 0), st.integers(-30, 0), st.integers(-290, -240))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(f1=st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-200, 200)), g=relative, delta=relative,
+           f2=relative, sign=st.sampled_from([-1.0, 1.0]), tie=st.sampled_from([False, False, True]))
+    @example(f1=1.0, g=1e-5, delta=0.0, f2=1e-79, sign=1.0, tie=False)
+    @example(f1=1.0, g=1e-3, delta=1e-79, f2=1e-79, sign=-1.0, tie=True)
+    @example(f1=math.ldexp(0.5, -179), g=0.0, delta=0.0, f2=1.0, sign=1.0, tie=False)  # c0 underflows
+    def test_whole_dynamic_range(self, f1, g, delta, f2, sign, tie):
+        g, f2 = g * f1, f2 * f1
+        delta = sign * (f2 if tie else delta * f1)
+        params = SystemParams(g=g, delta=delta, f1=f1, f2=f2)
+        t = 1.0 / f1
+        calls = [
+            lambda: frequencies_from_charpoly(char_poly(params)),
+            lambda: nonequidistance_error(eigenfrequencies(params)),
+            lambda: degeneracy_discriminant(params),
+            lambda: s2_response(params, complex(0.3, 0.7) * f1),
+            lambda: inverse_laplace_s2(params, [0.0, t]),
+            lambda: sweep_spectrum_values(params, "g", [g, 2.0 * g]),
+            lambda: sweep_spectrum(params, "f2", f2, f2 + f1, 3),
+            lambda: energies(evolve_spectral(params, initial_state(2), [0.0, t])),
+            lambda: propagator(params, t),
+            lambda: evolve_rk4(params, initial_state(2), dt=0.05 * t, t_end=0.1 * t),
+            lambda: comb_constraints(params, f1),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            freqs, _, _, sigma = _jacobi(g, delta, f1, f2)
+            arrays, _, _, array_sigma = _jacobi(*(np.array([x]) for x in (g, delta, f1, f2)))
+            assert bits(freqs) == bits(np.concatenate(arrays)) and bits(sigma) == bits(np.concatenate(array_sigma))
+            for call in calls:
+                try:
+                    call()
+                except ConsistencyError:
+                    raise
+                except TrichainError:
+                    pass
 
 
 class TestNonequidistanceError:
@@ -859,17 +928,11 @@ class TestSweepRowContract:
 def pointwise_sweep(base, vary, values, constraint=None):
     """The sweep through the single-point route, one grid point at a time.
 
-    Its errors follow the batched sweep's contract: the first failing point
-    in grid order raises, except that the constraint sees every point (up
-    to the first invalid parameter value) before any spectrum is computed.
+    Its errors follow the sweep's check order: every value, then the
+    constraint over every point, then the spectra, each raising at its
+    first failing point.
     """
-    params, invalid = [], None
-    for value in values:
-        try:
-            params.append(base.replace(**{vary: float(value)}))
-        except InvalidParameterError as exc:
-            invalid = exc
-            break
+    params = [base.replace(**{vary: float(value)}) for value in values]
     if constraint is not None:
         for k, p in enumerate(params):
             columns = constraint(*(np.array([getattr(p, name)]) for name in ("g", "delta", "f1", "f2")))
@@ -882,8 +945,6 @@ def pointwise_sweep(base, vary, values, constraint=None):
         except DegenerateSpectrumError:
             delta_err = None
         rows.append(SweepRow(float(value), spectrum.frequencies, delta_err, delta_err is None))
-    if invalid is not None:
-        raise invalid
     return rows
 
 
