@@ -34,12 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import (
-    BranchInfeasibleError,
-    ConsistencyError,
-    DomainError,
-    InvalidParameterError,
-)
+from .errors import ConsistencyError, DomainError, InvalidParameterError
 from .model import SystemParams, _is_array, _is_real, _xp
 from .spectrum import _s2_at, char_poly, eigenfrequencies
 
@@ -89,15 +84,7 @@ class CombSolution(namedtuple("CombSolution", ("branch", "g", "delta", "f1", "f2
         return SystemParams(g=self.g, delta=self.delta, f1=self.f1, f2=self.f2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "g": self.g,
-            "delta": self.delta,
-            "f1": self.f1,
-            "f2": self.f2,
-            "residuals": list(self.residuals),
-            "spectrum": list(self.spectrum),
-        }
+        return dict(self._asdict(), residuals=list(self.residuals), spectrum=list(self.spectrum))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CombSolution":
@@ -160,33 +147,29 @@ def _radicand(g):
 def _branch_squares(g, branch: str):
     """(f2^2, f1^2) for the requested branch at coupling g, a float or a float array.
 
-    A point fails outside (0, 1], where the inner square root is imaginary,
-    or where a square is negative.  The first failing point of an array
-    raises, as a float, the error it raises alone.
+    Both branches come from one formula pair with s = -sqrt(radicand) on
+    branch A and +sqrt(radicand) on B.  g must lie in (0, 1]; the first point
+    of an array outside it raises, as a float, the error it raises alone.
+    There the radicand (1 - g^2)(9 - g^2) is >= 0, f2^2 >= 1/4 and
+    f1^2 >= 4 sqrt(2) - 5 ~ 0.657, so no point that passes fails later.
     """
     if branch not in BRANCHES:
         raise InvalidParameterError(f"branch must be one of {BRANCHES}, got {branch!r}")
     if not _is_array(g):
         g = _check_coupling_domain(g)
-    xp = _xp(g)
-    with xp.errstate(over="ignore", invalid="ignore"):  # points outside (0, 1] fail below
-        radicand = _radicand(g)
-        s = xp.sqrt(xp.maximum(radicand, 0.0))
-        g2 = g * g
-        if branch == "A":
-            f2_sq = ((5.0 - g2) - s) / 8.0
-            f1_sq = (5.0 - 3.0 * g2 + s) / 2.0
-        else:
-            f2_sq = ((5.0 - g2) + s) / 8.0
-            f1_sq = (5.0 - 3.0 * g2 - s) / 2.0
-    failed = xp.where((g > 0.0) & (g <= 1.0), (radicand < 0.0) | (f2_sq < 0.0) | (f1_sq < 0.0), True)
-    if xp.any(failed):
-        if _is_array(g):
-            _branch_squares(float(g.flat[failed.argmax()]), branch)  # raises that point's error
-        if radicand < 0.0:
-            raise DomainError(f"inner square root is imaginary at g={g}")
-        raise BranchInfeasibleError(f"branch {branch} infeasible at g={g}: f2^2={f2_sq}, f1^2={f1_sq}")
-    return f2_sq, f1_sq
+    else:
+        inside = (g > 0.0) & (g <= 1.0)
+        if not inside.all():
+            _check_coupling_domain(float(g.flat[inside.argmin()]))  # raises that point's error
+    root = _xp(g).sqrt(_radicand(g))
+    s = -root if branch == "A" else root
+    g2 = g * g
+    return ((5.0 - g2) + s) / 8.0, (5.0 - 3.0 * g2 - s) / 2.0
+
+
+def _solution(branch: str, params: SystemParams, spacing: float = 1.0) -> CombSolution:
+    """``params`` tagged by branch, with its comb residuals at ``spacing`` and its spectrum."""
+    return CombSolution(branch, *params[:4], comb_constraints(params, spacing), eigenfrequencies(params).frequencies)
 
 
 def solve_comb_params(g: float, branch: str) -> CombSolution:
@@ -198,25 +181,13 @@ def solve_comb_params(g: float, branch: str) -> CombSolution:
     """
     f2_sq, f1_sq = _branch_squares(g, branch)
     f2 = math.sqrt(f2_sq)
-    f1 = math.sqrt(f1_sq)
-    params = SystemParams(g=float(g), delta=f2, f1=f1, f2=f2)
-    residuals = comb_constraints(params)
-    if max(abs(r) for r in residuals) > _RESIDUAL_TOL:
-        raise ConsistencyError(f"comb residuals {residuals} exceed {_RESIDUAL_TOL} at g={g}")
-    spectrum = eigenfrequencies(params).frequencies
-    target = (-2.0, -1.0, 0.0, 0.0, 1.0, 2.0)
-    gap = max(abs(w - t) for w, t in zip(spectrum, target))
+    solution = _solution(branch, SystemParams(g=g, delta=f2, f1=math.sqrt(f1_sq), f2=f2))
+    if max(abs(r) for r in solution.residuals) > _RESIDUAL_TOL:
+        raise ConsistencyError(f"comb residuals {solution.residuals} exceed {_RESIDUAL_TOL} at g={g}")
+    gap = max(abs(w - t) for w, t in zip(solution.spectrum, (-2.0, -1.0, 0.0, 0.0, 1.0, 2.0)))
     if gap > _COMB_SPECTRUM_TOL:
         raise ConsistencyError(f"comb spectrum off target by {gap:.3e} at g={g}")
-    return CombSolution(
-        branch=branch,
-        g=float(g),
-        delta=f2,
-        f1=f1,
-        f2=f2,
-        residuals=residuals,
-        spectrum=spectrum,
-    )
+    return solution
 
 
 def branch_constraint(branch: str) -> SweepConstraint:
@@ -324,29 +295,15 @@ def scale_comb(solution: CombSolution, kappa: float) -> CombSolution:
 
     Eigenvalues are linear in a uniform parameter scaling, so all four
     parameters are multiplied by kappa; the revival time becomes
-    2*pi / spacing.  Residuals are recomputed against the rescaled target.
+    2*pi / spacing.  The residuals, against the rescaled target, and the
+    spectrum are recomputed but not checked: a tolerance relative to kappa
+    would underflow for a subnormal kappa.
     """
     if not _is_real(kappa) or kappa <= 0.0:
         raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
     kappa = float(kappa)
-    params = SystemParams(
-        g=kappa * solution.g,
-        delta=kappa * solution.delta,
-        f1=kappa * solution.f1,
-        f2=kappa * solution.f2,
-    )
-    spacing = kappa * solution.spacing
-    residuals = comb_constraints(params, spacing=spacing)
-    spectrum = eigenfrequencies(params).frequencies
-    return CombSolution(
-        branch=solution.branch,
-        g=params.g,
-        delta=params.delta,
-        f1=params.f1,
-        f2=params.f2,
-        residuals=residuals,
-        spectrum=spectrum,
-    )
+    params = SystemParams(*(kappa * x for x in solution[1:5]))
+    return _solution(solution.branch, params, spacing=kappa * solution.spacing)
 
 
 def identify_energy_branch(

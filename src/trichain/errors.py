@@ -19,7 +19,11 @@ class DomainError(TrichainError, ValueError):
 
 
 class BranchInfeasibleError(DomainError):
-    """The requested algebraic branch has no real solution at this coupling."""
+    """The requested algebraic branch has no real solution at this coupling.
+
+    Nothing raises it: both comb branches are real on all of (0, 1], and a
+    coupling outside is a DomainError.  It stays for callers that catch it.
+    """
 
 
 class DegenerateSpectrumError(TrichainError):

@@ -188,11 +188,11 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     Real Cubic Equation", 1986).  Near a repeated root the members of the
     cluster keep an error ~eps^(1/m) at multiplicity m; their mean stays well
     conditioned.  Raises DomainError for a non-finite coefficient and
-    ConsistencyError where the cubic cannot have three real roots <= 0,
-    except that a cubic with complex or positive roots is a DomainError
-    where c4 < 2^-320: c2 and c0, up to c4^2/3 and c4^3/27, may then have
-    lost bits to underflow, as ``char_poly`` of parameters below ~2^-160
-    does.
+    ConsistencyError where the cubic cannot have three real roots <= 0.
+    Such roots put c2 in [0, c4^2/3] and c0 in [0, c4^3/27]; where c4 <
+    2^-320 and both lie there up to rounding, they may have lost bits to
+    underflow, as ``char_poly`` of parameters below ~2^-160 does, so a cubic
+    with complex or positive roots is a DomainError instead.
     """
     if not all(map(math.isfinite, (cp.c4, cp.c2, cp.c0))):
         raise DomainError(f"characteristic polynomial coefficients are outside the float range (+-1.8e308): {cp}")
@@ -208,7 +208,9 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     try:
         return _cubic_frequencies(cp, m, b, c, d)
     except ConsistencyError:
-        if m > -160:
+        slack = math.ldexp(1.0, -1072)  # rounding: 1e-9 of a bound, and 8 steps of the subnormal grid
+        bounds = ((cp.c2, cp.c4 * cp.c4 / 3.0), (cp.c0, cp.c4 * cp.c4 * cp.c4 / 27.0))
+        if m > -160 or not all(-1e-9 * bound - slack <= x <= (1.0 + 1e-9) * bound + slack for x, bound in bounds):
             raise
         raise DomainError(f"characteristic polynomial coefficients are too close to underflow "
                           f"(c4 < 2^-320) to solve reliably: {cp}") from None

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trichain import SystemParams
+
+# With CI set, hypothesis loads its "ci" profile, which replays one fixed set of
+# examples.  This profile draws new ones: run with --hypothesis-profile=randomized
+# and a --hypothesis-seed, and the same seed replays a failure.
+settings.register_profile("randomized", settings.get_profile("ci"), derandomize=False, print_blob=True)
 
 
 def random_params(rng, n, coupling_hi=1.2, delta_hi=1.2):

@@ -448,6 +448,8 @@ _STARTUP_CASES = [
     ("trichain.identify_energy_branch()", None, []),
     (["spectrum", "--g", "0.5x", "--delta", "0", "--f1", "1", "--f2", "1"], 2, []),
     (["spectrum", "--params", "bad.txt"], 2, []),
+    (["spectrum", "--comb", "A"], 2, []),
+    (["comb", "--branch", "A"], 2, []),
     (_SWEEP, 0, []),
     (["sweep", "--vary", "g", "--lo", "0.5", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1",
       "--constraint", "A", "--format", "json"], 0, []),
@@ -480,22 +482,27 @@ def test_numpy_loads_only_where_arrays_are_made(tmp_path, argv, exit_code, loade
     code = (
         "import contextlib, io, json, sys, trichain, trichain.cli\n"
         "code = None\n"
+        "err = io.StringIO()\n"
         "argv = json.loads(sys.argv[1])\n"
         "if isinstance(argv, str):\n"
         "    exec(argv)\n"
         "elif argv is not None:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
         "        try:\n"
         "            code = trichain.cli.main(argv)\n"
         "        except SystemExit as exc:\n"
         "            code = exc.code\n"
         "modules = ['numpy', 'numpy.ma', 'scipy', 'trichain.dynamics']\n"
-        "print(json.dumps([code, [m for m in modules if m in sys.modules]]))\n"
+        "print(json.dumps([code, [m for m in modules if m in sys.modules], err.getvalue()]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(trichain.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout) == [exit_code, loaded]
+    code, modules, err = json.loads(result.stdout)
+    assert [code, modules] == [exit_code, loaded]
+    if code == 2:  # one error line, after the usage where argparse refuses a flag
+        *usage, last = err.splitlines()
+        assert last.startswith("trichain") and ": error: " in last and not any(": error:" in x for x in usage)
 
 
 def test_single_point_commands_load_no_dataclasses_typing_or_pathlib(tmp_path):

@@ -25,6 +25,7 @@ from trichain import (
     solve_comb_params,
     solve_g_for_energy,
 )
+from trichain.comb import _branch_squares, _radicand
 from trichain.spectrum import _s2_at
 
 COMB_TARGET = (-2.0, -1.0, 0.0, 0.0, 1.0, 2.0)
@@ -130,6 +131,25 @@ class TestBranchConstraint:
     def test_unknown_branch_rejected(self):
         with pytest.raises(InvalidParameterError):
             branch_constraint("C")
+
+    # The branch formulas check only the domain: on (0, 1] the radicand
+    # (1 - g^2)(9 - g^2) is >= 0, f2^2 >= 1/4 and f1^2 >= 4 sqrt(2) - 5 ~ 0.657,
+    # also as rounded, from the subnormals to the floats just below 1.
+    @settings(max_examples=500, deadline=None)
+    @given(g=st.one_of(
+        st.floats(min_value=5e-324, max_value=1.0),
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1073, 0)),
+        st.builds(lambda n: 1.0 - n * 2.0**-53, st.integers(0, 2**21)),
+    ))
+    @example(g=5e-324)
+    @example(g=1.0)
+    @example(g=math.sqrt(5.0 - 3.0 * math.sqrt(2.0)))  # f1^2 is least here, on branch B
+    def test_both_branches_are_real_on_the_whole_domain(self, g):
+        assert _radicand(g) >= 0.0
+        for branch in "AB":
+            f2_sq, f1_sq = _branch_squares(g, branch)
+            assert f2_sq >= 0.25 and f1_sq > 0.65
+            assert [x.tolist() for x in _branch_squares(np.array([g]), branch)] == [[f2_sq], [f1_sq]]
 
 
 class TestEnergyAtPi:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import trichain.dynamics as dynamics_module
@@ -184,6 +184,9 @@ class TestMirrorFlow:
     @given(params=_points, k=_scales, init=st.integers(min_value=1, max_value=6),
            t_end=st.floats(min_value=0.1, max_value=60.0))
     def test_scaling_the_parameters_scales_time_bitwise(self, params, k, init, t_end):
+        # Only an exact scaling scales time bitwise: one that rounds a parameter
+        # to a subnormal (delta = 7.27e-303, k = -19) does not come back unchanged.
+        assume(_scaled(_scaled(params, k), -k) == params)
         times = np.linspace(0.0, t_end, 17)
         scaled = evolve_spectral(_scaled(params, k), initial_state(init), times)
         stretched = evolve_spectral(params, initial_state(init), np.ldexp(times, k))
@@ -451,9 +454,12 @@ class TestSchedule:
              '"segments": [{"t_start": "0", "t_end": 1, "g": 0.5}]}', ScheduleError),
             ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}, "segments": [{"t_start": 0, "t_end": 1}]}',
              ScheduleError),
+            ('{"base": {"g": 0.5, "delta": 0, "f1": 1, "f2": 1}}', ScheduleError),
+            ("0.5", ScheduleError),
         ],
         ids=["not_json", "base_not_object", "unknown_key", "missing_key", "bool_value", "string_value",
-             "segment_bool_value", "segment_string_value", "segment_string_time", "segment_missing_key"],
+             "segment_bool_value", "segment_string_value", "segment_string_time", "segment_missing_key",
+             "no_segments", "scalar"],
     )
     def test_schedule_json_rejects_malformed_text(self, text, error):
         with pytest.raises(error):

@@ -181,11 +181,15 @@ _REFUSED = {
     "degeneracy_tol True": (lambda: eigenfrequencies(_BASE, degeneracy_tol=True), "degeneracy_tol must be"),
     "times str": (lambda: evolve_spectral(_BASE, initial_state(2), ["0", "1.5"]), "times must be finite real"),
     "times bool": (lambda: evolve_spectral(_BASE, initial_state(2), [0.0, True]), "got True"),
+    "times inf array": (lambda: evolve_spectral(_BASE, initial_state(2), np.array([0.0, math.inf])),
+                        "^times must be finite$"),
     "Laplace times str": (lambda: inverse_laplace_s2(_BASE, ["0", "1.5"]), "got '0'"),
     "Laplace times bool": (lambda: inverse_laplace_s2(_BASE, [0.0, True]), "got True"),
     "state str": (lambda: evolve_spectral(_BASE, ["1", 0, 0, 0, 0, 0], [0.0]), "state amplitudes must be finite"),
     "state bool": (lambda: evolve_spectral(_BASE, [0, True, 0, 0, 0, 0], [0.0]), "got True"),
     "state inf": (lambda: evolve_spectral(_BASE, [0, complex(1, math.inf), 0, 0, 0, 0], [0.0]), "got \\(1\\+infj\\)"),
+    "state NaN array": (lambda: evolve_spectral(_BASE, np.array([0, math.nan, 0, 0, 0, 0], dtype=complex), [0.0]),
+                        "state contains non-finite amplitudes"),
 }
 
 
