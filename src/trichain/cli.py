@@ -190,8 +190,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--n must be at most {_MAX_N}, got {args.n}")
     if args.constraint and args.vary in ("f1", "f2"):
         raise UsageError(f"--constraint derives f1 and f2 from g; it cannot sweep {args.vary}")
-    if getattr(args, args.vary) is None:
-        setattr(args, args.vary, float(args.lo))
+    if getattr(args, args.vary) is None and args.preset is None and (args.comb is None or args.vary == "g"):
+        setattr(args, args.vary, float(args.lo))  # the base reads the varied key from the flags
     params = _resolve_params(args)
     constraint = branch_constraint(args.constraint) if args.constraint else None
     _progress(f"sweeping {args.vary} over [{args.lo}, {args.hi}] with {args.n} points")
@@ -242,8 +242,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise UsageError(f"--n must be at most {_MAX_N}, got {args.n}")
     times = _linspace(0.0, args.t_end, args.n)
     v0 = _unit_state(args.init)
-    if schedule_text is not None:
-        params = dynamics.schedule_from_json(schedule_text, base=params)
+    if schedule_text is not None:  # parameter flags, when given, win over the file's base
+        schedule = dynamics.schedule_from_json(schedule_text, base=params)
+        params = schedule if params is None else schedule._replace(base=params)
     rows = dynamics._energy_rows(params, v0, times)
     if args.format == "json":
         _write_output(args.out, _json_dumps(dynamics._energies_to_json_dict(rows)))

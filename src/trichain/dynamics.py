@@ -100,14 +100,13 @@ def _check_times(times) -> np.ndarray:
 
 
 def _mirror_svd(g, delta, f1, f2, omega0=0.0):
-    """(e, sigma, U, V): T / 2^e = U diag(sigma) V^T, U = W / sigma from the sweep, of a
-    point or a batch of arrays; row k of U and V is their column k in the modes, a list
-    of six.  Checked as in ``eigenfrequencies``."""
+    """(e, sigma, U, V) of one point, as floats: T / 2^e = U diag(sigma) V^T, with U = W / sigma
+    from the sweep; row k of U and V is their column k in the modes, a list of six.  Checked as
+    in ``eigenfrequencies``."""
     vectors = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # V, before the sweep rotates it
     freqs, e, columns, sigma = _jacobi(g, delta, f1, f2, vectors)
     _check_gaps(freqs, (g, delta, f1, f2), omega0)
-    where = _xp(freqs[5]).where
-    u = [_in_modes([x / where(s > 0.0, s, 1.0) for x in w], _MIRROR_BASIS[:3]) for w, s in zip(columns, sigma)]
+    u = [_in_modes([x / (s if s > 0.0 else 1.0) for x in w], _MIRROR_BASIS[:3]) for w, s in zip(columns, sigma)]
     return e, sigma, u, [_in_modes(column, _MIRROR_BASIS[3:]) for column in vectors]
 
 
@@ -342,8 +341,9 @@ def schedule_from_json(text: str, base: SystemParams | None = None) -> Schedule:
 def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
     """Spectral propagation under a piecewise-constant coupling.
 
-    Within each segment the propagation is exact; across boundaries the state
-    is continuous (instantaneous quench).  ``v0`` is the state at the
+    Every segment is decomposed and checked as in ``eigenfrequencies`` before
+    any is propagated.  Within each the propagation is exact; across boundaries
+    the state is continuous (instantaneous quench).  ``v0`` is the state at the
     schedule start, and the schedule must cover [start, max(times)].
     """
     v = _check_state(v0)
@@ -352,25 +352,16 @@ def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
 
 
 def _evolve(system, v0, t) -> list:
-    """The twelve parts (see ``_flow``) of the state from ``v0`` at the
-    ascending times ``t`` under a SystemParams or a Schedule: arrays over an
-    array t, or per sample, without numpy, for a list of floats."""
+    """The twelve parts (see ``_flow``) of the state from ``v0`` at the ascending times ``t`` under a
+    SystemParams or a Schedule, whose segments are each decomposed on floats before the first flow:
+    arrays over an array t, evaluated at once, or per sample, without numpy, for a list of floats."""
     batched = not isinstance(t, list)
     if not isinstance(system, Schedule):
         flow = _flow(_mirror_svd(*system), v0, max(abs(t[0]), abs(t[-1])))
         return _at(flow, t) if batched else [_at(flow, x) for x in t]
     if t[0] < system.t_start - _BOUNDARY_TOL or t[-1] > system.t_end + _BOUNDARY_TOL:
         raise ScheduleError(f"schedule covers [{system.t_start}, {system.t_end}] but times span [{t[0]}, {t[-1]}]")
-    if batched:  # one kernel call for every segment, read back as floats
-        import numpy as np
-
-        e, sigma, u, v = _mirror_svd(*np.broadcast_arrays([seg.g for seg in system.segments], *system.base[1:4]),
-                                     system.base.omega0)
-        table = np.transpose(np.broadcast_arrays(*sigma, *chain(*u, *v))).tolist()
-        svds = [(k, row[:3], [row[3:9], row[9:15], row[15:21]], [row[21:27], row[27:33], row[33:]])
-                for k, row in zip(e.tolist(), table)]
-    else:
-        svds = [_mirror_svd(seg.g, *system.base[1:]) for seg in system.segments]
+    svds = [_mirror_svd(seg.g, *system.base[1:]) for seg in system.segments]
     flows, a, state = [], 0, v0  # each segment's flow serves t[a:b], in the local time t - t_start
     for index, (seg, svd) in enumerate(zip(system.segments, svds)):
         b = bisect_right(t, seg.t_end + _BOUNDARY_TOL) if index == len(svds) - 1 else max(a, bisect_left(t, seg.t_end))
@@ -379,6 +370,8 @@ def _evolve(system, v0, t) -> list:
         state, a = _at(flows[-1][0], seg.t_end - seg.t_start), b  # the state across the quench
     if not batched:
         return [_at(flow, x - t0) for flow, t0, a, b in flows for x in t[a:b]]
+    import numpy as np
+
     # One evaluation of every sample, with the fields of its segment's flow.
     counts = [b - a for _, _, a, b in flows]
     table = np.repeat(np.transpose([[*flow[1], *flow[2], *chain(*flow[4])] for flow, _, _, _ in flows]), counts, axis=1)

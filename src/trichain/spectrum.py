@@ -304,10 +304,11 @@ def _jacobi(g, delta, f1, f2, vectors=None):
       the parameters and nothing overflows on the way.
     - A pair rotates only where |gamma| > _ORTHOGONAL * sqrt(alpha * beta) > 0
       (alpha, beta the squared column norms, gamma their dot product).  A
-      sweep that rotates no pair of a point leaves it unchanged for good, so
-      its bits do not depend on the rest of the batch.  Floats and arrays run
-      this one body through ``_xp``, so they take the same operations in the
-      same order and agree bitwise.
+      sweep that rotates no pair of a point leaves its norms unchanged for
+      good, so its frequencies do not depend on the rest of the batch; nor do
+      W and V, but for the sign of a zero (-g at g = 0 may read 0.0 in a
+      batch).  Floats and arrays run this one body through ``_xp``, so they
+      take the same operations in the same order and agree bitwise.
     - A column whose squared norm is below ``_TINY`` reads 0, i.e. a singular
       value below 2^-511 of the largest parameter; it is then exactly 0.
     - A pair whose |gamma| is below ``_TINY_GAMMA`` gets its tangent from diff

@@ -12,6 +12,9 @@ numpy version:
   floats, as ``float.hex``, at parameter points from 2^-300 to 2^300, with
   f1 = 0, delta = +-f2 and g = delta = 0, and points on both sides of the
   range where a rotation's tangent underflows;
+- ``jacobi_vectors``: one sha256 over e, W's columns and V's (rotated from
+  the identity) of ``spectrum._jacobi`` on floats at the same points: the
+  decomposition the dynamics propagates with;
 - ``eigenfrequencies`` and ``degeneracy_discriminant``: their records;
 - ``cli``: the exit code and the stdout sha256 of ``spectrum``, ``sweep`` and
   ``comb`` runs;
@@ -31,6 +34,7 @@ import os
 import random
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -99,6 +103,13 @@ def jacobi_entry(point):
     except (ArithmeticError, TrichainError) as exc:
         return _error(exc)
     return _hex([*freqs[3:], *sigma])
+
+
+def jacobi_vectors_entry(point):
+    """e, then W's columns and V's, of ``_jacobi`` on floats."""
+    vectors = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    _, e, columns, _ = _jacobi(*point, vectors)
+    return f"{e} {_hex([*chain(*columns), *chain(*vectors)])}"
 
 
 def record_points():
@@ -191,6 +202,7 @@ def figures_entry():
 def golden():
     return {
         "jacobi": [jacobi_entry(point) for point in jacobi_points()],
+        "jacobi_vectors": _sha("\n".join(map(jacobi_vectors_entry, jacobi_points()))),
         "eigenfrequencies": [eigenfrequencies_entry(point) for point in record_points()],
         "degeneracy_discriminant": [discriminant_entry(point) for point in record_points()],
         "cli": [cli_entry(argv) for argv in CLI_CASES],

@@ -18,18 +18,21 @@ from hypothesis import strategies as st
 import trichain
 from trichain import (
     DEFAULT_DEGENERACY_TOL,
+    QUBIT_COUPLING,
+    QUTRIT_COUPLING,
     SystemParams,
     TrichainError,
     degeneracy_discriminant,
     eigenfrequencies,
     energies,
     evolve_spectral,
+    identify_energy_branch,
     initial_state,
     solve_comb_params,
     sweep_spectrum_values,
 )
 from trichain.cli import build_parser, main
-from trichain.model import _linspace
+from trichain.model import _linspace, _xp
 from trichain.spectrum import _grid, _spectrum_record, _sweep_points
 
 
@@ -167,6 +170,19 @@ class TestSweepCommand:
     def test_missing_range_exits_2(self):
         assert run(["sweep", "--vary", "g", "--delta", "0", "--f1", "1", "--f2", "1"]) == 2
 
+    @pytest.mark.parametrize("argv, base", [
+        (["--preset", "qubit", "--vary", "delta"], lambda: solve_comb_params(QUBIT_COUPLING, identify_energy_branch())),
+        (["--preset", "qutrit", "--vary", "g"], lambda: solve_comb_params(QUTRIT_COUPLING, identify_energy_branch())),
+        (["--comb", "A", "--g", "0.5", "--vary", "delta"], lambda: solve_comb_params(0.5, "A")),
+        (["--comb", "B", "--g", "0.5", "--vary", "f1"], lambda: solve_comb_params(0.5, "B")),
+        (["--comb", "A", "--vary", "g"], lambda: solve_comb_params(0.2, "A")),  # g from --lo
+    ], ids=["preset delta", "preset g", "comb delta", "comb f1", "comb g from lo"])
+    def test_sweep_over_a_preset_or_comb_base(self, argv, base):
+        # The varied flag is filled from --lo only where the base reads it from the flags.
+        rows = trichain.sweep_spectrum(base().params, argv[-1], 0.2, 1.0, 5)
+        assert outputs_of(["sweep", *argv, "--lo", "0.2", "--hi", "1", "--n", "5"]) == (
+            0, trichain.sweep_rows_to_csv(rows), "")
+
     @pytest.mark.parametrize("vary, bounds", [("g", ["--lo", "0", "--hi", "inf"]),
                                               ("delta", ["--lo=-1e308", "--hi=1e308"])])
     def test_non_finite_range_prints_only_the_error(self, capsys, vary, bounds):
@@ -272,6 +288,20 @@ class TestEvolveCommand:
         capsys.readouterr()
         assert run(argv + flags) == 2
         assert capsys.readouterr().err.startswith("trichain: error:")
+
+    @pytest.mark.parametrize("flags", [["--preset", "qubit"], ["--g", "0.25", "--delta", "0.1", "--f1", "0.8",
+                                                              "--f2", "0.7"], ["--params", "{params}"]],
+                             ids=["preset", "flags", "params"])
+    def test_parameter_flags_win_over_the_schedule_base(self, tmp_path, flags):
+        segments = [{"t_start": 0.0, "t_end": 1.0, "g": 0.5}, {"t_start": 1.0, "t_end": 2.0, "g": 0.0}]
+        (tmp_path / "s.json").write_text(json.dumps(segments))
+        (tmp_path / "with_base.json").write_text(json.dumps(
+            {"base": {"g": 0.5, "delta": 0.0, "f1": 1.0, "f2": 1.0}, "segments": segments}))
+        (tmp_path / "p.txt").write_text("g = 0.25\ndelta = 0.1\nf1 = 0.8\nf2 = 0.7\n")
+        flags = [flag.format(params=tmp_path / "p.txt") for flag in flags]
+        argv = ["evolve", *flags, "--t-end", "2", "--n", "9", "--schedule"]
+        bare = outputs_of([*argv, str(tmp_path / "s.json")])
+        assert bare[0] == 0 and outputs_of([*argv, str(tmp_path / "with_base.json")]) == bare
 
     @pytest.mark.parametrize("g", ["0.5", True, 10**400], ids=["str", "bool", "int beyond the float range"])
     def test_schedule_base_outside_the_floats_exits_2(self, tmp_path, capsys, g):
@@ -788,9 +818,23 @@ def test_sweep_command_matches_sweep_spectrum(case):
 # constraint over every point, the constrained points, the spectra.  Explicit
 # value lists may be unsorted or empty, and hold values of any type.
 
+def _spoiling(name, bad):
+    """A user constraint that sets ``name`` to ``bad`` where g > 1, on floats and on arrays alike."""
+    k = ("g", "delta", "f1", "f2").index(name)
+
+    def constraint(*columns):
+        columns = list(columns)
+        columns[k] = _xp(columns[0]).where(columns[0] > 1.0, bad, columns[k])
+        return columns
+    return constraint
+
+
+_NEGATIVE_F1, _NAN_F2 = _spoiling("f1", -1.0), _spoiling("f2", math.nan)
+
+
 @st.composite
 def _value_sweeps(draw):
-    constraint = draw(st.sampled_from([None, "A", "B"]))
+    constraint = draw(st.sampled_from([None, "A", "B", _NEGATIVE_F1, _NAN_F2]))
     base = draw(st.one_of(random_point, resonant_point, zero_pair_point, comb_point))
     vary = draw(st.sampled_from(["g", "delta", "f1", "f2", "omega0"]))
     value = st.one_of(st.floats(-0.5, 2.0), st.sampled_from([0.0, 1.0, 1.5, -0.2, math.nan, math.inf, base.f2,
@@ -803,7 +847,9 @@ def _value_sweeps(draw):
 def _rows_or_error(sweep, base, vary, values, constraint, tol):
     """The CSV and JSON bytes of the rows and their frequencies' bits, or the error's class and message."""
     try:
-        rows = sweep(base, vary, values, constraint and trichain.branch_constraint(constraint), tol)
+        if isinstance(constraint, str):
+            constraint = trichain.branch_constraint(constraint)
+        rows = sweep(base, vary, values, constraint, tol)
     except TrichainError as exc:
         return type(exc), str(exc)
     return (trichain.sweep_rows_to_csv(rows), json.dumps([row.to_json_dict() for row in rows]),
@@ -815,8 +861,17 @@ def _rows_or_error(sweep, base, vary, values, constraint, tol):
 @example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [1.5, -0.2], "A", DEFAULT_DEGENERACY_TOL))
 @example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [], None, -1.0))
 @example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [0.9, 0.2, 0.5], "B", DEFAULT_DEGENERACY_TOL))
+@example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [0.2, 1.5, 0.5], _NEGATIVE_F1, DEFAULT_DEGENERACY_TOL))
+@example(case=(SystemParams(0.5, 0.3, 1.0, 1.0), "g", [0.2, 1.5, 0.5], _NAN_F2, DEFAULT_DEGENERACY_TOL))
 def test_sweep_values_match_point_by_point(case):
     assert _rows_or_error(_sweep_points, *case) == _rows_or_error(sweep_spectrum_values, *case)
+
+
+@pytest.mark.parametrize("constraint, error", [(_NEGATIVE_F1, "coupling f1 must be non-negative, got -1.0"),
+                                               (_NAN_F2, "f2 must be a finite real number, got nan")])
+def test_a_user_constraint_that_spoils_an_interior_point_raises_its_error(constraint, error):
+    case = SystemParams(0.5, 0.3, 1.0, 1.0), "g", [0.2, 1.5, 0.5], constraint, DEFAULT_DEGENERACY_TOL
+    assert _rows_or_error(sweep_spectrum_values, *case) == (trichain.InvalidParameterError, error)
 
 
 def test_negative_t_end_is_refused_as_descending_times(capsys):

@@ -215,21 +215,6 @@ class TestMirrorFlow:
             exact = np.array([[complex(exact[i, j]) for j in range(6)] for i in range(6)])
         assert np.max(np.abs(propagator(params, t) - exact)) <= 1e-13
 
-    def test_a_schedule_makes_one_kernel_call(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return jacobi(*args)
-
-        jacobi = dynamics_module._jacobi
-        monkeypatch.setattr(dynamics_module, "_jacobi", counted)
-        bounds = np.linspace(0.0, 4.0 * math.pi, 9)
-        segments = tuple(Segment(float(bounds[i]), float(bounds[i + 1]), 0.1 * i) for i in range(8))
-        schedule = Schedule(segments=segments, base=qubit_solution().params)
-        evolve_schedule(schedule, initial_state(2), np.linspace(0.0, 4.0 * math.pi, 101))
-        assert len(calls) == 1 and np.shape(calls[0][0]) == (8,)
-
     def test_a_sweep_that_does_not_converge_raises_consistency_error(self, monkeypatch):
         # Unrotated columns of T are not its singular vectors: the flow would
         # not be unitary, and the coefficient check refuses their norms.
