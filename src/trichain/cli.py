@@ -234,8 +234,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # Parameter flags are optional with a schedule, whose file may hold the base,
     # but flags that are given must resolve as they do without one.
     params = None if schedule_text is not None and not given else _resolve_params(args)
-    if not math.isfinite(args.t_end):
-        raise UsageError(f"--t-end must be finite, got {args.t_end}")
+    if not (math.isfinite(args.t_end) and args.t_end >= 0.0):
+        raise UsageError(f"--t-end must be finite and non-negative, got {args.t_end}")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     if args.n > _MAX_N:

@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 
 from .errors import ConsistencyError, DomainError, InvalidParameterError
-from .model import SystemParams, _is_array, _is_real, _xp
+from .model import SystemParams, _is_array, _real, _xp
 from .spectrum import _s2_at, char_poly, eigenfrequencies
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
@@ -120,9 +120,7 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
     All three vanish exactly when Det(p) = p^2 (p^2 + k^2) (p^2 + 4 k^2)
     with k = spacing, i.e. when the spectrum is {-2k, -k, 0, 0, k, 2k}.
     """
-    if not _is_real(spacing) or spacing <= 0.0:
-        raise DomainError(f"spacing must be positive and finite, got {spacing!r}")
-    spacing = float(spacing)
+    spacing = _real("spacing", spacing, DomainError, positive=True)
     cp = char_poly(params)
     k2 = spacing * spacing
     return (cp.c4 - 5.0 * k2, cp.c2 - 4.0 * k2 * k2, cp.c0)
@@ -130,9 +128,7 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
 
 def _check_coupling_domain(g) -> float:
     """g as a float in (0, 1]."""
-    if not _is_real(g):
-        raise DomainError(f"coupling g must be a finite real number, got {g!r}")
-    g = float(g)
+    g = _real("coupling g", g, DomainError)
     if not 0.0 < g <= 1.0:
         raise DomainError(f"comb design requires 0 < g <= 1, got {g}")
     return g
@@ -254,9 +250,7 @@ def solve_g_for_energy(target: float) -> EnergyProgram:
     matches the target outright.  An unattainable target yields an empty
     solution list, not an error.
     """
-    if not _is_real(target):
-        raise DomainError(f"target must be a finite real number, got {target!r}")
-    target = float(target)
+    target = _real("target", target, DomainError)
     # E < 1 for every g > 0, so target 1 is reached only at the excluded g = 0.
     if target < 0.0 or target >= 1.0:
         return EnergyProgram(target_e2=target, g_solutions=())
@@ -299,9 +293,7 @@ def scale_comb(solution: CombSolution, kappa: float) -> CombSolution:
     spectrum are recomputed but not checked: a tolerance relative to kappa
     would underflow for a subnormal kappa.
     """
-    if not _is_real(kappa) or kappa <= 0.0:
-        raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
-    kappa = float(kappa)
+    kappa = _real("kappa", kappa, DomainError, positive=True)
     params = SystemParams(*(kappa * x for x in solution[1:5]))
     return _solution(solution.branch, params, spacing=kappa * solution.spacing)
 
@@ -319,24 +311,26 @@ def identify_energy_branch(
     within ``tol`` at every probe.  The result is measured, not assumed.
 
     Raises DomainError unless ``tol`` is a positive real number and the
-    probes are a non-empty sequence of couplings in (0, 1] that tell the
-    branches apart (they coincide at g = 1, and a loose ``tol`` matches both).
+    probes, read once, are a non-empty iterable of couplings in (0, 1] that tell
+    the branches apart (they coincide at g = 1, and a loose ``tol`` matches both).
     """
-    if not _is_real(tol) or tol <= 0.0:
-        raise DomainError(f"tol must be a positive real number, got {tol!r}")
-    if len(probe_couplings) == 0:
+    tol = _real("tol", tol, DomainError, positive=True)
+    try:
+        probes = tuple(probe_couplings)
+    except TypeError:
+        raise DomainError(f"probe couplings must be an iterable of couplings, got {probe_couplings!r}") from None
+    if not probes:
         raise DomainError("identify_energy_branch needs at least one probe coupling")
     matches: list[str] = []
     for branch in BRANCHES:
         worst = 0.0
-        for g in probe_couplings:
+        for g in probes:
             amplitude = _s2_at(solve_comb_params(g, branch).params, math.pi)
             worst = max(worst, abs(amplitude * amplitude - energy_at_pi(g)))
         if worst <= tol:
             matches.append(branch)
     if len(matches) == len(BRANCHES):
-        probes = [float(g) for g in probe_couplings]
-        raise DomainError(f"probes {probes} do not separate the branches within tol={tol}")
+        raise DomainError(f"probes {[float(g) for g in probes]} do not separate the branches within tol={tol}")
     if not matches:
         raise ConsistencyError("no branch reproduces the closed-form energy at the probes")
     return matches[0]

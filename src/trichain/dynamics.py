@@ -38,6 +38,7 @@ from .model import (
     _csv,
     _is_real,
     _params_from_values,
+    _real,
     _times_array,
     _xp,
     build_coupling_matrix,
@@ -90,6 +91,11 @@ def _check_state(v0) -> np.ndarray:
     if abs(norm - 1.0) > _STATE_NORM_TOL:
         raise InvalidParameterError(f"state norm {norm} deviates from 1 beyond {_STATE_NORM_TOL}")
     return v
+
+
+def _check_params(params) -> None:
+    if not isinstance(params, SystemParams):
+        raise InvalidParameterError(f"params must be a SystemParams, got {params!r}")
 
 
 def _check_times(times) -> np.ndarray:
@@ -179,6 +185,7 @@ def _states(t, parts) -> np.ndarray:
 def evolve_spectral(params: SystemParams, v0, times) -> Trajectory:
     """Propagate by the singular value decomposition of T from the kernel of ``eigenfrequencies``
     (see ``_flow``): unitary to rounding at degeneracies too, as U and V stay orthonormal."""
+    _check_params(params)
     v = _check_state(v0)
     t = _check_times(times)
     return Trajectory(times=t, states=_states(t, _evolve(params, _parts(v), t)))
@@ -190,11 +197,11 @@ def propagator(params: SystemParams, t: float) -> np.ndarray:
     with S and C the diagonals of its s^2 and s c terms."""
     import numpy as np
 
-    if not _is_real(t):
-        raise InvalidParameterError(f"t must be a finite real number, got {t!r}")
+    _check_params(params)
+    t = _real("t", t)
     e, sigma, u, v = svd = _mirror_svd(*params)
     _check_phases(svd, abs(t))
-    terms = np.array(_terms(e, sigma, float(t)))[:, None]
+    terms = np.array(_terms(e, sigma, t))[:, None]
     u, v = np.array(u), np.array(v)
     cross = u.T @ (terms[3:] * v)
     return np.eye(N_MODES) - 2.0 * (u.T @ (terms[:3] * u) + v.T @ (terms[:3] * v)) - 2j * (cross + cross.T)
@@ -218,10 +225,11 @@ def evolve_rk4(
     """
     import numpy as np
 
+    _check_params(params)
     v = _check_state(v0)
-    for name, value in (("dt", dt), ("t_end", t_end), ("norm_tol", norm_tol)):
-        if not _is_real(value) or value <= 0.0:
-            raise InvalidParameterError(f"{name} must be a positive real number, got {value!r}")
+    dt = _real("dt", dt, positive=True)
+    t_end = _real("t_end", t_end, positive=True)
+    norm_tol = _real("norm_tol", norm_tol, positive=True)
     a = -1j * build_coupling_matrix(params)
 
     def step(state: np.ndarray, h: float) -> np.ndarray:
@@ -346,6 +354,8 @@ def evolve_schedule(schedule: Schedule, v0, times) -> Trajectory:
     the state is continuous (instantaneous quench).  ``v0`` is the state at the
     schedule start, and the schedule must cover [start, max(times)].
     """
+    if not isinstance(schedule, Schedule):
+        raise ScheduleError(f"schedule must be a Schedule, got {schedule!r}")
     v = _check_state(v0)
     t = _check_times(times)
     return Trajectory(times=t, states=_states(t, _evolve(schedule, _parts(v), t)))
@@ -425,9 +435,7 @@ def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> fl
     trajectory should be sampled densely (>= 100 points per unit time) around
     the center for the width to be meaningful.
     """
-    for name, value in (("center", center), ("threshold", threshold)):
-        if not _is_real(value):
-            raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    center, threshold = _real("center", center, DomainError), _real("threshold", threshold, DomainError)
     t = trajectory.times
     if center < t[0] or center > t[-1]:
         raise DomainError(f"center {center} outside trajectory window [{t[0]}, {t[-1]}]")

@@ -74,6 +74,14 @@ def _is_real(value) -> bool:
         return False
 
 
+def _real(name: str, value, error=InvalidParameterError, positive: bool = False) -> float:
+    """``value`` as a float if it is a number by ``_is_real``, and > 0 where
+    ``positive``; else ``error`` naming it: the one check of a number argument."""
+    if _is_real(value) and (value > 0 or not positive):
+        return float(value)
+    raise error(f"{name} must be a {'positive ' if positive else ''}finite real number, got {value!r}")
+
+
 def _is_array(value) -> bool:
     """Whether ``value`` is a numpy array, without importing numpy: none can
     exist before numpy is loaded."""
@@ -198,11 +206,7 @@ class SystemParams(_CheckedRecord, namedtuple("SystemParams", _CONFIG_KEYS, defa
         ``__new__`` looks this hook up on the class at every construction, so
         wrapping it (as ``bench/tracer.py`` does) sees every parameter set built.
         """
-        floats = []
-        for name, value in zip(_CONFIG_KEYS, values):
-            if not _is_real(value):
-                raise InvalidParameterError(f"{name} must be a finite real number, got {value!r}")
-            floats.append(float(value))
+        floats = [_real(name, value) for name, value in zip(_CONFIG_KEYS, values)]
         for name, value in zip(_CONFIG_KEYS, floats):
             if name in _COUPLING_FIELDS and value < 0.0:
                 raise InvalidParameterError(f"coupling {name} must be non-negative, got {value}")
@@ -334,7 +338,7 @@ def _params_from_values(values: dict, source: str) -> SystemParams:
     missing = [key for key in _PHYSICAL_KEYS if key not in values]
     if missing:
         raise InvalidParameterError(f"{source} missing required keys: {', '.join(missing)}")
-    for key, value in values.items():
-        if not _is_real(value):
-            raise InvalidParameterError(f"{source}: {key} must be a finite real number, got {value!r}")
-    return SystemParams(**values)
+    try:
+        return SystemParams(**values)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{source}: {exc}") from None

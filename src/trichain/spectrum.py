@@ -53,7 +53,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _is_real, _times_array, _tolist, _xp
+from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _is_real, _real, _times_array, _tolist, _xp
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -254,11 +254,6 @@ def _mean(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-def _check_degeneracy_tol(degeneracy_tol: float) -> None:
-    if not (_is_real(degeneracy_tol) and degeneracy_tol > 0.0):
-        raise InvalidParameterError(f"degeneracy_tol must be positive and finite, got {degeneracy_tol}")
-
-
 def _threshold(freqs, tol):
     """The absolute gap that the relative tolerance ``tol`` stands for: tol
     times half the top frequency, which is the spacing of a designed comb.
@@ -412,7 +407,7 @@ def eigenfrequencies(
     ``_coefficient_gap``), else ConsistencyError is raised.  They are
     clustered at ``degeneracy_tol`` times half the top frequency.
     """
-    _check_degeneracy_tol(degeneracy_tol)
+    degeneracy_tol = _real("degeneracy_tol", degeneracy_tol, positive=True)
     freqs = _mirror_frequencies(params.g, params.delta, params.f1, params.f2)
     _check_gaps(freqs, params[:4], params.omega0)
     threshold = _threshold(freqs, degeneracy_tol)
@@ -631,7 +626,7 @@ def sweep_spectrum_values(
     import numpy as np
 
     k = _vary_index(vary)
-    _check_degeneracy_tol(degeneracy_tol)
+    degeneracy_tol = _real("degeneracy_tol", degeneracy_tol, positive=True)
     fast = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"  # no element needs a check of its type
     grid = np.asarray(values, dtype=float if fast else object)
     if grid.ndim != 1:
@@ -658,7 +653,7 @@ def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DE
     """``sweep_spectrum_values`` one point at a time, on floats and without
     numpy: its checks in its order, so the same rows and errors."""
     k = _vary_index(vary)
-    _check_degeneracy_tol(degeneracy_tol)
+    degeneracy_tol = _real("degeneracy_tol", degeneracy_tol, positive=True)
     values = _checked_values(base, k, values)
     points = [(*base[:k], value, *base[k + 1:4]) for value in values]
     if constraint is not None:

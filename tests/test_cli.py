@@ -724,6 +724,7 @@ class TestRecordsMatchTheInlineBuilders:
     @settings(max_examples=40, deadline=None)
     @given(params=st.one_of(random_point, comb_point), t_end=st.floats(min_value=0.0, max_value=20.0),
            n=st.integers(min_value=2, max_value=30), init=st.integers(min_value=1, max_value=6))
+    @example(params=SystemParams(0.5, 0.3, 0.8, 0.9), t_end=0.0, n=3, init=2)  # --t-end 0 is a valid window
     def test_evolve_json(self, params, t_end, n, init):
         argv = ["evolve", *param_flags(params), f"--t-end={t_end!r}", "--n", str(n), "--init", str(init)]
         trajectory = evolve_spectral(params, initial_state(init), np.linspace(0.0, t_end, n))
@@ -874,9 +875,25 @@ def test_a_user_constraint_that_spoils_an_interior_point_raises_its_error(constr
     assert _rows_or_error(sweep_spectrum_values, *case) == (trichain.InvalidParameterError, error)
 
 
-def test_negative_t_end_is_refused_as_descending_times(capsys):
-    assert run(["evolve", "--preset", "qubit", "--t-end", "-1", "--n", "3"]) == 2
-    assert capsys.readouterr().err == "trichain: error: times must be ascending\n"
+# Usage errors that the CLI finds itself, each one error line naming what is wrong;
+# {path} is a config file holding a JSON list.
+_USAGE_ERRORS = {
+    "negative-t-end": (["evolve", "--preset", "qubit", "--t-end", "-1", "--n", "3"],
+                       "--t-end must be finite and non-negative, got -1.0"),
+    "config-list": (["spectrum", "--config", "{path}"], "config {path} must contain a JSON object"),
+    "comb-flag-without-g": (["spectrum", "--comb", "A"], "--comb requires --g"),
+    "comb-command-without-g": (["comb", "--branch", "A"], "comb requires --g"),
+    "evolve-n-1": (["evolve", "--preset", "qubit", "--n", "1"], "--n must be at least 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+def test_usage_error_is_one_line_naming_the_flag(tmp_path, capsys, case):
+    argv, message = _USAGE_ERRORS[case]
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert run([arg.format(path=path) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"trichain: error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -191,7 +191,7 @@ class TestBranchIdentification:
         assert worst["B"] <= 1e-14
         assert worst["A"] > 0.1
 
-    @pytest.mark.parametrize("probes", [[0.25], [0.25, 0.55], np.array([0.3, 0.9])])
+    @pytest.mark.parametrize("probes", [[0.25], [0.25, 0.55], np.array([0.3, 0.9]), iter([0.25, 0.55])])
     def test_any_sequence_of_probes(self, probes):
         assert identify_energy_branch(probes) == "B"
 

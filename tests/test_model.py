@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,15 +10,25 @@ from hypothesis import strategies as st
 from trichain import (
     DomainError,
     InvalidParameterError,
+    Schedule,
+    ScheduleError,
+    Segment,
     SystemParams,
+    TrichainError,
     build_coupling_matrix,
+    comb_constraints,
     eigenfrequencies,
     energy_at_pi,
+    evolve_rk4,
+    evolve_schedule,
     evolve_spectral,
+    identify_energy_branch,
     initial_state,
     inverse_laplace_s2,
     params_from_config,
     params_to_config,
+    plateau_width,
+    propagator,
     scale_comb,
     solve_comb_params,
     solve_g_for_energy,
@@ -26,6 +37,7 @@ from trichain import (
     sweep_spectrum_values,
 )
 from trichain.model import _linspace, _params_from_values
+from trichain.spectrum import _sweep_points
 from conftest import random_params
 
 # 0-based positions of the allowed nonzero entries of M
@@ -137,37 +149,101 @@ def test_invalid_params_rejected(kwargs):
         SystemParams(**kwargs)
 
 
-# Every scalar entry point applies one rule: a finite real number, numpy
-# scalars included, that is not a bool.
+# Every scalar entry point applies one rule (``model._real``): a finite real
+# number, numpy scalars included, that is not a bool; a positive knob also
+# refuses 0 and the negative numbers.  Each entry is (call, error, positive).
+_BASE = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
+_TRAJECTORY = evolve_spectral(_BASE, initial_state(2), np.linspace(0.0, 2.0, 201))
 _SCALAR_ENTRY_POINTS = {
-    "SystemParams": (lambda v: SystemParams(g=v, delta=0.0, f1=1.0, f2=1.0), InvalidParameterError),
+    "SystemParams": (lambda v: SystemParams(g=v, delta=0.0, f1=1.0, f2=1.0), InvalidParameterError, False),
     "_params_from_values": (
         lambda v: _params_from_values({"g": v, "delta": 0.0, "f1": 1.0, "f2": 1.0}, "test"),
         InvalidParameterError,
+        False,
     ),
-    "energy_at_pi": (energy_at_pi, DomainError),
-    "solve_g_for_energy": (solve_g_for_energy, DomainError),
-    "scale_comb": (lambda v: scale_comb(solve_comb_params(0.5, "A"), v), DomainError),
+    "energy_at_pi": (energy_at_pi, DomainError, False),
+    "solve_g_for_energy": (solve_g_for_energy, DomainError, False),
+    "scale_comb": (lambda v: scale_comb(solve_comb_params(0.5, "A"), v), DomainError, True),
+    "comb_constraints": (lambda v: comb_constraints(solve_comb_params(0.5, "A").params, v), DomainError, True),
+    # Any tol >= 0.39 lets both branches match, so the numbers are accepted here
+    # and refused by the later check, with the float's error.
+    "identify_energy_branch": (lambda v: identify_energy_branch((0.25,), tol=v), DomainError, True),
+    "propagator": (lambda v: propagator(_BASE, v), InvalidParameterError, False),
+    "evolve_rk4 dt": (lambda v: evolve_rk4(_BASE, initial_state(2), dt=v, t_end=1.0, norm_tol=1.0),
+                      InvalidParameterError, True),
+    "evolve_rk4 t_end": (lambda v: evolve_rk4(_BASE, initial_state(2), dt=0.1, t_end=v, norm_tol=1.0),
+                         InvalidParameterError, True),
+    "evolve_rk4 norm_tol": (lambda v: evolve_rk4(_BASE, initial_state(2), dt=0.1, t_end=1.0, norm_tol=v),
+                            InvalidParameterError, True),
+    "plateau_width center": (lambda v: plateau_width(_TRAJECTORY, v, 0.5), DomainError, False),
+    "plateau_width threshold": (lambda v: plateau_width(_TRAJECTORY, 1.0, v), DomainError, False),
+    "eigenfrequencies": (lambda v: eigenfrequencies(_BASE, degeneracy_tol=v), InvalidParameterError, True),
+    "sweep_spectrum_values": (lambda v: sweep_spectrum_values(_BASE, "g", [0.5], degeneracy_tol=v),
+                              InvalidParameterError, True),
+    "_sweep_points": (lambda v: _sweep_points(_BASE, "g", [0.5], degeneracy_tol=v), InvalidParameterError, True),
 }
+_POSITIVE_KNOBS = sorted(site for site, (_, _, positive) in _SCALAR_ENTRY_POINTS.items() if positive)
+
+
+def _outcome(call, value):
+    """What ``call(value)`` returns, or the class and text of the error it raises."""
+    try:
+        return call(value)
+    except TrichainError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
 @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5)], ids=["int64", "float32"])
 def test_numpy_scalars_are_real_numbers(site, value):
-    call, _ = _SCALAR_ENTRY_POINTS[site]
-    assert call(value) == call(float(value))
+    call, _, _ = _SCALAR_ENTRY_POINTS[site]
+    np.testing.assert_equal(_outcome(call, value), _outcome(call, float(value)))
 
 
 @pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
 @pytest.mark.parametrize("value", [True, "1", float("nan"), 10**400], ids=["bool", "str", "nan", "huge int"])
 def test_bools_strings_nan_and_huge_ints_are_refused(site, value):
-    call, error = _SCALAR_ENTRY_POINTS[site]
-    with pytest.raises(error, match="finite"):
+    call, error, _ = _SCALAR_ENTRY_POINTS[site]
+    with pytest.raises(error, match="finite real number, got "):
         call(value)
 
 
+@pytest.mark.parametrize("site", _POSITIVE_KNOBS)
+@pytest.mark.parametrize("value", [0, -1.0], ids=["zero", "negative"])
+def test_positive_knobs_refuse_zero_and_negative_numbers(site, value):
+    call, error, _ = _SCALAR_ENTRY_POINTS[site]
+    with pytest.raises(error, match=re.escape(f"must be a positive finite real number, got {value!r}")):
+        call(value)
+
+
+# A dynamics entry point refuses another record, or a plain tuple, outright.
+_SCHEDULE = Schedule([Segment(0.0, 5.0, 0.5)], SystemParams(0.5, 0.3, 0.8, 0.9))
+_WRONG_RECORDS = {
+    "evolve_spectral tuple": (lambda: evolve_spectral((0.5, 0.0, -1.0, 1.0), initial_state(2), [0.0, 1.0]),
+                              InvalidParameterError, "params must be a SystemParams"),
+    "evolve_spectral schedule": (lambda: evolve_spectral(_SCHEDULE, initial_state(2), [0.0, 1.0]),
+                                 InvalidParameterError, "params must be a SystemParams"),
+    "propagator tuple": (lambda: propagator((-0.5, 0.0, 1.0, 1.0), 1.0), InvalidParameterError,
+                         "params must be a SystemParams"),
+    "evolve_rk4 tuple": (lambda: evolve_rk4((0.5, 0.3, 0.8, 0.9), initial_state(2)), InvalidParameterError,
+                         "params must be a SystemParams"),
+    "evolve_schedule tuple": (lambda: evolve_schedule((0.5, 0.3, 0.8, 0.9), initial_state(2), [0.0, 5.0]),
+                              ScheduleError, "schedule must be a Schedule"),
+    "evolve_schedule params": (lambda: evolve_schedule(_BASE, initial_state(2), [0.0, 5.0]),
+                               ScheduleError, "schedule must be a Schedule"),
+    "identify_energy_branch number": (lambda: identify_energy_branch(0.3), DomainError,
+                                      "probe couplings must be an iterable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_RECORDS))
+def test_entry_points_refuse_the_wrong_record(case):
+    call, error, message = _WRONG_RECORDS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 # The elements of a sequence, and the other numeric arguments, obey the same rule.
-_BASE = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
 _REFUSED = {
     "sweep value True": (lambda: sweep_spectrum_values(_BASE, "g", [True, 0.5]), "g must be a finite real number"),
     "sweep value str": (lambda: sweep_spectrum_values(_BASE, "g", ["0.5"]), "got '0.5'"),
