@@ -40,8 +40,6 @@ from .spectrum import _s2_at, char_poly, eigenfrequencies
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
-    from typing import Sequence
-
     from .spectrum import SweepConstraint
 
 __all__ = [
@@ -62,6 +60,12 @@ QUTRIT_COUPLING = 0.4531870484
 
 _RESIDUAL_TOL = 1e-12
 _COMB_SPECTRUM_TOL = 1e-7
+
+#: Couplings at which ``identify_energy_branch`` measures both branches (they
+#: coincide at g = 1), and the mismatch within which a branch matches there:
+#: branch B misses the closed form by rounding, branch A by ~0.39.
+_BRANCH_PROBES = (0.25, 0.55, 0.85)
+_BRANCH_TOL = 1e-7
 
 
 class CombSolution(namedtuple("CombSolution", ("branch", "g", "delta", "f1", "f2", "residuals", "spectrum"))):
@@ -85,18 +89,6 @@ class CombSolution(namedtuple("CombSolution", ("branch", "g", "delta", "f1", "f2
 
     def to_json_dict(self) -> dict:
         return dict(self._asdict(), residuals=list(self.residuals), spectrum=list(self.spectrum))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CombSolution":
-        return cls(
-            branch=str(data["branch"]),
-            g=float(data["g"]),
-            delta=float(data["delta"]),
-            f1=float(data["f1"]),
-            f2=float(data["f2"]),
-            residuals=tuple(float(r) for r in data["residuals"]),
-            spectrum=tuple(float(w) for w in data["spectrum"]),
-        )
 
 
 class EnergyProgram(namedtuple("EnergyProgram", ("target_e2", "g_solutions"))):
@@ -298,39 +290,24 @@ def scale_comb(solution: CombSolution, kappa: float) -> CombSolution:
     return _solution(solution.branch, params, spacing=kappa * solution.spacing)
 
 
-def identify_energy_branch(
-    probe_couplings: Sequence[float] = (0.25, 0.55, 0.85),
-    tol: float = 1e-7,
-) -> str:
+def identify_energy_branch() -> str:
     """The branch whose dynamics reproduce the closed-form energy, found by the Laplace route.
 
     On both branches, the central atom's energy at half the revival period,
-    s2(pi)^2, is measured at the probe couplings as the inverse Laplace
-    transform of its response (``inverse_laplace_s2``, a general route that
-    knows nothing of combs); exactly one branch must match ``energy_at_pi``
-    within ``tol`` at every probe.  The result is measured, not assumed.
-
-    Raises DomainError unless ``tol`` is a positive real number and the
-    probes, read once, are a non-empty iterable of couplings in (0, 1] that tell
-    the branches apart (they coincide at g = 1, and a loose ``tol`` matches both).
+    s2(pi)^2, is measured at the couplings ``_BRANCH_PROBES`` as the inverse
+    Laplace transform of its response (``inverse_laplace_s2``, a general route
+    that knows nothing of combs); exactly one branch must match
+    ``energy_at_pi`` within ``_BRANCH_TOL`` at every probe, else
+    ConsistencyError is raised.  The result is measured, not assumed.
     """
-    tol = _real("tol", tol, DomainError, positive=True)
-    try:
-        probes = tuple(probe_couplings)
-    except TypeError:
-        raise DomainError(f"probe couplings must be an iterable of couplings, got {probe_couplings!r}") from None
-    if not probes:
-        raise DomainError("identify_energy_branch needs at least one probe coupling")
     matches: list[str] = []
     for branch in BRANCHES:
         worst = 0.0
-        for g in probes:
+        for g in _BRANCH_PROBES:
             amplitude = _s2_at(solve_comb_params(g, branch).params, math.pi)
             worst = max(worst, abs(amplitude * amplitude - energy_at_pi(g)))
-        if worst <= tol:
+        if worst <= _BRANCH_TOL:
             matches.append(branch)
-    if len(matches) == len(BRANCHES):
-        raise DomainError(f"probes {[float(g) for g in probes]} do not separate the branches within tol={tol}")
-    if not matches:
-        raise ConsistencyError("no branch reproduces the closed-form energy at the probes")
+    if len(matches) != 1:
+        raise ConsistencyError(f"branches {matches} reproduce the closed-form energy at the probes, not exactly one")
     return matches[0]

@@ -391,10 +391,8 @@ def _evolve(system, v0, t) -> list:
 
 
 def _energy_rows(system, v0, times: list[float]) -> list[list[float]]:
-    """The rows of ``energies`` from the twelve parts ``v0`` at ``times``, a list of floats, under a
-    SystemParams or a Schedule: with the checks and bits of ``evolve_spectral`` and ``evolve_schedule``."""
-    if any(map(float.__lt__, times[1:], times)):
-        raise InvalidParameterError("times must be ascending")
+    """The rows of ``energies`` from the twelve parts ``v0`` at ``times``, an ascending list of floats,
+    under a SystemParams or a Schedule: with the bits of ``evolve_spectral`` and ``evolve_schedule``."""
     parts = _evolve(system, v0, times)
     return [[x, *(r * r + i * i for r, i in zip(p[:N_MODES], p[N_MODES:]))] for x, p in zip(times, parts)]
 

@@ -1,8 +1,8 @@
 """Exception hierarchy for the trichain package."""
 
 __all__ = [
-    "TrichainError", "InvalidParameterError", "DomainError", "BranchInfeasibleError",
-    "DegenerateSpectrumError", "PoleError", "ConsistencyError", "AccuracyError", "ScheduleError",
+    "TrichainError", "InvalidParameterError", "DomainError", "DegenerateSpectrumError", "PoleError",
+    "ConsistencyError", "AccuracyError", "ScheduleError",
 ]
 
 
@@ -16,14 +16,6 @@ class InvalidParameterError(TrichainError, ValueError):
 
 class DomainError(TrichainError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class BranchInfeasibleError(DomainError):
-    """The requested algebraic branch has no real solution at this coupling.
-
-    Nothing raises it: both comb branches are real on all of (0, 1], and a
-    coupling outside is a DomainError.  It stays for callers that catch it.
-    """
 
 
 class DegenerateSpectrumError(TrichainError):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -7,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trichain import (
-    BranchInfeasibleError,
-    CombSolution,
+    ConsistencyError,
     DomainError,
     EnergyProgram,
     InvalidParameterError,
@@ -25,7 +25,7 @@ from trichain import (
     solve_comb_params,
     solve_g_for_energy,
 )
-from trichain.comb import _branch_squares, _radicand
+from trichain.comb import _BRANCH_PROBES, _BRANCH_TOL, _branch_squares, _radicand
 from trichain.spectrum import _s2_at
 
 COMB_TARGET = (-2.0, -1.0, 0.0, 0.0, 1.0, 2.0)
@@ -105,7 +105,9 @@ class TestSolveCombParams:
         sol = solve_comb_params(0.5, "B")
         data = sol.to_json_dict()
         assert set(data) == {"branch", "g", "delta", "f1", "f2", "residuals", "spectrum"}
-        assert CombSolution.from_json_dict(json.loads(json.dumps(data))) == sol
+        assert json.loads(json.dumps(data)) == data
+        for name, value in data.items():
+            assert (tuple(value) if isinstance(value, list) else value) == getattr(sol, name)
 
 
 class TestBranchConstraint:
@@ -175,6 +177,7 @@ class TestEnergyAtPi:
 
 class TestBranchIdentification:
     def test_exactly_one_branch_matches_the_dynamics(self):
+        assert not inspect.signature(identify_energy_branch).parameters
         branch = identify_energy_branch()
         assert branch in ("A", "B")
         # regression: the measured match is branch B
@@ -182,29 +185,22 @@ class TestBranchIdentification:
 
     def test_laplace_route_separates_the_branches(self):
         # s2(pi)^2 by the inverse Laplace transform, against the closed form
-        # at the default probes: rounding on B, far off on A.
+        # at the probes: rounding on B, far off on A, with the tolerance between.
         worst = {
             branch: max(abs(_s2_at(solve_comb_params(g, branch).params, math.pi) ** 2 - energy_at_pi(g))
-                        for g in (0.25, 0.55, 0.85))
+                        for g in _BRANCH_PROBES)
             for branch in ("A", "B")
         }
-        assert worst["B"] <= 1e-14
-        assert worst["A"] > 0.1
+        assert worst["B"] <= 1e-14 < _BRANCH_TOL < 0.1 < worst["A"]
 
-    @pytest.mark.parametrize("probes", [[0.25], [0.25, 0.55], np.array([0.3, 0.9]), iter([0.25, 0.55])])
-    def test_any_sequence_of_probes(self, probes):
-        assert identify_energy_branch(probes) == "B"
-
-    # Bad input, not a bug: the branches coincide at g = 1, and tol = 1 lets
-    # branch A's 0.39 mismatch pass too.
-    @pytest.mark.parametrize("kwargs", [
-        {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": True}, {"tol": "1e-7"},
-        {"probe_couplings": []}, {"probe_couplings": np.array([])}, {"probe_couplings": [1.0]}, {"tol": 1.0},
-    ], ids=["nan_tol", "negative_tol", "zero_tol", "bool_tol", "string_tol", "no_probes", "empty_array",
-            "branches_coincide_at_g_1", "tol_matches_both"])
-    def test_bad_input_is_a_domain_error(self, kwargs):
-        with pytest.raises(DomainError):
-            identify_energy_branch(**kwargs)
+    # With the fixed probes, anything but one matching branch is a bug: the
+    # branches coincide at g = 1, tol 1 passes branch A's ~0.39 mismatch too,
+    # and tol 0 passes neither branch's rounding.
+    @pytest.mark.parametrize("name, value", [("_BRANCH_PROBES", (1.0,)), ("_BRANCH_TOL", 1.0), ("_BRANCH_TOL", 0.0)])
+    def test_anything_but_one_matching_branch_is_a_consistency_error(self, monkeypatch, name, value):
+        monkeypatch.setattr(f"trichain.comb.{name}", value)
+        with pytest.raises(ConsistencyError, match="not exactly one"):
+            identify_energy_branch()
 
     def test_identified_branch_reproduces_closed_form(self):
         branch = identify_energy_branch()
@@ -370,10 +366,6 @@ class TestScaleComb:
         sol = solve_comb_params(0.5, "A")
         with pytest.raises(DomainError):
             scale_comb(sol, bad)
-
-
-def test_branch_infeasible_error_is_a_domain_error():
-    assert issubclass(BranchInfeasibleError, DomainError)
 
 
 def test_energy_program_type_is_frozen():

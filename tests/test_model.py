@@ -22,7 +22,6 @@ from trichain import (
     evolve_rk4,
     evolve_schedule,
     evolve_spectral,
-    identify_energy_branch,
     initial_state,
     inverse_laplace_s2,
     params_from_config,
@@ -165,9 +164,6 @@ _SCALAR_ENTRY_POINTS = {
     "solve_g_for_energy": (solve_g_for_energy, DomainError, False),
     "scale_comb": (lambda v: scale_comb(solve_comb_params(0.5, "A"), v), DomainError, True),
     "comb_constraints": (lambda v: comb_constraints(solve_comb_params(0.5, "A").params, v), DomainError, True),
-    # Any tol >= 0.39 lets both branches match, so the numbers are accepted here
-    # and refused by the later check, with the float's error.
-    "identify_energy_branch": (lambda v: identify_energy_branch((0.25,), tol=v), DomainError, True),
     "propagator": (lambda v: propagator(_BASE, v), InvalidParameterError, False),
     "evolve_rk4 dt": (lambda v: evolve_rk4(_BASE, initial_state(2), dt=v, t_end=1.0, norm_tol=1.0),
                       InvalidParameterError, True),
@@ -231,8 +227,6 @@ _WRONG_RECORDS = {
                               ScheduleError, "schedule must be a Schedule"),
     "evolve_schedule params": (lambda: evolve_schedule(_BASE, initial_state(2), [0.0, 5.0]),
                                ScheduleError, "schedule must be a Schedule"),
-    "identify_energy_branch number": (lambda: identify_energy_branch(0.3), DomainError,
-                                      "probe couplings must be an iterable"),
 }
 
 

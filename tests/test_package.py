@@ -13,8 +13,8 @@ import trichain
 # The public names, grouped by the module that defines them.
 PUBLIC = {
     "errors": [
-        "TrichainError", "InvalidParameterError", "DomainError", "BranchInfeasibleError",
-        "DegenerateSpectrumError", "PoleError", "ConsistencyError", "AccuracyError", "ScheduleError",
+        "TrichainError", "InvalidParameterError", "DomainError", "DegenerateSpectrumError", "PoleError",
+        "ConsistencyError", "AccuracyError", "ScheduleError",
     ],
     "model": [
         "N_MODES", "SystemParams", "build_coupling_matrix", "initial_state", "spectral_mirror_operator",
