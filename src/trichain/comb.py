@@ -167,6 +167,7 @@ def solve_comb_params(g: float, branch: str) -> CombSolution:
     eigenfrequency set matches {-2, -1, 0, 0, 1, 2} to 1e-7; violations raise
     ConsistencyError.
     """
+    g = _check_coupling_domain(g)  # a float: an array would take _branch_squares' array branch
     f2_sq, f1_sq = _branch_squares(g, branch)
     f2 = math.sqrt(f2_sq)
     solution = _solution(branch, SystemParams(g=g, delta=f2, f1=math.sqrt(f1_sq), f2=f2))

@@ -43,7 +43,7 @@ from .model import (
     _xp,
     build_coupling_matrix,
 )
-from .spectrum import _check_gaps, _jacobi
+from .spectrum import _jacobi
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -105,13 +105,11 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def _mirror_svd(g, delta, f1, f2, omega0=0.0):
+def _mirror_svd(g, delta, f1, f2):
     """(e, sigma, U, V) of one point, as floats: T / 2^e = U diag(sigma) V^T, with U = W / sigma
-    from the sweep; row k of U and V is their column k in the modes, a list of six.  Checked as
-    in ``eigenfrequencies``."""
+    from the sweep; row k of U and V is their column k in the modes, a list of six."""
     vectors = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]  # V, before the sweep rotates it
-    freqs, e, columns, sigma = _jacobi(g, delta, f1, f2, vectors)
-    _check_gaps(freqs, (g, delta, f1, f2), omega0)
+    _, e, columns, sigma = _jacobi(g, delta, f1, f2, vectors)
     u = [_in_modes([x / (s if s > 0.0 else 1.0) for x in w], _MIRROR_BASIS[:3]) for w, s in zip(columns, sigma)]
     return e, sigma, u, [_in_modes(column, _MIRROR_BASIS[3:]) for column in vectors]
 
@@ -199,7 +197,7 @@ def propagator(params: SystemParams, t: float) -> np.ndarray:
 
     _check_params(params)
     t = _real("t", t)
-    e, sigma, u, v = svd = _mirror_svd(*params)
+    e, sigma, u, v = svd = _mirror_svd(*params[:4])
     _check_phases(svd, abs(t))
     terms = np.array(_terms(e, sigma, t))[:, None]
     u, v = np.array(u), np.array(v)
@@ -367,11 +365,11 @@ def _evolve(system, v0, t) -> list:
     arrays over an array t, evaluated at once, or per sample, without numpy, for a list of floats."""
     batched = not isinstance(t, list)
     if not isinstance(system, Schedule):
-        flow = _flow(_mirror_svd(*system), v0, max(abs(t[0]), abs(t[-1])))
+        flow = _flow(_mirror_svd(*system[:4]), v0, max(abs(t[0]), abs(t[-1])))
         return _at(flow, t) if batched else [_at(flow, x) for x in t]
     if t[0] < system.t_start - _BOUNDARY_TOL or t[-1] > system.t_end + _BOUNDARY_TOL:
         raise ScheduleError(f"schedule covers [{system.t_start}, {system.t_end}] but times span [{t[0]}, {t[-1]}]")
-    svds = [_mirror_svd(seg.g, *system.base[1:]) for seg in system.segments]
+    svds = [_mirror_svd(seg.g, *system.base[1:4]) for seg in system.segments]
     flows, a, state = [], 0, v0  # each segment's flow serves t[a:b], in the local time t - t_start
     for index, (seg, svd) in enumerate(zip(system.segments, svds)):
         b = bisect_right(t, seg.t_end + _BOUNDARY_TOL) if index == len(svds) - 1 else max(a, bisect_left(t, seg.t_end))

@@ -231,13 +231,14 @@ def build_coupling_matrix(params: SystemParams) -> np.ndarray:
     ])
 
 
-def _first_invalid(g, delta, f1, f2) -> int:
-    """Index of the first row of parameter arrays that SystemParams rejects, else their length."""
+def _check_rows(g, delta, f1, f2) -> None:
+    """Raise the error of SystemParams for the first row of parameter arrays that it rejects."""
     import numpy as np
 
     columns = np.array([g, delta, f1, f2])
     bad = ~np.isfinite(columns).all(axis=0) | (columns[[0, 2, 3]] < 0.0).any(axis=0)
-    return int(np.argmax(bad)) if bad.any() else len(bad)
+    if bad.any():
+        SystemParams(*columns[:, np.argmax(bad)].tolist())
 
 
 def _times_array(times) -> np.ndarray:

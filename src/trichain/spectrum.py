@@ -26,8 +26,8 @@ Eigenfrequencies come from the chain's mirror symmetry: the involution
     T = [[f1, 0, 0], [g, delta + f2, 0], [-g, 0, delta - f2]],
 
 whose singular values (and vectors, for the dynamics) one batched one-sided
-Jacobi kernel computes for a point or a whole sweep (``_jacobi``).  They are checked
-against the closed-form coefficients: by Vieta, the squared positive
+Jacobi kernel computes for a point or a whole sweep (``_jacobi``).  The kernel checks
+them against the closed-form coefficients: by Vieta, the squared positive
 frequencies have the elementary symmetric functions c4, c2 and c0.  The
 check is relative to the spectrum's scale and well conditioned at any
 multiplicity, so a failure raises ConsistencyError because it can only come
@@ -53,7 +53,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
 )
-from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _first_invalid, _is_real, _real, _times_array, _tolist, _xp
+from .model import _NUM, _PHYSICAL_KEYS, SystemParams, _check_rows, _is_real, _real, _times_array, _tolist, _xp
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -280,15 +280,11 @@ _COLUMN_PAIRS = ((0, 1), (0, 2), (1, 2))
 _TINY_GAMMA = 2.0**-480
 
 
-def _mirror_frequencies(g, delta, f1, f2):
-    """+-sigma(T) of ``_jacobi``, six floats or arrays in ascending order."""
-    return _jacobi(g, delta, f1, f2)[0]
-
-
 def _jacobi(g, delta, f1, f2, vectors=None):
     """+-sigma(T) ascending (see the module docstring), e, W and sigma, for
     floats or equal-length arrays: T / 2^e = W V^T, W's columns and norms in
     T's order.  ``vectors`` (V's columns), if handed in, get each rotation.
+    Every caller gets frequencies that have passed ``_check_gaps``.
 
     One-sided (Hestenes) Jacobi rotates pairs of T's columns, cyclically,
     until every pair is orthogonal; the column norms are then the singular
@@ -311,7 +307,8 @@ def _jacobi(g, delta, f1, f2, vectors=None):
     - The negative half is 0.0 - s: an exact mirror, with 0 for a zero pair.
     """
     xp = _xp(g)
-    e, (g, delta, f1, f2) = _normalized(g, delta, f1, f2)
+    point = g, delta, f1, f2
+    e, (g, delta, f1, f2) = _normalized(*point)
     columns = [(f1, g, -g), (0.0, delta + f2, 0.0), (0.0, 0.0, delta - f2)]
     norms = [x * x + y * y + z * z for x, y, z in columns]
     for _ in range(_MAX_SWEEPS):
@@ -355,7 +352,9 @@ def _jacobi(g, delta, f1, f2, vectors=None):
     # float range becomes inf (math.ldexp would raise OverflowError).
     with xp.errstate(over="ignore"):
         s1, s2, s3 = (xp.ldexp(s, e - 2) * 4.0 for s in (s1, s2, s3))
-    return (0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3), e, columns, sigma
+    freqs = 0.0 - s3, 0.0 - s2, 0.0 - s1, s1, s2, s3
+    _check_gaps(freqs, point)
+    return freqs, e, columns, sigma
 
 
 def _coefficient_gap(freqs, g, delta, f1, f2):
@@ -382,13 +381,13 @@ def _coefficient_gap(freqs, g, delta, f1, f2):
     return xp.maximum(xp.maximum(gaps[0], gaps[1]), gaps[2])
 
 
-def _check_gaps(freqs, columns, omega0):
+def _check_gaps(freqs, columns):
     """Raise at the first point whose gap is NaN or too large: DomainError where
     its top frequency overflows, which is input out of range, else ConsistencyError."""
     gaps = _coefficient_gap(freqs, *columns)
     if not _xp(gaps).all(gaps <= _COEFFICIENT_TOL):
         k = _tolist(gaps <= _COEFFICIENT_TOL).index(False)
-        point = SystemParams(*(_tolist(c)[k] for c in columns), omega0)
+        point = ", ".join(f"{name}={_tolist(c)[k]!r}" for name, c in zip(_PHYSICAL_KEYS, columns))
         if _tolist(freqs[5])[k] == math.inf:
             raise DomainError(f"the top frequency overflows the float range (+-1.8e308) for {point}")
         raise ConsistencyError(f"spectral kernel frequencies miss the closed-form coefficients by "
@@ -401,15 +400,14 @@ def eigenfrequencies(
     """Six real eigenfrequencies of the chain, checked against the closed form.
 
     They are +-sigma of the 3x3 block T that the mirror symmetry leaves
-    (``_mirror_frequencies``), an exact mirror image about 0, with exact
+    (``_jacobi``), an exact mirror image about 0, with exact
     zeros where delta = +-f2 or f1 = 0.  Their squares must reproduce the
     closed-form coefficients (c4, c2, c0) to a relative 1e-12 (see
     ``_coefficient_gap``), else ConsistencyError is raised.  They are
     clustered at ``degeneracy_tol`` times half the top frequency.
     """
     degeneracy_tol = _real("degeneracy_tol", degeneracy_tol, positive=True)
-    freqs = _mirror_frequencies(params.g, params.delta, params.f1, params.f2)
-    _check_gaps(freqs, params[:4], params.omega0)
+    freqs = _jacobi(params.g, params.delta, params.f1, params.f2)[0]
     threshold = _threshold(freqs, degeneracy_tol)
     return Spectrum(frequencies=freqs, degeneracy_tol=threshold, clusters=_cluster(freqs, threshold))
 
@@ -559,7 +557,8 @@ def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarr
 
     Returns a float array of s2 values, one per requested time.  Raises
     InvalidParameterError unless ``times`` is a non-empty 1-d sequence of
-    finite values.
+    finite values, and DomainError where a phase w*t of the scaled route is
+    outside the float range.
     """
     return _s2_at(params, _times_array(times))
 
@@ -570,6 +569,13 @@ def _s2_at(params: SystemParams, t):
     e, (g, delta, f1, f2) = _normalized(*params[:4])
     s1, s2, s3 = frequencies_from_charpoly(CharPoly(*_char_poly_coeffs(g, delta, f1, f2)))[3:]
     a, c = _s2_numerator(g, delta, f2)
+    try:  # no phase below is larger than s3 times the largest |t| in these units
+        t_max = math.ldexp(max(_tolist(abs(t))), e)
+    except OverflowError:
+        t_max = math.inf
+    if not math.isfinite(s3 * t_max):
+        raise DomainError(f"phases w*t overflow: max|w| = {s3:.6g} times max|t| = {t_max:.6g} is not finite "
+                          f"(w scaled by 2^{-e}, t by 2^{e})")
     t = xp.ldexp(t, e)  # in the units of the normalized parameters
     half = 0.5 * t
     phi12, phi23 = (2.0 * _sinc_times(half, x + y) * _sinc_times(half, x - y) for x, y in ((s1, s2), (s2, s3)))
@@ -634,17 +640,13 @@ def sweep_spectrum_values(
     if not fast:
         grid = np.array(_checked_values(base, k, grid), dtype=float)
     columns = [grid if i == k else np.full(len(grid), base[i]) for i in range(4)]
-    bad = _first_invalid(*columns)
-    if bad < len(grid):
-        base.replace(**{vary: float(grid[bad])})  # raises that point's error
+    _check_rows(*columns)
     if len(grid) == 0:
         return []
     if constraint is not None:
         columns = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in constraint(*columns)]
-        bad = _first_invalid(*columns)
-        if bad < len(grid):
-            SystemParams(*(float(c[bad]) for c in columns))  # raises that point's error
-    freqs, delta_err, undefined = _sweep_fields(columns, base.omega0, degeneracy_tol)
+        _check_rows(*columns)
+    freqs, delta_err, undefined = _sweep_fields(columns, degeneracy_tol)
     columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
     return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
 
@@ -660,7 +662,7 @@ def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DE
         points = [constraint(*point) for point in points]
         for point in points:
             SystemParams(*point)  # raises the first failing point's error
-    return [SweepRow(value, *_sweep_fields(point, base.omega0, degeneracy_tol)) for value, point in zip(values, points)]
+    return [SweepRow(value, *_sweep_fields(point, degeneracy_tol)) for value, point in zip(values, points)]
 
 
 def _vary_index(vary) -> int:
@@ -681,12 +683,11 @@ def _checked_values(base, k, values) -> list[float]:
     return checked
 
 
-def _sweep_fields(columns, omega0, degeneracy_tol):
+def _sweep_fields(columns, degeneracy_tol):
     """A SweepRow's frequencies, delta_err and degenerate flag at the parameter
-    ``columns``: arrays, for one batched kernel call, or one point's floats,
-    checked as in ``eigenfrequencies``; both give the same bits."""
-    freqs = _mirror_frequencies(*columns)
-    _check_gaps(freqs, columns, omega0)
+    ``columns``: arrays, for one batched kernel call, or one point's floats;
+    both give the same bits."""
+    freqs = _jacobi(*columns)[0]
     delta_err, undefined = _nonequidistance(freqs, _threshold(freqs, degeneracy_tol))
     return freqs, _xp(undefined).where(undefined, None, delta_err), undefined
 

@@ -6,7 +6,7 @@ import pytest
 
 from trichain import SystemParams, build_coupling_matrix, spectral_mirror_operator
 from trichain.model import _MIRROR_BASIS
-from trichain.spectrum import _char_poly_coeffs, _cubic_discriminant
+from trichain.spectrum import _char_poly_coeffs, _cubic_discriminant, _s2_numerator
 
 sympy = pytest.importorskip("sympy")
 
@@ -39,6 +39,18 @@ def test_char_poly_coeffs_expand_the_determinant():
     det = (p * sympy.eye(6) + sympy.I * _generator()).det(method="berkowitz")
     c4, c2, c0 = _char_poly_coeffs(*SYMBOLS)
     assert sympy.expand(det - (p**6 + c4 * p**4 + c2 * p**2 + c0)) == 0
+
+
+def test_s2_numerator_is_the_cofactor_of_the_central_atom():
+    # s2_response is the (2,2) entry of (pI + iM)^-1: that cofactor over Det(p).
+    p = sympy.Symbol("p")
+    minor = p * sympy.eye(6) + sympy.I * _generator()
+    minor.row_del(1)
+    minor.col_del(1)
+    a, c = (x.xreplace({f: sympy.Rational(f) for f in x.atoms(sympy.Float)}) for x in _s2_numerator(G, DELTA, F2))
+    assert not (a.atoms(sympy.Float) or c.atoms(sympy.Float))
+    q = p * p
+    assert sympy.expand(minor.det(method="berkowitz") - p * (q * q + a * q + c)) == 0
 
 
 def test_cubic_discriminant_is_sympys():

@@ -883,6 +883,8 @@ _USAGE_ERRORS = {
     "config-list": (["spectrum", "--config", "{path}"], "config {path} must contain a JSON object"),
     "comb-flag-without-g": (["spectrum", "--comb", "A"], "--comb requires --g"),
     "comb-command-without-g": (["comb", "--branch", "A"], "comb requires --g"),
+    "comb-flag-with-derived-flag": (["spectrum", "--comb", "A", "--g", "0.5", "--f1", "1"],
+                                    "--comb derives delta, f1, f2; drop those flags"),
     "evolve-n-1": (["evolve", "--preset", "qubit", "--n", "1"], "--n must be at least 2"),
 }
 

@@ -28,11 +28,13 @@ from trichain import (
     evolve_spectral,
     identify_energy_branch,
     initial_state,
+    inverse_laplace_s2,
     plateau_width,
     propagator,
     schedule_from_json,
     solve_comb_params,
 )
+from trichain.spectrum import _s2_at
 from conftest import random_params
 
 RABI = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
@@ -108,21 +110,33 @@ class TestPropagator:
         assert np.linalg.norm(u_half @ u_half - u_full, 2) <= 1e-9
 
 
-@pytest.mark.parametrize("params, t_end", [
-    (SystemParams(g=0.0, delta=1e308, f1=1.0, f2=1.0), 2.0 * math.pi),  # a huge frequency
-    (SystemParams(g=0.0, delta=0.0, f1=2.0, f2=2.0), 1.7e308),            # a huge time, max|w| = 2
-], ids=["frequency", "time"])
-def test_overflowing_phases_raise_domain_error(params, t_end):
-    # w*t beyond the float range would give NaN states, so each propagator refuses it.
+_LAPLACE_ROUTES = ("inverse_laplace_s2", "_s2_at")
+
+
+@pytest.mark.parametrize("params, t_end, routes", [
+    (SystemParams(g=0.0, delta=1e308, f1=1.0, f2=1.0), 2.0 * math.pi, None),  # a huge frequency
+    (SystemParams(g=0.0, delta=0.0, f1=2.0, f2=2.0), 1.7e308, None),           # a huge time, max|w| = 2
+    (SystemParams(g=3.0, delta=0.0, f1=1.0, f2=1.0), 5e307, None),             # max|w| ~ 4.5
+    # Only the Laplace route, which scales t by 2^e = 2 here, forms a phase beyond the float range.
+    (SystemParams(g=0.3, delta=0.2, f1=1.0, f2=1.0), 1e308, _LAPLACE_ROUTES),
+], ids=["frequency", "time", "product", "laplace-scaled-time"])
+def test_overflowing_phases_raise_domain_error(params, t_end, routes):
+    # w*t beyond the float range would give NaN states and a NaN s2, so each route refuses it.
     v0 = initial_state(2)
     schedule = Schedule(segments=(Segment(0.0, t_end, params.g),), base=params)
-    for propagate in (
-        lambda: evolve_spectral(params, v0, [0.0, t_end]),
-        lambda: propagator(params, t_end),
-        lambda: evolve_schedule(schedule, v0, [0.0, t_end]),
-    ):
-        with pytest.raises(DomainError, match="overflow"):
-            propagate()
+    propagations = {
+        "evolve_spectral": lambda: evolve_spectral(params, v0, [0.0, t_end]),
+        "propagator": lambda: propagator(params, t_end),
+        "evolve_schedule": lambda: evolve_schedule(schedule, v0, [0.0, t_end]),
+        "inverse_laplace_s2": lambda: inverse_laplace_s2(params, [0.0, t_end]),
+        "_s2_at": lambda: _s2_at(params, t_end),  # a float t, on math rather than numpy
+    }
+    for name, propagate in propagations.items():
+        if routes is None or name in routes:
+            with pytest.raises(DomainError, match="^phases w.t overflow"):
+                propagate()
+        else:
+            propagate()  # its own phases are finite: no error
 
 
 # Points where the spectrum degenerates are the normal case: f1 = 0 and
@@ -196,7 +210,7 @@ class TestMirrorFlow:
     @given(params=_points, k=_scales)
     def test_flow_uses_the_frequencies_of_eigenfrequencies(self, params, k):
         point = _scaled(params, k)
-        e, sigma, _, _ = dynamics_module._mirror_svd(*point)
+        e, sigma, _, _ = dynamics_module._mirror_svd(*point[:4])
         assert _bits(sorted(4.0 * math.ldexp(float(s), e - 2) for s in sigma)) == _bits(
             eigenfrequencies(point).positive)
 
@@ -226,7 +240,7 @@ class TestMirrorFlow:
             lambda: propagator(params, 1.0),
             lambda: evolve_schedule(schedule, initial_state(2), [0.0, 1.0]),
         ):
-            with pytest.raises(ConsistencyError, match="for SystemParams.g=0.5, delta=0.3,"):
+            with pytest.raises(ConsistencyError, match="for g=0.5, delta=0.3, f1=0.8, f2=0.9$"):
                 propagate()
 
 

@@ -162,6 +162,7 @@ _SCALAR_ENTRY_POINTS = {
     ),
     "energy_at_pi": (energy_at_pi, DomainError, False),
     "solve_g_for_energy": (solve_g_for_energy, DomainError, False),
+    "solve_comb_params": (lambda v: solve_comb_params(v, "A"), DomainError, False),
     "scale_comb": (lambda v: scale_comb(solve_comb_params(0.5, "A"), v), DomainError, True),
     "comb_constraints": (lambda v: comb_constraints(solve_comb_params(0.5, "A").params, v), DomainError, True),
     "propagator": (lambda v: propagator(_BASE, v), InvalidParameterError, False),
@@ -197,7 +198,8 @@ def test_numpy_scalars_are_real_numbers(site, value):
 
 
 @pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
-@pytest.mark.parametrize("value", [True, "1", float("nan"), 10**400], ids=["bool", "str", "nan", "huge int"])
+@pytest.mark.parametrize("value", [True, "1", float("nan"), 10**400, np.array([0.5])],
+                         ids=["bool", "str", "nan", "huge int", "1-element array"])
 def test_bools_strings_nan_and_huge_ints_are_refused(site, value):
     call, error, _ = _SCALAR_ENTRY_POINTS[site]
     with pytest.raises(error, match="finite real number, got "):
