@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 
 from .errors import ConsistencyError, DomainError, InvalidParameterError
-from .model import SystemParams, _is_array, _real, _xp
+from .model import SystemParams, _check_params, _is_array, _real, _xp
 from .spectrum import _s2_at, char_poly, eigenfrequencies
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
@@ -112,6 +112,7 @@ def comb_constraints(params: SystemParams, spacing: float = 1.0) -> tuple[float,
     All three vanish exactly when Det(p) = p^2 (p^2 + k^2) (p^2 + 4 k^2)
     with k = spacing, i.e. when the spectrum is {-2k, -k, 0, 0, k, 2k}.
     """
+    _check_params(params)
     spacing = _real("spacing", spacing, DomainError, positive=True)
     cp = char_poly(params)
     k2 = spacing * spacing

@@ -34,6 +34,7 @@ from .model import (
     N_MODES,
     SystemParams,
     _CheckedRecord,
+    _check_params,
     _checked_array,
     _csv,
     _is_real,
@@ -91,11 +92,6 @@ def _check_state(v0) -> np.ndarray:
     if abs(norm - 1.0) > _STATE_NORM_TOL:
         raise InvalidParameterError(f"state norm {norm} deviates from 1 beyond {_STATE_NORM_TOL}")
     return v
-
-
-def _check_params(params) -> None:
-    if not isinstance(params, SystemParams):
-        raise InvalidParameterError(f"params must be a SystemParams, got {params!r}")
 
 
 def _check_times(times) -> np.ndarray:

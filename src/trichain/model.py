@@ -215,6 +215,12 @@ class SystemParams(_CheckedRecord, namedtuple("SystemParams", _CONFIG_KEYS, defa
     replace = _CheckedRecord._replace
 
 
+def _check_params(params) -> None:
+    """Refuse anything but a SystemParams: the fields of another tuple are unchecked."""
+    if not isinstance(params, SystemParams):
+        raise InvalidParameterError(f"params must be a SystemParams, got {params!r}")
+
+
 def build_coupling_matrix(params: SystemParams) -> np.ndarray:
     """Return the 6x6 real symmetric generator M of d/dt v = -i M v."""
     import numpy as np

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trichain import (
+    CharPoly,
     DomainError,
     InvalidParameterError,
     Schedule,
@@ -16,18 +17,22 @@ from trichain import (
     SystemParams,
     TrichainError,
     build_coupling_matrix,
+    char_poly,
     comb_constraints,
+    degeneracy_discriminant,
     eigenfrequencies,
     energy_at_pi,
     evolve_rk4,
     evolve_schedule,
     evolve_spectral,
+    frequencies_from_charpoly,
     initial_state,
     inverse_laplace_s2,
     params_from_config,
     params_to_config,
     plateau_width,
     propagator,
+    s2_response,
     scale_comb,
     solve_comb_params,
     solve_g_for_energy,
@@ -178,6 +183,10 @@ _SCALAR_ENTRY_POINTS = {
     "sweep_spectrum_values": (lambda v: sweep_spectrum_values(_BASE, "g", [0.5], degeneracy_tol=v),
                               InvalidParameterError, True),
     "_sweep_points": (lambda v: _sweep_points(_BASE, "g", [0.5], degeneracy_tol=v), InvalidParameterError, True),
+    # cubics with three real roots <= 0 at v = 0.5 and v = 1
+    "frequencies_from_charpoly c4": (lambda v: frequencies_from_charpoly(CharPoly(v, 0.0, 0.0)), DomainError, False),
+    "frequencies_from_charpoly c2": (lambda v: frequencies_from_charpoly(CharPoly(3.0, v, 0.0)), DomainError, False),
+    "frequencies_from_charpoly c0": (lambda v: frequencies_from_charpoly(CharPoly(6.0, 9.0, v)), DomainError, False),
 }
 _POSITIVE_KNOBS = sorted(site for site, (_, _, positive) in _SCALAR_ENTRY_POINTS.items() if positive)
 
@@ -214,7 +223,7 @@ def test_positive_knobs_refuse_zero_and_negative_numbers(site, value):
         call(value)
 
 
-# A dynamics entry point refuses another record, or a plain tuple, outright.
+# An entry point refuses another record, or a plain tuple, outright.
 _SCHEDULE = Schedule([Segment(0.0, 5.0, 0.5)], SystemParams(0.5, 0.3, 0.8, 0.9))
 _WRONG_RECORDS = {
     "evolve_spectral tuple": (lambda: evolve_spectral((0.5, 0.0, -1.0, 1.0), initial_state(2), [0.0, 1.0]),
@@ -229,6 +238,22 @@ _WRONG_RECORDS = {
                               ScheduleError, "schedule must be a Schedule"),
     "evolve_schedule params": (lambda: evolve_schedule(_BASE, initial_state(2), [0.0, 5.0]),
                                ScheduleError, "schedule must be a Schedule"),
+    "char_poly tuple": (lambda: char_poly((0.5, 0.3, 0.8, 0.9)), InvalidParameterError,
+                        "params must be a SystemParams"),
+    "eigenfrequencies tuple": (lambda: eigenfrequencies((0.5, 0.3, 0.8, 0.9)), InvalidParameterError,
+                               "params must be a SystemParams"),
+    "eigenfrequencies schedule": (lambda: eigenfrequencies(_SCHEDULE), InvalidParameterError,
+                                  "params must be a SystemParams"),
+    "degeneracy_discriminant tuple": (lambda: degeneracy_discriminant((0.5, 0.3, 0.8, 0.9)), InvalidParameterError,
+                                      "params must be a SystemParams"),
+    "s2_response tuple": (lambda: s2_response((0.5, 0.3, 0.8, 0.9), 1.0), InvalidParameterError,
+                          "params must be a SystemParams"),
+    "inverse_laplace_s2 tuple": (lambda: inverse_laplace_s2((1.0, 0.0, 1.0, 1.0), [0.0]), InvalidParameterError,
+                                 "params must be a SystemParams"),
+    "comb_constraints tuple": (lambda: comb_constraints((0.5, 0.3, 0.8, 0.9)), InvalidParameterError,
+                               "params must be a SystemParams"),
+    "frequencies_from_charpoly tuple": (lambda: frequencies_from_charpoly((1.0, 0.0, 0.0)), InvalidParameterError,
+                                        "cp must be a CharPoly"),
 }
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,28 @@ PUBLIC = {
     ],
 }
 DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names}
+
+
+def _readme_python_blocks() -> list[str]:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_quick_start_runs_as_its_comments_say(capsys):
+    namespace = {}
+    exec(_readme_python_blocks()[0], namespace)
+    assert namespace["branch"] == "B"
+    assert namespace["table"][1000][0] == pytest.approx(3.141592653589793)
+    assert namespace["table"][1000][2] <= 1e-7  # the central atom is empty at t = pi
+    g_solutions = ast.literal_eval(capsys.readouterr().out.splitlines()[-1])
+    assert g_solutions[0] == pytest.approx(0.585407, abs=5e-7) and g_solutions[1] == 1.0
+
+
+def test_readme_sweep_example_runs():
+    namespace = {}
+    exec(_readme_python_blocks()[1], namespace)
+    assert len(namespace["rows"]) == 2000
+    assert namespace["fixed_ratio"](0.5, 0.3, 1.0, 1.0) == (0.5, 0.3, 1.0, 0.5)
 
 
 def test_all_is_pinned():

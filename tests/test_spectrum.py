@@ -445,6 +445,7 @@ class TestClosedFormCubic:
         assume(coefficients_are_normal_or_zero(params) and coefficients_are_normal_or_zero(point))
         base = frequencies_from_charpoly(char_poly(params))
         assert bits(frequencies_from_charpoly(char_poly(point))) == bits([math.ldexp(w, k) for w in base])
+        assert _coefficient_gap(base, *params[:4]) <= 1e-14  # the kernel's rule, with its margin (worst seen 2.2e-15)
         kernel = np.array(eigenfrequencies(params).frequencies)
         squares = kernel[3:] ** 2
         if np.min(np.diff(squares)) >= 1e-3 * squares[2]:  # no repeated root (see the resonant scan)
@@ -478,11 +479,11 @@ class TestClosedFormCubic:
         # c0 overflows from 2^171 up, where the closed form returned 2.07e51,
         # 2.07e51, 4.22e51 for the positive half; c2 too at 2^300 (it returned NaN).
         for k in (171, 300):
-            with pytest.raises(DomainError, match="float range"):
+            with pytest.raises(DomainError, match="finite real number"):
                 frequencies_from_charpoly(char_poly(scaled(self.GENERIC, k)))
         frequencies_from_charpoly(char_poly(scaled(self.GENERIC, 170)))
         for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(DomainError, match="float range"):
+            with pytest.raises(DomainError, match="c0 must be a finite real number"):
                 frequencies_from_charpoly(CharPoly(1.0, 0.25, bad))
 
     def test_vanishing_or_tiny_c4(self):
@@ -504,6 +505,8 @@ class TestClosedFormCubic:
         positive=st.tuples(roots, roots, st.floats(min_value=1e-3, max_value=2.0)), complex_pair=st.booleans(),
         k=st.integers(min_value=-100, max_value=100),
     )
+    # q = -1.6328125 and -1.625 +- 0.001i: the real root leaves a residual of only ~2e-12
+    @example(real=1.6328125, pair=(-1.625, 0.001), positive=(0.0, 0.0, 1e-3), complex_pair=True, k=0)
     def test_cubics_without_three_real_nonpositive_roots_are_refused(self, real, pair, positive, complex_pair, k):
         # Built from its roots in q: -real and x +- iy, or two roots <= 0 and one > 0.
         if complex_pair:
@@ -514,6 +517,22 @@ class TestClosedFormCubic:
             coefficients = (-(a + b + c), a * b + a * c + b * c, -a * b * c)
         with pytest.raises(ConsistencyError):
             frequencies_from_charpoly(CharPoly(*(math.ldexp(x, 2 * n * k) for n, x in enumerate(coefficients, 1))))
+
+    def test_complex_pairs_near_the_real_axis_are_refused(self):
+        # The pair x +- iy sits within 0.05 of the real root -r, y in [1e-3, 1e-1]:
+        # the clamped discriminant makes it a real double root, which only the
+        # coefficients can tell apart.
+        rng = np.random.default_rng(56)
+        accepted = []
+        for _ in range(5000):
+            r = rng.uniform(0.0, 2.0)
+            x, y = -r + rng.uniform(-0.05, 0.05), 10.0 ** rng.uniform(-3.0, -1.0)
+            cp = CharPoly(r - 2.0 * x, x * x + y * y - 2.0 * x * r, r * (x * x + y * y))
+            try:
+                accepted.append((cp, frequencies_from_charpoly(cp)))
+            except ConsistencyError:
+                pass
+        assert accepted == []
 
 
 class TestDegeneracyDiscriminant:
