@@ -44,7 +44,7 @@ from .model import (
     _xp,
     build_coupling_matrix,
 )
-from .spectrum import _jacobi
+from .spectrum import _check_phase_range, _jacobi
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
@@ -148,9 +148,7 @@ def _at(flow, t) -> list:
 
 def _check_phases(svd, t_max) -> None:
     e, sigma, _, _ = svd
-    w_max, t_max = 4.0 * math.ldexp(max(sigma), e - 2), float(t_max)  # inf, not an error
-    if not math.isfinite(w_max * t_max):
-        raise DomainError(f"phases w*t overflow: max|w| = {w_max:.6g} times max|t| = {t_max:.6g} is not finite")
+    _check_phase_range(4.0 * math.ldexp(max(sigma), e - 2), float(t_max))  # a w beyond the float range is inf here
 
 
 def _terms(e, sigma, t):

@@ -297,7 +297,8 @@ def spectral_mirror_operator() -> np.ndarray:
 
 
 #: Every CSV number the package writes.  ``"%.12g" % x`` and ``format(x, ".12g")``
-#: make the same C call, so either spelling gives the same bytes.
+#: make the same C call, so either spelling gives the same bytes.  Its array
+#: form, for the columns of a sweep table, is ``_columns._num_frames``.
 _NUM = "%.12g"
 
 

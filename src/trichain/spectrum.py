@@ -36,6 +36,13 @@ the paper's algebraic route: normalized once by a power of four, so its
 frequencies scale bitwise with the coefficients, with the two smaller roots
 deflated from the largest.  Its squared frequencies pass the same Vieta
 rule, so every frequency the package returns is judged by one check.
+
+``sweep_spectrum`` and ``sweep_spectrum_values`` return a SweepTable, an
+immutable sequence of SweepRow that keeps the kernel's columns and builds a
+row only when it is indexed or iterated; ``list(table)`` gives a list, and
+an empty list of values an empty table.  ``sweep_rows_to_csv`` writes a
+table from its columns, with the array form of %.12g (``_columns``), and its
+CSV is byte-identical to the per-row writer's on ``list(table)``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import math
 import numbers
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import repeat
 
 from .errors import (
@@ -60,7 +68,7 @@ from .model import (
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
 if TYPE_CHECKING:
-    from typing import Callable, Sequence
+    from typing import Callable
 
     import numpy as np
 
@@ -72,7 +80,7 @@ if TYPE_CHECKING:
     ]
 
 __all__ = [
-    "DEFAULT_DEGENERACY_TOL", "CharPoly", "Spectrum", "DegeneracyReport", "SweepRow", "char_poly",
+    "DEFAULT_DEGENERACY_TOL", "CharPoly", "Spectrum", "DegeneracyReport", "SweepRow", "SweepTable", "char_poly",
     "frequencies_from_charpoly", "eigenfrequencies", "nonequidistance_error", "degeneracy_discriminant",
     "s2_response", "inverse_laplace_s2", "sweep_spectrum", "sweep_spectrum_values", "sweep_rows_to_csv",
 ]
@@ -538,6 +546,20 @@ def s2_response(params: SystemParams, p: complex) -> complex:
     return value
 
 
+#: Phases w*t from here on are refused: a float of this size or more is a
+#: multiple of 2, so it holds no digit of cos(w*t).
+_PHASE_LIMIT = 2.0**53
+
+
+def _check_phase_range(w_max: float, t_max: float, units: str = "") -> None:
+    """Raise DomainError unless max|w| * max|t| < _PHASE_LIMIT: the one rule of
+    every route that evaluates sin and cos of w*t.  ``units`` says how w and t
+    were scaled, where they were."""
+    if not w_max * t_max < _PHASE_LIMIT:
+        raise DomainError(f"phases w*t reach 2^53, where a float keeps no digit of cos(w*t): max|w| = {w_max:.6g} "
+                          f"times max|t| = {t_max:.6g}{units}")
+
+
 def _sinc_times(h, x):
     """h * sin(h*x) / (h*x), h where h*x = 0: bounded by both |h| and 1/|x|.
     h is a float or a float array; x is a float."""
@@ -570,8 +592,8 @@ def inverse_laplace_s2(params: SystemParams, times: Sequence[float]) -> np.ndarr
 
     Returns a float array of s2 values, one per requested time.  Raises
     InvalidParameterError unless ``times`` is a non-empty 1-d sequence of
-    finite values, and DomainError where a phase w*t of the scaled route is
-    outside the float range.
+    finite values, and DomainError where the largest phase w*t reaches 2^53
+    (``_check_phase_range``), where cos(w*t) has no digit left.
     """
     _check_params(params)
     return _s2_at(params, _times_array(times))
@@ -587,9 +609,7 @@ def _s2_at(params: SystemParams, t):
         t_max = math.ldexp(max(_tolist(abs(t))), e)
     except OverflowError:
         t_max = math.inf
-    if not math.isfinite(s3 * t_max):
-        raise DomainError(f"phases w*t overflow: max|w| = {s3:.6g} times max|t| = {t_max:.6g} is not finite "
-                          f"(w scaled by 2^{-e}, t by 2^{e})")
+    _check_phase_range(s3, t_max, f" (w scaled by 2^{-e}, t by 2^{e})")
     t = xp.ldexp(t, e)  # in the units of the normalized parameters
     half = 0.5 * t
     phi12, phi23 = (2.0 * _sinc_times(half, x + y) * _sinc_times(half, x - y) for x, y in ((s1, s2), (s2, s3)))
@@ -619,14 +639,76 @@ class SweepRow(namedtuple("SweepRow", ("param", "frequencies", "delta_err", "deg
         }
 
 
+class SweepTable(Sequence):
+    """The rows of a sweep, an immutable sequence of SweepRow kept as columns.
+
+    ``param``, ``delta_err`` (NaN where undefined) and ``degenerate`` are
+    read-only 1-d arrays, and ``frequencies`` a tuple of six, the columns of
+    w1..w6.  A row is built only when the table is indexed or iterated: the
+    row's fields are the columns' elements as Python floats and bools, with
+    None for the ``delta_err`` of a degenerate row.  A slice is a table, and
+    ``list(table)`` the list of rows.  Two tables are equal when their rows
+    are; a table equals no list.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, param, frequencies, delta_err, degenerate):
+        import numpy as np
+
+        columns = [np.array(c, dtype=float) for c in (param, *frequencies, delta_err)]
+        columns.append(np.array(degenerate, dtype=bool))
+        if len(columns) != 9 or any(c.shape != columns[0].shape for c in columns) or columns[0].ndim != 1:
+            raise InvalidParameterError("a sweep table needs equal-length 1-d columns: param, six frequencies, "
+                                        "delta_err and degenerate")
+        for c in columns:
+            c.flags.writeable = False
+        self._columns = columns
+
+    param = property(lambda self: self._columns[0], doc="The swept values.")
+    frequencies = property(lambda self: tuple(self._columns[1:7]), doc="The columns w1..w6, ascending by row.")
+    delta_err = property(lambda self: self._columns[7], doc="The non-equidistance error, NaN where undefined.")
+    degenerate = property(lambda self: self._columns[8], doc="Whether the error is undefined.")
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            param, *freqs, delta_err, degenerate = (c[index] for c in self._columns)
+            return SweepTable(param, freqs, delta_err, degenerate)
+        k = range(len(self))[index]  # an IndexError or a TypeError as a list's
+        param, *freqs, delta_err, degenerate = (c[k].item() for c in self._columns)
+        return SweepRow(param, tuple(freqs), None if degenerate else delta_err, degenerate)
+
+    def __iter__(self):
+        import numpy as np
+
+        param, *freqs, delta_err, degenerate = self._columns
+        columns = (param.tolist(), zip(*(w.tolist() for w in freqs)), np.where(degenerate, None, delta_err).tolist(),
+                   degenerate.tolist())
+        return map(tuple.__new__, repeat(SweepRow), zip(*columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __reduce__(self):
+        return type(self), (self.param, self.frequencies, self.delta_err, self.degenerate)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} rows>"
+
+
 def sweep_spectrum_values(
     base: SystemParams,
     vary: str,
     values: Sequence[float],
     constraint: SweepConstraint | None = None,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> list[SweepRow]:
-    """Spectrum sweep over an explicit list of parameter values.
+) -> SweepTable:
+    """Spectrum sweep over an explicit list of parameter values, as a SweepTable.
 
     ``constraint``, when given, maps the parameter columns (g, delta, f1, f2)
     of the whole grid, equal-length float arrays, to corrected columns (e.g.
@@ -639,7 +721,7 @@ def sweep_spectrum_values(
     its first failing point: ``vary``, ``degeneracy_tol``, the values (by
     the rule of SystemParams), the constraint over every point, the
     constrained points (by the same rule), the spectra.  An empty list of
-    values gives no rows and reaches no constraint.  ``_sweep_points`` takes
+    values gives an empty table and reaches no constraint.  ``_sweep_points`` takes
     the points one at a time in the same order, so both give the same rows
     and errors.
     """
@@ -656,13 +738,11 @@ def sweep_spectrum_values(
     columns = [grid if i == k else np.full(len(grid), base[i]) for i in range(4)]
     _check_rows(*columns)
     if len(grid) == 0:
-        return []
+        return SweepTable(grid, (grid,) * 6, grid, grid.astype(bool))
     if constraint is not None:
         columns = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in constraint(*columns)]
         _check_rows(*columns)
-    freqs, delta_err, undefined = _sweep_fields(columns, degeneracy_tol)
-    columns = grid.tolist(), zip(*(w.tolist() for w in freqs)), delta_err.tolist(), undefined.tolist()
-    return list(map(tuple.__new__, repeat(SweepRow), zip(*columns)))
+    return SweepTable(grid, *_sweep_fields(columns, degeneracy_tol))
 
 
 def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -676,7 +756,11 @@ def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DE
         points = [constraint(*point) for point in points]
         for point in points:
             SystemParams(*point)  # raises the first failing point's error
-    return [SweepRow(value, *_sweep_fields(point, degeneracy_tol)) for value, point in zip(values, points)]
+    rows = []
+    for value, point in zip(values, points):
+        freqs, delta_err, undefined = _sweep_fields(point, degeneracy_tol)
+        rows.append(SweepRow(value, freqs, None if undefined else delta_err, undefined))
+    return rows
 
 
 def _vary_index(vary) -> int:
@@ -698,12 +782,11 @@ def _checked_values(base, k, values) -> list[float]:
 
 
 def _sweep_fields(columns, degeneracy_tol):
-    """A SweepRow's frequencies, delta_err and degenerate flag at the parameter
-    ``columns``: arrays, for one batched kernel call, or one point's floats;
-    both give the same bits."""
+    """The frequencies, the non-equidistance error (NaN where undefined) and the
+    degenerate flag at the parameter ``columns``: arrays, for one batched
+    kernel call, or one point's floats; both give the same bits."""
     freqs = _jacobi(*columns)[0]
-    delta_err, undefined = _nonequidistance(freqs, _threshold(freqs, degeneracy_tol))
-    return freqs, _xp(undefined).where(undefined, None, delta_err), undefined
+    return (freqs, *_nonequidistance(freqs, _threshold(freqs, degeneracy_tol)))
 
 
 def _grid(lo, hi, n, linspace):
@@ -730,15 +813,23 @@ def sweep_spectrum(
     n: int,
     constraint: SweepConstraint | None = None,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-) -> list[SweepRow]:
-    """Spectrum sweep over a uniform grid of ``n`` points in [lo, hi]."""
+) -> SweepTable:
+    """Spectrum sweep over a uniform grid of ``n`` points in [lo, hi], as a SweepTable."""
     import numpy as np
 
     return sweep_spectrum_values(base, vary, _grid(lo, hi, n, np.linspace), constraint, degeneracy_tol)
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """CSV table of a sweep; the delta column is empty on degenerate rows."""
+    """CSV table of a sweep; the delta column is empty on degenerate rows.
+
+    A SweepTable is written from its columns (``_columns.table_csv``), any
+    other sequence of rows one row at a time; both give the same bytes.
+    """
+    if isinstance(rows, SweepTable):
+        from ._columns import table_csv
+
+        return table_csv(rows)
     numbers = (_NUM + ",") * 7  # param and the six frequencies
     with_delta, without_delta = numbers + _NUM + ",%s", numbers + ",%s"
     lines = [_SWEEP_CSV_HEADER]

@@ -18,7 +18,11 @@ numpy version:
 - ``eigenfrequencies`` and ``degeneracy_discriminant``: their records;
 - ``cli``: the exit code and the stdout sha256 of ``spectrum``, ``sweep`` and
   ``comb`` runs;
-- ``figures``: the sha256 of fig2.csv to fig4.csv.
+- ``figures``: the sha256 of fig2.csv to fig4.csv;
+- ``sweep_csv``: the sha256 of ``sweep_rows_to_csv`` of library sweeps (each a
+  SweepTable, written from its columns): the five kinds of the benchmark's
+  ``sweep`` workload at small n, a designed-comb g sweep with a zero pair on
+  every row, and sweeps of parameters scaled by 2^-600 and 2^600.
 
 Nothing from ``evolve``, fig5, ``energy`` or the Laplace route is pinned:
 they call libm's sin and cos, whose last bit differs between platforms.
@@ -37,10 +41,15 @@ import tempfile
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from trichain import SystemParams, TrichainError, degeneracy_discriminant, eigenfrequencies  # noqa: E402
+from trichain import (  # noqa: E402
+    QUBIT_COUPLING, SystemParams, TrichainError, branch_constraint, degeneracy_discriminant, eigenfrequencies,
+    solve_comb_params, sweep_rows_to_csv, sweep_spectrum, sweep_spectrum_values,
+)
 from trichain.cli import main  # noqa: E402
 from trichain.spectrum import _jacobi  # noqa: E402
 
@@ -199,6 +208,38 @@ def figures_entry():
     return dict(zip(FIGURES, map(_sha, texts)))
 
 
+RESONANT = SystemParams(0.0, 0.0, 1.0, 1.0)
+
+
+def _detuning_anchor(n):
+    anchor = solve_comb_params(QUBIT_COUPLING, "A")
+    return sweep_spectrum_values(anchor.params, "delta", np.unique(np.append(np.linspace(0.0, 2.0, n), anchor.f2)))
+
+
+def _scaled(k):
+    base = SystemParams(*(math.ldexp(x, k) for x in (0.3, 0.2, 1.0, 0.7)))
+    return sweep_spectrum(base, "delta", math.ldexp(-1.0, k), math.ldexp(1.0, k), 41)
+
+
+SWEEPS = {
+    "resonant_0.01_3": lambda: sweep_spectrum(RESONANT, "g", 0.01, 3.0, 101),
+    "resonant_0_3": lambda: sweep_spectrum(RESONANT, "g", 0.0, 3.0, 101),
+    "detuning_anchor": lambda: _detuning_anchor(60),
+    "comb_A": lambda: sweep_spectrum(SystemParams(0.05, 0.6, 1.0, 1.0), "g", 0.05, 0.95, 57, branch_constraint("A")),
+    "comb_B": lambda: sweep_spectrum(SystemParams(0.05, 0.6, 1.0, 1.0), "g", 0.05, 0.95, 57, branch_constraint("B")),
+    "comb_zero_pair": lambda: sweep_spectrum(solve_comb_params(0.5, "A").params, "g", 0.1, 1.0, 50,
+                                             branch_constraint("A")),
+    "resonant_2^-600": lambda: sweep_spectrum(RESONANT._replace(f1=2.0**-600, f2=2.0**-600), "g", 0.0, 3 * 2.0**-600, 31),
+    "resonant_2^600": lambda: sweep_spectrum(RESONANT._replace(f1=2.0**600, f2=2.0**600), "g", 0.0, 3 * 2.0**600, 31),
+    "delta_2^-600": lambda: _scaled(-600),
+    "delta_2^600": lambda: _scaled(600),
+}
+
+
+def sweep_csv_entry(make):
+    return _sha(sweep_rows_to_csv(make()))
+
+
 def golden():
     return {
         "jacobi": [jacobi_entry(point) for point in jacobi_points()],
@@ -207,6 +248,7 @@ def golden():
         "degeneracy_discriminant": [discriminant_entry(point) for point in record_points()],
         "cli": [cli_entry(argv) for argv in CLI_CASES],
         "figures": figures_entry(),
+        "sweep_csv": {name: sweep_csv_entry(make) for name, make in SWEEPS.items()},
     }
 
 

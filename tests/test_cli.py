@@ -802,7 +802,7 @@ def test_sweep_command_matches_sweep_spectrum(case):
         base, vary, lo, hi, n, constraint and trichain.branch_constraint(constraint), tol))
     per_point = _outcome(lambda: _sweep_points(
         base, vary, _grid(lo, hi, n, _linspace), constraint and trichain.branch_constraint(constraint), tol))
-    assert per_point == batched
+    assert per_point == (batched if isinstance(batched, tuple) else list(batched))  # rows, or the same error
     argv = ["sweep", *param_flags(base), "--vary", vary, f"--lo={lo!r}", f"--hi={hi!r}", "--n", str(n),
             "--degeneracy-tol", repr(tol), *(["--constraint", constraint] if constraint else [])]
     for fmt in ("csv", "json"):

@@ -110,33 +110,38 @@ class TestPropagator:
         assert np.linalg.norm(u_half @ u_half - u_full, 2) <= 1e-9
 
 
-_LAPLACE_ROUTES = ("inverse_laplace_s2", "_s2_at")
-
-
-@pytest.mark.parametrize("params, t_end, routes", [
-    (SystemParams(g=0.0, delta=1e308, f1=1.0, f2=1.0), 2.0 * math.pi, None),  # a huge frequency
-    (SystemParams(g=0.0, delta=0.0, f1=2.0, f2=2.0), 1.7e308, None),           # a huge time, max|w| = 2
-    (SystemParams(g=3.0, delta=0.0, f1=1.0, f2=1.0), 5e307, None),             # max|w| ~ 4.5
-    # Only the Laplace route, which scales t by 2^e = 2 here, forms a phase beyond the float range.
-    (SystemParams(g=0.3, delta=0.2, f1=1.0, f2=1.0), 1e308, _LAPLACE_ROUTES),
-], ids=["frequency", "time", "product", "laplace-scaled-time"])
-def test_overflowing_phases_raise_domain_error(params, t_end, routes):
-    # w*t beyond the float range would give NaN states and a NaN s2, so each route refuses it.
+def _phase_routes(params, t_end):
+    """Each route that evaluates sin and cos of w*t, on the times [0, t_end]."""
     v0 = initial_state(2)
     schedule = Schedule(segments=(Segment(0.0, t_end, params.g),), base=params)
-    propagations = {
+    return {
         "evolve_spectral": lambda: evolve_spectral(params, v0, [0.0, t_end]),
         "propagator": lambda: propagator(params, t_end),
         "evolve_schedule": lambda: evolve_schedule(schedule, v0, [0.0, t_end]),
         "inverse_laplace_s2": lambda: inverse_laplace_s2(params, [0.0, t_end]),
         "_s2_at": lambda: _s2_at(params, t_end),  # a float t, on math rather than numpy
     }
-    for name, propagate in propagations.items():
-        if routes is None or name in routes:
-            with pytest.raises(DomainError, match="^phases w.t overflow"):
-                propagate()
-        else:
-            propagate()  # its own phases are finite: no error
+
+
+@pytest.mark.parametrize("params, t_end", [
+    (SystemParams(g=0.0, delta=1e308, f1=1.0, f2=1.0), 2.0 * math.pi),  # a huge frequency
+    (SystemParams(g=0.0, delta=0.0, f1=2.0, f2=2.0), 1.7e308),           # a huge time, max|w| = 2
+    (SystemParams(g=3.0, delta=0.0, f1=1.0, f2=1.0), 5e307),             # max|w| ~ 4.5
+    # Finite phases past 2^53: s2 read -1.2396 here, where |s2| <= 1 must hold.
+    (SystemParams(g=0.3, delta=0.2, f1=1.0, f2=1.0), 1e307),
+    (SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0), 2.0**53),           # max|w| = 1: w*t = 2^53 exactly
+], ids=["frequency", "time", "product", "past-2^53", "at-2^53"])
+def test_overflowing_phases_raise_domain_error(params, t_end):
+    # From 2^53 on a phase is a multiple of 2 rad, so no route has a digit of cos(w*t) to give.
+    for propagate in _phase_routes(params, t_end).values():
+        with pytest.raises(DomainError, match=r"^phases w\*t reach 2\^53"):
+            propagate()
+
+
+def test_phases_just_below_2_53_run():
+    params = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)  # max|w| = 1 on every route
+    for propagate in _phase_routes(params, 2.0**53 - 1.0).values():
+        propagate()
 
 
 # Points where the spectrum degenerates are the normal case: f1 = 0 and
@@ -200,11 +205,17 @@ class TestMirrorFlow:
     def test_scaling_the_parameters_scales_time_bitwise(self, params, k, init, t_end):
         # Only an exact scaling scales time bitwise: one that rounds a parameter
         # to a subnormal (delta = 7.27e-303, k = -19) does not come back unchanged.
+        # Both forms have the same phases w*t, so both run or both reach 2^53 and raise.
         assume(_scaled(_scaled(params, k), -k) == params)
         times = np.linspace(0.0, t_end, 17)
-        scaled = evolve_spectral(_scaled(params, k), initial_state(init), times)
-        stretched = evolve_spectral(params, initial_state(init), np.ldexp(times, k))
-        assert _bits(scaled.states) == _bits(stretched.states)
+
+        def states(params, times):
+            try:
+                return _bits(evolve_spectral(params, initial_state(init), times).states)
+            except DomainError:
+                return DomainError
+
+        assert states(_scaled(params, k), times) == states(params, np.ldexp(times, k))
 
     @settings(max_examples=150, deadline=None)
     @given(params=_points, k=_scales)

@@ -60,3 +60,7 @@ def test_cli_output(monkeypatch):
 def test_figures(monkeypatch):
     monkeypatch.delenv("TRICHAIN_VERBOSE", raising=False)
     assert make_golden.figures_entry() == GOLDEN["figures"]
+
+
+def test_sweep_csv():
+    assert {name: make_golden.sweep_csv_entry(make) for name, make in make_golden.SWEEPS.items()} == GOLDEN["sweep_csv"]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -19,6 +20,7 @@ from trichain import (
     PoleError,
     Spectrum,
     SweepRow,
+    SweepTable,
     SystemParams,
     build_coupling_matrix,
     char_poly,
@@ -43,6 +45,7 @@ from trichain import (
     evolve_rk4,
     propagator,
 )
+import trichain._columns as columns_module
 import trichain.model as model_module
 import trichain.spectrum as spectrum_module
 from trichain.spectrum import (
@@ -880,11 +883,25 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-17, 1e308, -1e308, 0.1, 1 / 3, 123
 
 class TestCsvWritersMatchPerFieldFormat:
     def test_sweep_rows(self):
-        rows = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 61) + sweep_spectrum(
-            solve_comb_params(QUBIT_COUPLING, "A").params, "delta", 0.0, 2.0, 41
-        )
+        tables = (sweep_spectrum(RESONANT, "g", 0.0, 3.0, 61),
+                  sweep_spectrum(solve_comb_params(QUBIT_COUPLING, "A").params, "delta", 0.0, 2.0, 41))
+        rows = [*tables[0], *tables[1]]
         assert any(row.delta_err is None for row in rows) and any(row.delta_err is not None for row in rows)
         assert sweep_rows_to_csv(rows) == reference_sweep_csv(rows)
+        for table in tables:
+            assert sweep_rows_to_csv(table) == reference_sweep_csv(table)
+
+    def test_tables_of_any_columns(self, rng):
+        # Not the kernel's: w1..w3 no mirror of w6..w4, and numbers of every kind in every column.
+        values = rng.integers(0, 2**64, size=(9, 600), dtype=np.uint64).view(np.float64)
+        values[:, ::7] = rng.choice(np.array(EDGE_VALUES + [math.inf, -math.inf, math.nan]), size=(9, 86))
+        table = SweepTable(values[0], values[1:7], values[7], values[8] > 0.0)
+        assert sweep_rows_to_csv(table) == reference_sweep_csv(table)
+        positive = np.where(np.isnan(values[4:7]), 1.0, values[4:7])  # a NaN has no mirror
+        mirrored = SweepTable(values[0], (*(0.0 - positive[::-1]), *positive), values[7], values[8] > 0.0)
+        assert sweep_rows_to_csv(mirrored) == reference_sweep_csv(mirrored)
+        signed_zeros = SweepTable([0.0], [[-0.0], [0.0], [-0.0], [0.0], [-0.0], [0.0]], [0.0], [False])
+        assert sweep_rows_to_csv(signed_zeros) == reference_sweep_csv(signed_zeros)  # -0.0 == 0.0 - 0.0, but not bitwise
 
     def test_sweep_edge_values_and_cell_types(self):
         values = EDGE_VALUES + [np.float64(2.5e-300), np.float64(-7.25), 3, -12, 10**20]
@@ -911,6 +928,95 @@ class TestCsvWritersMatchPerFieldFormat:
         assert model_module._csv("a,b,c,d,e,f", rows) == reference_numeric_csv("a,b,c,d,e,f", rows)
         sweep_rows = [SweepRow(row[0], row, row[1], False) for row in rows]
         assert sweep_rows_to_csv(sweep_rows) == reference_sweep_csv(sweep_rows)
+
+
+def array_num(values) -> list[str]:
+    """``_columns._num_frames`` of ``values``, as one string per value."""
+    frames = columns_module._num_frames(np.asarray(values, dtype=float))
+    lines = np.concatenate([frames, np.full((len(frames), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    """10^k for k in -324..308 and the four floats on each side of it."""
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    values = [powers]
+    for direction in (-np.inf, np.inf):
+        step = powers
+        for _ in range(4):
+            step = np.nextafter(step, direction)
+            values.append(step)
+    return np.concatenate(values)
+
+
+class TestArrayNumberFormat:
+    """``_columns._num_frames``, the array form of ``_NUM``, gives ``_NUM % x``
+    for every float: exactly scaled digits where they are safe, and CPython's
+    own formatting elsewhere, side by side in one array."""
+
+    def test_every_kind_of_float_in_one_array(self, rng):
+        switch_points = np.array([9.999999999995e-5, 99999999999.95, 999999999999.5, 1e-4, 1e11, 1e12, 1e-5])
+        switch_neighbours = [np.nextafter(switch_points, d) for d in (-np.inf, np.inf)]
+        ties = np.arange(1, 50_001) * 2.0**-17  # among them exact ties at the 12th digit
+        decimal_ties = np.array([float(f"{d}5e{k}") for d, k in zip(rng.integers(10**11, 10**12, 4000).tolist(),
+                                                                      rng.integers(-27, 8, 4000).tolist())])
+        near_ties = [np.nextafter(decimal_ties, d) for d in (-np.inf, np.inf)]  # their scaled values may read a tie
+        values = np.concatenate([
+            rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64),
+            EDGE_VALUES, [0.0, -0.0, 5e-324, 2.0**-1022 - 2.0**-1074, math.inf, -math.inf, math.nan, -math.nan],
+            powers_of_ten_and_neighbours(), switch_points, *switch_neighbours, ties, decimal_ties, *near_ties,
+            rng.uniform(0.0, 10.0, 10_000), 10.0 ** rng.uniform(-12.0, 35.0, 10_000),
+        ])
+        values = rng.permutation(np.concatenate([values, -values]))
+        assert array_num(values) == [reference_csv_number(x) for x in values.tolist()]
+
+    def test_ties_take_the_fallback(self):
+        ties = np.array([0.5 + 2.0**-40, 123456789012.5, 1.0000000000005, 2.0**-17 * 3])
+        assert array_num(ties) == [reference_csv_number(x) for x in ties.tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert array_num(values) == [reference_csv_number(x) for x in values]
+
+
+class TestSweepTableContract:
+    def test_immutable_sliceable_and_equal_by_rows(self):
+        table = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 31)
+        rows = list(table)
+        assert type(rows) is list and len(rows) == len(table) == 31
+        for name in ("param", "frequencies", "delta_err", "degenerate", "new_attribute"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, 1.0)
+        with pytest.raises(TypeError):
+            table[0] = rows[0]
+        with pytest.raises(ValueError):
+            table.param[0] = 1.0
+        part = table[3:20:2]
+        assert isinstance(part, SweepTable) and list(part) == rows[3:20:2]
+        assert [table[k] for k in range(-31, 31)] == rows + rows
+        with pytest.raises(IndexError):
+            table[31]
+        assert table == sweep_spectrum(RESONANT, "g", 0.0, 3.0, 31) and table != part
+        assert table != rows and part == table[3:20:2]
+        assert pickle.loads(pickle.dumps(table)) == table
+
+    def test_columns_give_the_rows(self):
+        table = sweep_spectrum(RESONANT, "g", 0.0, 3.0, 31)
+        for k, row in enumerate(table):
+            assert row.param == table.param[k] and row.frequencies == tuple(w[k] for w in table.frequencies)
+            assert row.degenerate is bool(table.degenerate[k])
+            assert row.delta_err is None if row.degenerate else row.delta_err == table.delta_err[k]
+            assert type(row.param) is float and all(type(w) is float for w in row.frequencies)
+
+    def test_empty_values_give_an_empty_table(self):
+        table = sweep_spectrum_values(RESONANT, "g", [])
+        assert isinstance(table, SweepTable) and len(table) == 0 and list(table) == []
+        assert sweep_rows_to_csv(table) == "param,w1,w2,w3,w4,w5,w6,delta,degenerate\n"
+
+    def test_columns_must_match(self):
+        with pytest.raises(InvalidParameterError, match="equal-length 1-d columns"):
+            SweepTable([0.0, 1.0], [[0.0]] * 6, [0.0], [False])
 
 
 class TestSweepRowContract:
