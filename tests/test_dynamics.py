@@ -127,10 +127,11 @@ def _phase_routes(params, t_end):
     (SystemParams(g=0.0, delta=1e308, f1=1.0, f2=1.0), 2.0 * math.pi),  # a huge frequency
     (SystemParams(g=0.0, delta=0.0, f1=2.0, f2=2.0), 1.7e308),           # a huge time, max|w| = 2
     (SystemParams(g=3.0, delta=0.0, f1=1.0, f2=1.0), 5e307),             # max|w| ~ 4.5
+    (SystemParams(g=0.3, delta=0.2, f1=1.0, f2=1.0), 1e308),             # the Laplace route scales t by 2 here
     # Finite phases past 2^53: s2 read -1.2396 here, where |s2| <= 1 must hold.
     (SystemParams(g=0.3, delta=0.2, f1=1.0, f2=1.0), 1e307),
     (SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0), 2.0**53),           # max|w| = 1: w*t = 2^53 exactly
-], ids=["frequency", "time", "product", "past-2^53", "at-2^53"])
+], ids=["frequency", "time", "product", "laplace-scaled-time", "past-2^53", "at-2^53"])
 def test_overflowing_phases_raise_domain_error(params, t_end):
     # From 2^53 on a phase is a multiple of 2 rad, so no route has a digit of cos(w*t) to give.
     for propagate in _phase_routes(params, t_end).values():
