@@ -14,11 +14,12 @@ import functools
 import numpy as np
 
 from .model import _NUM
-from .spectrum import _SWEEP_CSV_HEADER, SweepTable
+from .spectrum import _SWEEP_CSV_HEADER, SweepTable, sweep_rows_to_csv
 
-#: Bytes of a ``_num_frames`` frame, five 8-byte words: a sign and the prefix
-#: "0.000" or "0"; twelve digits, each after a slot for the point; an exponent "e+dd".
-_FRAME = 40
+#: Bytes of a ``_num_frames`` frame, four 8-byte words: a head of a slot for a
+#: comma, the sign and the prefix "0." ... "0.000" or "0"; twelve digits, each
+#: after a slot for the point.
+_FRAME = 32
 
 #: How near a tie m + 1/2 a scaled value y may lie and still give its own digits.
 #: y is its exact value rounded once, so within 2^-14 of it (y < 2^40), and on
@@ -31,10 +32,10 @@ _NEAR_TIE = 2.0**-12
 def _frame_words() -> tuple:
     """The tables ``_num_frames`` builds its words from, each of uint64 words
     whose bytes are in memory order (so only & and | touch them):
-    10^k exact for k in 0..22; the count of digits up to the last nonzero one
+    10^k exact for k in 0..15; the count of digits up to the last nonzero one
     of each of 0..9999; their four digits as NUL, d, NUL, d, ...; the masks
     that keep the first n of twelve digits; the point in the slot before
-    digit n; the sign and prefix of a head index; the exponent e at e + 12."""
+    digit n; the head of each prefix index and sign."""
 
     def words(rows):
         return np.array(rows, np.uint8).view(np.uint64)
@@ -47,72 +48,64 @@ def _frame_words() -> tuple:
     keep = [[0xFF * (k % 2 and k // 2 < n) for k in range(24)] for n in range(13)]
     dot = [[ord(".") * (k == 2 * n and n > 0) for k in range(24)] for n in range(12)]
     heads = [b"", b"0.", b"0.0", b"0.00", b"0.000", b"0"]
-    head = [list(sign + prefix.ljust(7, b"\0")) for prefix in heads for sign in (b"\0", b"-")]
-    tail = [[0] * 8] + [list(b"e%+03d\0\0\0\0" % (e - 12))[:8] for e in range(1, 47)]
-    return (np.array([float(10**k) for k in range(23)]), shown, slots.view(np.uint64)[:, 0], words(keep),
-            words(dot), words(head)[:, 0], words(tail)[:, 0])
+    head = [list(b"\0" + sign + prefix.ljust(6, b"\0")) for prefix in heads for sign in (b"\0", b"-")]
+    return (np.array([float(10**k) for k in range(16)]), shown, slots.view(np.uint64)[:, 0], words(keep),
+            words(dot), words(head)[:, 0])
 
 
 def _num_frames(x) -> np.ndarray:
     """``_NUM % v`` for every v of the float array ``x``, in order, as the rows
     of a uint8 matrix, each _FRAME bytes padded with NUL bytes anywhere:
-    deleting them (``bytes.translate``) gives the text.  Byte 0 holds the sign.
+    deleting them (``bytes.translate``) gives the text.  Byte 0 is NUL, a
+    slot for a comma, and byte 1 holds the sign.
 
-    A finite v with 10^-11 <= |v| < 10^34 is scaled once by an exact power
-    of ten 10^k, |k| <= 22, to y in [10^11, 10^12): a single correctly rounded
-    product or quotient, so y is within 2^-14 of the exact scaled value.  Its
-    twelve digits are y rounded to an integer, which is the exact value
-    correctly rounded unless y lies within _NEAR_TIE of a tie (after D. M.
-    Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary Conversions",
-    1990).  Zero is written directly.  Every other value, a near tie, NaN
-    and +-inf among them, is formatted by ``_NUM`` itself.
+    A finite v in %g's fixed notation, 10^-4 <= |v| < 10^12 once rounded to
+    twelve digits, is scaled once by an exact 10^k, k <= 15, to y in
+    [10^11, 10^12): a single correctly rounded product, so y is within 2^-14
+    of the exact scaled value.  Its twelve digits are y rounded to an
+    integer, which is the exact value correctly rounded unless y lies within
+    _NEAR_TIE of a tie (after D. M. Gay, "Correctly Rounded Binary-Decimal
+    and Decimal-Binary Conversions", 1990).  Zero is written directly.  Every
+    other value, the exponent form, a near tie, NaN and +-inf among them, is
+    formatted by ``_NUM`` itself.
     """
-    pow10, shown4, digits4, keep, dot, head, tail = _frame_words()
+    pow10, shown4, digits4, keep, dot, head = _frame_words()
     x = np.asarray(x, dtype=float).ravel()
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))  # the decimal exponent, or one off next to a power of ten
-    window = (e >= -10.0) & (e <= 32.0)
-    a, e = np.where(window, a, 1.0), np.where(window, e, 0.0).astype(np.intp)
-
-    def scaled(e):
-        k = np.take(pow10, abs(11 - e))
-        return np.where(e <= 11, a * k, a / k)
-
-    y = scaled(e)
-    off = (y >= 1e12).astype(np.intp) - (y < 1e11)
-    if off.any():
-        e += off
-        y = scaled(e)
-    exact = window & (y >= 1e11) & (y < 1e12) & (abs(y - np.floor(y) - 0.5) > _NEAR_TIE)
-    d = np.rint(y).astype(np.int64)
+        # the decimal exponent within the fixed notation's, or one off next to a power of ten
+        e = np.fmin(np.fmax(np.floor(np.log10(a)), -4.0), 11.0).astype(np.intp)
+        y = a * np.take(pow10, 11 - e)
+        off = (y >= 1e12).astype(np.intp) - (y < 1e11)
+        if off.any():
+            e = np.clip(e + off, -4, 11)
+            y = a * np.take(pow10, 11 - e)
+        exact = (y >= 1e11) & (y < 1e12) & (abs(y - np.floor(y) - 0.5) > _NEAR_TIE)
+    d = np.rint(np.where(exact, y, 1e11)).astype(np.int64)
     top = d == 10**12  # rounded up to the next power of ten
     d[top] = 10**11
     e += top
+    exact &= e < 12  # else the exponent form
     g0 = d // 10**8
     g2 = d - g0 * 10**8
     g1 = g2 // 10**4
     g2 -= g1 * 10**4
     zero = x == 0.0
-    fixed = (e >= -4) & (e < 12)  # %g's fixed notation, else the exponent form
-    point = np.where(fixed & (e > 0), e, 0)  # the digit the point follows, where one does
+    point = np.clip(e, 0, 11)  # the digit the point follows, where one does
     shown = np.where(g2 != 0, 8 + np.take(shown4, g2), np.where(g1 != 0, 4 + np.take(shown4, g1), np.take(shown4, g0)))
     shown = np.where(zero, 0, np.maximum(shown, point + 1))  # every digit before the point, none after the last
-    small = fixed & (e < 0)  # 0.000ddd: the point is in the prefix
+    small = e < 0  # 0.000ddd: the point is in the prefix
     sign = np.signbit(x) & ~np.isnan(x)
 
     frames = np.empty((len(x), _FRAME // 8), np.uint64)
     frames[:, 0] = np.take(head, 2 * np.where(zero, 5, np.where(small, -e, 0)) + sign)
-    body = np.take(digits4, np.stack([g0, g1, g2], axis=1)) & np.take(keep, shown, axis=0)
-    body |= np.take(dot, np.where((shown > point + 1) & ~small, point + 1, 0), axis=0)
-    frames[:, 1:4] = body
-    frames[:, 4] = np.take(tail, np.where(fixed, 0, e + 12))
+    frames[:, 1:] = np.take(digits4, np.stack([g0, g1, g2], axis=1)) & np.take(keep, shown, axis=0)
+    frames[:, 1:] |= np.take(dot, np.where((shown > point + 1) & ~small, point + 1, 0), axis=0)
     frames = frames.view(np.uint8)
     rest = np.flatnonzero(~exact & ~zero)
     if rest.size:
         text = [_NUM % v for v in abs(x[rest]).tolist()]
-        frames[rest, 1:] = np.array(text, dtype=f"S{_FRAME - 1}").view(np.uint8).reshape(-1, _FRAME - 1)
-        frames[rest, 0] = sign[rest] * ord("-")
+        frames[rest, 2:] = np.array(text, dtype=f"S{_FRAME - 2}").view(np.uint8).reshape(-1, _FRAME - 2)
     return frames
 
 
@@ -121,30 +114,30 @@ _CSV_CHUNK = 2048
 
 
 def table_csv(table: SweepTable) -> str:
-    """``sweep_rows_to_csv`` of a table, from its columns.  A line is eight
-    ``_num_frames`` frames, each with its comma in its last byte, and a word
-    for the flag and the newline; the NUL bytes are then deleted.  Where w1..w3
-    are 0.0 - w6..w4, as the kernel makes them, only param, w4..w6 and delta are
-    formatted, and each of w1..w3 is its mirror's frame under its own sign."""
-    words = _FRAME // 8
+    """``sweep_rows_to_csv`` of a table, from its columns.  Where w1..w3 are
+    bitwise 0.0 - w6..w4, as the kernel makes them, only param, w6..w4 and
+    delta are formatted.  A line is param's frame, the frames of w6..w4 under
+    their mirrors' signs, those of w4..w6, delta's, each but param's with a
+    comma in its head, and a word for the flag and the newline; the NUL bytes
+    are then deleted.  Any other table is written row by row."""
     param, *freqs, delta_err, degenerate = table._columns
-    mirror = all(np.array_equal(freqs[k].view(np.int64), (0.0 - freqs[5 - k]).view(np.int64)) for k in range(3))
-    own = [param, *freqs[3 if mirror else 0:], np.where(degenerate, 0.0, delta_err)]
-    cells = [0, 3, 2, 1, 1, 2, 3, 4] if mirror else list(range(8))  # the own column of each CSV number
+    if not all(np.array_equal(freqs[k].view(np.int64), (0.0 - freqs[5 - k]).view(np.int64)) for k in range(3)):
+        return sweep_rows_to_csv(list(table))
+    own = [param, *freqs[:2:-1], np.where(degenerate, 0.0, delta_err)]
+    w = _FRAME // 8
     sign, minus, comma, true, false = (np.frombuffer(b.ljust(8, b"\0"), np.uint64)[0]
-                                       for b in (b"\xff", b"-", b"\0" * 7 + b",", b"true\n", b"false\n"))
+                                       for b in (b"\0\xff", b"\0-", b",", b",true\n", b",false\n"))
     out = [_SWEEP_CSV_HEADER.encode() + b"\n"]
     for start in range(0, len(param), _CSV_CHUNK):
-        rows = slice(start, start + _CSV_CHUNK)
-        frames = _num_frames(np.stack([c[rows] for c in own], axis=1)).view(np.uint64).reshape(-1, len(own), words)
-        frames[:, :, -1] |= comma
-        lines = np.empty((len(frames), 8 * words + 1), np.uint64)
-        for cell, k in enumerate(cells):
-            lines[:, cell * words:(cell + 1) * words] = frames[:, k]
-        if mirror:
-            for cell, w in zip((1, 2, 3), freqs[:2:-1]):
-                lines[:, cell * words] = lines[:, cell * words] & ~sign | (w[rows] > 0.0) * minus
-        lines[degenerate[rows], 7 * words:8 * words] = np.array([0] * (words - 1) + [comma], np.uint64)
-        lines[:, -1] = np.where(degenerate[rows], true, false)
+        values = np.stack([c[start:start + _CSV_CHUNK] for c in own], axis=1)
+        frames = _num_frames(values).view(np.uint64).reshape(len(values), len(own), w)
+        frames[:, 1:, 0] |= comma
+        lines = np.empty((len(values), 8 * w + 1), np.uint64)
+        cells = lines[:, :-1].reshape(len(values), 8, w)
+        cells[:, :4], cells[:, 4:7], cells[:, 7] = frames[:, :4], frames[:, 3:0:-1], frames[:, 4]
+        cells[:, 1:4, 0] = cells[:, 1:4, 0] & ~sign | (values[:, 1:4] > 0.0) * minus
+        flags = degenerate[start:start + _CSV_CHUNK]
+        cells[flags, 7] = np.array([comma] + [0] * (w - 1), np.uint64)
+        lines[:, -1] = np.where(flags, true, false)
         out.append(lines.tobytes().translate(None, b"\0"))
     return b"".join(out).decode("ascii")

@@ -57,7 +57,25 @@ class UsageError(Exception):
     """Invalid flag combination or missing required option."""
 
 
+class _FloatLiteral:
+    """argparse's test of whether an argument that starts with "-" is a value,
+    a negative number, rather than an option: any literal that float() reads.
+    argparse's own pattern takes -1e-3, -1E-3 and -5. for options."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatLiteral
+
     def error(self, message):  # on one line, though argparse echoes an unrecognized argument raw
         super().error(message.replace("\r", "\\r").replace("\n", "\\n"))
 

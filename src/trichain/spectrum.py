@@ -41,8 +41,10 @@ rule, so every frequency the package returns is judged by one check.
 immutable sequence of SweepRow that keeps the kernel's columns and builds a
 row only when it is indexed or iterated; ``list(table)`` gives a list, and
 an empty list of values an empty table.  ``sweep_rows_to_csv`` writes a
-table from its columns, with the array form of %.12g (``_columns``), and its
-CSV is byte-identical to the per-row writer's on ``list(table)``.
+table from its columns, with the array form of %.12g (``_columns``) for its
+values in fixed notation, and its CSV is byte-identical to the per-row
+writer's on ``list(table)``; a table whose w1..w3 are not exactly
+0.0 - w6..w4, as the kernel makes them, is written row by row.
 """
 
 from __future__ import annotations
@@ -701,6 +703,10 @@ class SweepTable(Sequence):
         return f"<{type(self).__name__} of {len(self)} rows>"
 
 
+_CONSTRAINT_COLUMNS = ("a sweep constraint must return four columns (g, delta, f1, f2), each a scalar or of the "
+                       "grid's length")
+
+
 def sweep_spectrum_values(
     base: SystemParams,
     vary: str,
@@ -713,7 +719,8 @@ def sweep_spectrum_values(
     ``constraint``, when given, maps the parameter columns (g, delta, f1, f2)
     of the whole grid, equal-length float arrays, to corrected columns (e.g.
     re-deriving f1 and f2 from g for a designed comb) before the spectra are
-    computed.
+    computed: four, each a scalar, which is broadcast, or of the grid's
+    length, or InvalidParameterError.
 
     All points go through one batched call of the spectral kernel, and every
     point gets the check of ``eigenfrequencies`` and its relative
@@ -740,7 +747,10 @@ def sweep_spectrum_values(
     if len(grid) == 0:
         return SweepTable(grid, (grid,) * 6, grid, grid.astype(bool))
     if constraint is not None:
-        columns = [np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in constraint(*columns)]
+        columns = [np.asarray(c, dtype=float) for c in constraint(*columns)]
+        if len(columns) != 4 or any(c.shape not in ((), grid.shape) for c in columns):
+            raise InvalidParameterError(_CONSTRAINT_COLUMNS)
+        columns = [np.broadcast_to(c, grid.shape) for c in columns]
         _check_rows(*columns)
     return SweepTable(grid, *_sweep_fields(columns, degeneracy_tol))
 
@@ -753,7 +763,10 @@ def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DE
     values = _checked_values(base, k, values)
     points = [(*base[:k], value, *base[k + 1:4]) for value in values]
     if constraint is not None:
-        points = [constraint(*point) for point in points]
+        points = [tuple(constraint(*point)) for point in points]
+        if any(len(point) != 4 or any(isinstance(v, (list, tuple)) or getattr(v, "shape", ()) != () for v in point)
+               for point in points):
+            raise InvalidParameterError(_CONSTRAINT_COLUMNS)
         for point in points:
             SystemParams(*point)  # raises the first failing point's error
     rows = []
@@ -823,8 +836,11 @@ def sweep_spectrum(
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """CSV table of a sweep; the delta column is empty on degenerate rows.
 
-    A SweepTable is written from its columns (``_columns.table_csv``), any
-    other sequence of rows one row at a time; both give the same bytes.
+    A SweepTable is written from its columns (``_columns.table_csv``): the
+    values that %.12g writes in fixed notation as arrays, any other by %.12g
+    itself.  Any other sequence of rows, and a table whose w1..w3 are not
+    exactly 0.0 - w6..w4, is written one row at a time; both give the same
+    bytes.
     """
     if isinstance(rows, SweepTable):
         from ._columns import table_csv

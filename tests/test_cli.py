@@ -121,6 +121,18 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--g", "1e-4", "--delta", "0", "--f1", "1", "--f2", "1"]) == 0
         assert capsys.readouterr().out.strip().split("\n")[1].split(",")[8] == "3.200000016e-23"
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1e-03", "-5.", "-0.001"])
+    def test_negative_value_in_any_float_form(self, value):
+        # argparse took -1e-3, -1E-3 and -5. for options: "argument --delta: expected one argument".
+        flags = ["--g", "0.5", "--f1", "1", "--f2", "1"]
+        assert outputs_of(["spectrum", "--delta", value, *flags]) == outputs_of(["spectrum", f"--delta={value}", *flags])
+        assert stdout_of(["spectrum", "--delta", value, *flags])
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_negative_non_finite_value_meets_the_finiteness_check(self, value):
+        code, out, err = outputs_of(["spectrum", "--g", "0.5", "--delta", value, "--f1", "1", "--f2", "1"])
+        assert (code, out) == (2, "") and err.startswith("trichain: error: delta must be a finite real number")
+
     def test_preset_lands_on_the_comb(self, capsys):
         assert run(["spectrum", "--preset", "qubit"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]
@@ -166,6 +178,12 @@ class TestSweepCommand:
                     "--g", "0.5", "--delta", "0.3", "--f1", "1", "--f2", "1", "--constraint", "A"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("trichain: error:")
+
+    def test_delta_sweep_from_a_negative_exponent_form(self):
+        code, out, err = outputs_of(["sweep", "--vary", "delta", "--lo", "-1e-05", "--hi", "1e-05", "--n", "3",
+                                     "--g", "0.5", "--f1", "1", "--f2", "1"])
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.split("\n")[1:-1]] == ["-1e-05", "0", "1e-05"]
 
     def test_missing_range_exits_2(self):
         assert run(["sweep", "--vary", "g", "--delta", "0", "--f1", "1", "--f2", "1"]) == 2

@@ -57,6 +57,7 @@ from trichain.spectrum import (
     _nonequidistance,
     _s2_at,
     _spectrum_record,
+    _sweep_points,
 )
 from conftest import random_params
 
@@ -815,6 +816,26 @@ class TestSweep:
         rows = sweep_spectrum_values(base, "delta", values, constraint=branch_constraint("A"))
         assert [row.degenerate for row in rows] == [False, True, False]
         assert np.allclose(rows[1].frequencies, [-2, -1, 0, 0, 1, 2], atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [
+        lambda g, delta, f1, f2: (g, delta, f1),
+        lambda g, delta, f1, f2: (g, delta, f1, f2, 0.0),
+        lambda g, delta, f1, f2: (g, delta, f1, np.append(f2, 1.0)),  # one value too many
+    ], ids=["three columns", "five columns", "a column of length n + 1"])
+    def test_constraint_must_return_four_columns_of_the_grid(self, shape):
+        message = ("a sweep constraint must return four columns (g, delta, f1, f2), each a scalar or of the "
+                   "grid's length")
+        for sweep in (sweep_spectrum_values, _sweep_points):
+            with pytest.raises(InvalidParameterError) as excinfo:
+                sweep(RESONANT, "g", [0.1, 0.5, 0.9], shape)
+            assert str(excinfo.value) == message
+
+    def test_constraint_scalars_broadcast(self):
+        def fixed_couplings(g, delta, f1, f2):
+            return g, delta, 0.5, 2
+        rows = sweep_spectrum_values(RESONANT, "g", [0.1, 0.5, 0.9], fixed_couplings)
+        assert list(rows) == _sweep_points(RESONANT, "g", [0.1, 0.5, 0.9], fixed_couplings)
+        assert list(rows) == list(sweep_spectrum_values(RESONANT.replace(f1=0.5, f2=2.0), "g", [0.1, 0.5, 0.9]))
 
     def test_comb_sweep_through_a_near_zero_frequency_pair(self):
         # Branch B's f2(g) crosses delta near g = 0.8505, where a grid point
