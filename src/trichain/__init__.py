@@ -30,7 +30,7 @@ from .comb import *
 #: Names of :mod:`trichain.dynamics` that ``__getattr__`` resolves on first access, in ``__all__`` order.
 _DYNAMICS = (
     "Trajectory", "Schedule", "Segment", "evolve_spectral", "evolve_rk4", "evolve_schedule", "propagator",
-    "schedule_from_json", "energies", "energies_to_csv", "plateau_width",
+    "schedule_from_json", "energies", "energies_to_csv",
 )
 
 

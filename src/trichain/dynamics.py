@@ -25,7 +25,6 @@ from operator import mul
 
 from .errors import (
     AccuracyError,
-    DomainError,
     InvalidParameterError,
     ScheduleError,
 )
@@ -231,6 +230,8 @@ def evolve_rk4(
         k4 = a @ (state + h * k3)
         return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    if t_end / dt == math.inf:
+        raise InvalidParameterError(f"dt={dt!r} takes more steps to t_end={t_end!r} than a float can count")
     n_full = int(math.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     times = [0.0]
@@ -416,27 +417,3 @@ def _central_energies_to_csv(qubit, qutrit) -> str:
     energy over the common times of the ``energies`` rows of a qubit and a
     qutrit run."""
     return _csv(_CENTRAL_ENERGY_CSV_HEADER, ([a[0], a[2], b[2]] for a, b in zip(qubit, qutrit)))
-
-
-def plateau_width(trajectory: Trajectory, center: float, threshold: float) -> float:
-    """Width of the contiguous window around ``center`` with E_s2 <= threshold.
-
-    A sampling-based diagnostic for the flat-bottomed transfer window: the
-    trajectory should be sampled densely (>= 100 points per unit time) around
-    the center for the width to be meaningful.
-    """
-    center, threshold = _real("center", center, DomainError), _real("threshold", threshold, DomainError)
-    t = trajectory.times
-    if center < t[0] or center > t[-1]:
-        raise DomainError(f"center {center} outside trajectory window [{t[0]}, {t[-1]}]")
-    e2 = abs(trajectory.states[:, 1]) ** 2
-    idx = int(abs(t - center).argmin())
-    if e2[idx] > threshold:
-        return 0.0
-    lo = idx
-    while lo > 0 and e2[lo - 1] <= threshold:
-        lo -= 1
-    hi = idx
-    while hi < t.size - 1 and e2[hi + 1] <= threshold:
-        hi += 1
-    return float(t[hi] - t[lo])

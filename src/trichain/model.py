@@ -237,14 +237,22 @@ def build_coupling_matrix(params: SystemParams) -> np.ndarray:
     ])
 
 
-def _check_rows(g, delta, f1, f2) -> None:
-    """Raise the error of SystemParams for the first row of parameter arrays that it rejects."""
+def _checked_rows(columns, n: int) -> np.ndarray:
+    """The columns (g, delta, f1, f2), each a scalar or n long, as a new 4 x n float array by
+    the rule of SystemParams: the first point it refuses raises.  Number arrays skip type checks."""
     import numpy as np
 
-    columns = np.array([g, delta, f1, f2])
-    bad = ~np.isfinite(columns).all(axis=0) | (columns[[0, 2, 3]] < 0.0).any(axis=0)
+    rows = np.empty((4, n))
+    for row, c in zip(rows, columns):
+        if isinstance(c, float) or _is_array(c) and c.dtype.kind in "fiu":
+            row[...] = c
+        else:  # NaN for what is no number
+            row[...] = [x if type(x) is float else float(x) if _is_real(x) else math.nan
+                        for x in np.array(c, dtype=object).flat]
+    bad = ~np.isfinite(rows).all(axis=0) | (rows[[0, 2, 3]] < 0.0).any(axis=0)
     if bad.any():
-        SystemParams(*columns[:, np.argmax(bad)].tolist())
+        SystemParams(*(np.broadcast_to(np.array(c, dtype=object), n).tolist()[np.argmax(bad)] for c in columns))
+    return rows
 
 
 def _times_array(times) -> np.ndarray:

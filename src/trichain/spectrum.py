@@ -35,7 +35,8 @@ from a bug.  ``frequencies_from_charpoly`` solves the cubic in closed form,
 the paper's algebraic route: normalized once by a power of four, so its
 frequencies scale bitwise with the coefficients, with the two smaller roots
 deflated from the largest.  Its squared frequencies pass the same Vieta
-rule, so every frequency the package returns is judged by one check.
+rule, so every frequency the package returns is judged by one check; a
+cubic the caller built fails it with DomainError, as the input is at fault.
 
 ``sweep_spectrum`` and ``sweep_spectrum_values`` return a SweepTable, an
 immutable sequence of SweepRow that keeps the kernel's columns and builds a
@@ -65,7 +66,7 @@ from .errors import (
     PoleError,
 )
 from .model import (
-    _NUM, _PHYSICAL_KEYS, SystemParams, _check_params, _check_rows, _is_real, _real, _times_array, _tolist, _xp,
+    _NUM, _PHYSICAL_KEYS, SystemParams, _check_params, _checked_rows, _is_real, _real, _times_array, _tolist, _xp,
 )
 
 TYPE_CHECKING = False  # true for static type checkers only: importing typing costs start-up
@@ -116,6 +117,7 @@ class CharPoly(namedtuple("CharPoly", ("c4", "c2", "c0"))):
     __slots__ = ()
 
     def eval(self, p: complex) -> complex:
+        _checked_p(p)  # the p that s2_response takes
         q = p * p
         return ((q + self.c4) * q + self.c2) * q + self.c0
 
@@ -200,38 +202,28 @@ def frequencies_from_charpoly(cp: CharPoly) -> tuple[float, ...]:
     repeated root the members of the cluster err ~eps^(1/m) at multiplicity
     m; their mean stays well conditioned.  The squares pass the kernel's rule
     (``_vieta_gap`` over the top square <= _COEFFICIENT_TOL), else the cubic
-    has no three real roots <= 0: ConsistencyError, or DomainError where c4
-    < 2^-320 and c2, c0 lie in [0, c4^2/3] and [0, c4^3/27] up to rounding,
-    as they may have lost bits to underflow (``char_poly`` of parameters
-    below ~2^-160).  A ``cp`` that is not a CharPoly raises
-    InvalidParameterError, a coefficient that is not a finite real number
-    DomainError.
+    has no three real roots <= 0: DomainError, as the caller built it.  A
+    ``cp`` that is not a CharPoly raises InvalidParameterError, a coefficient
+    that is not a finite real number DomainError.
     """
     if not isinstance(cp, CharPoly):
         raise InvalidParameterError(f"cp must be a CharPoly, got {cp!r}")
-    cp = CharPoly(*(_real(name, x, DomainError) for name, x in zip(CharPoly._fields, cp)))
+    return _cubic_frequencies(CharPoly(*(_real(name, x, DomainError) for name, x in zip(CharPoly._fields, cp))),
+                              DomainError)
+
+
+def _cubic_frequencies(cp: CharPoly, error) -> tuple[float, ...]:
+    """``frequencies_from_charpoly`` of float coefficients, raising ``error``
+    wherever the cubic has no three real roots <= 0."""
     if not cp.c4 > 0.0:  # the roots, all <= 0, sum to -c4
         if cp.c4 == cp.c2 == cp.c0 == 0.0:
             return (0.0,) * 6
-        raise ConsistencyError(f"c4 = {cp.c4} <= 0 with {cp}: the cubic has no three real roots <= 0")
+        raise error(f"c4 = {cp.c4} <= 0 with {cp}: the cubic has no three real roots <= 0")
     m = (math.frexp(cp.c4)[1] + 1) // 2
     try:  # three real roots <= 0 bound c2 and c0 by c4^2/3 and c4^3/27
         b, c, d = (math.ldexp(x, -2 * m * k) for k, x in ((1, cp.c4), (2, cp.c2), (3, cp.c0)))
     except OverflowError:
-        raise ConsistencyError(f"c2 or c0 is far above its bound by c4 for {cp}") from None
-    try:
-        return _cubic_frequencies(cp, m, b, c, d)
-    except ConsistencyError:
-        slack = math.ldexp(1.0, -1072)  # rounding: 1e-9 of a bound, and 8 steps of the subnormal grid
-        bounds = ((cp.c2, cp.c4 * cp.c4 / 3.0), (cp.c0, cp.c4 * cp.c4 * cp.c4 / 27.0))
-        if m > -160 or not all(abs(x - 0.5 * bound) <= (0.5 + 1e-9) * bound + slack for x, bound in bounds):
-            raise
-        raise DomainError(f"characteristic polynomial coefficients are too close to underflow "
-                          f"(c4 < 2^-320) to solve reliably: {cp}") from None
-
-
-def _cubic_frequencies(cp: CharPoly, m: int, b: float, c: float, d: float) -> tuple[float, ...]:
-    """``frequencies_from_charpoly`` from its cubic divided by 4^m, q^3 + b q^2 + c q + d."""
+        raise error(f"c2 or c0 is far above its bound by c4 for {cp}") from None
     # q = t - b/3 turns the cubic into t^3 + p t + r, whose p <= 0 but for rounding.
     p = min(c - b * b / 3.0, 0.0)
     r = d + b * (2.0 * b * b - 9.0 * c) / 27.0
@@ -243,7 +235,7 @@ def _cubic_frequencies(cp: CharPoly, m: int, b: float, c: float, d: float) -> tu
     # The clamps hide complex or positive roots; the coefficients show them.
     gap = _vieta_gap(squares, b, c, d) / max(*squares, _TINY)
     if not gap <= _COEFFICIENT_TOL:
-        raise ConsistencyError(f"the cubic has no three real roots <= 0: its Vieta gap is {gap:.3e} for {cp}")
+        raise error(f"the cubic has no three real roots <= 0: its Vieta gap is {gap:.3e} for {cp}")
     ws = sorted(math.ldexp(math.sqrt(x), m) for x in squares)
     return (*(0.0 - w for w in reversed(ws)), *ws)
 
@@ -516,6 +508,13 @@ def _normalized(g, delta, f1, f2, size=0.0):
     return e, tuple(xp.ldexp(x, -e) for x in (g, delta, f1, f2))
 
 
+def _checked_p(p) -> complex:
+    """``p`` as a complex, or InvalidParameterError unless it is a finite number."""
+    if isinstance(p, numbers.Complex) and _is_real(p.real) and _is_real(p.imag):
+        return complex(p)
+    raise InvalidParameterError(f"p must be a finite number, got {p!r}")
+
+
 def s2_response(params: SystemParams, p: complex) -> complex:
     """Laplace-domain amplitude p*N3(p^2)/Det(p) of the initially excited
     central atom.
@@ -527,12 +526,7 @@ def s2_response(params: SystemParams, p: complex) -> complex:
     DomainError where the value is outside the float range.
     """
     _check_params(params)
-    try:
-        z = complex(p) if isinstance(p, numbers.Complex) else None
-    except OverflowError:  # an int that no float can hold
-        z = None
-    if z is None or not cmath.isfinite(z):
-        raise InvalidParameterError(f"p must be a finite number, got {p!r}")
+    z = _checked_p(p)
     e, (g, delta, f1, f2) = _normalized(*params[:4], max(abs(z.real), abs(z.imag)))
     x = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
     cp = CharPoly(*_char_poly_coeffs(g, delta, f1, f2))
@@ -605,7 +599,7 @@ def _s2_at(params: SystemParams, t):
     """s2 at t, a finite float or a float array; see ``inverse_laplace_s2``."""
     xp = _xp(t)
     e, (g, delta, f1, f2) = _normalized(*params[:4])
-    s1, s2, s3 = frequencies_from_charpoly(CharPoly(*_char_poly_coeffs(g, delta, f1, f2)))[3:]
+    s1, s2, s3 = _cubic_frequencies(CharPoly(*_char_poly_coeffs(g, delta, f1, f2)), ConsistencyError)[3:]
     a, c = _s2_numerator(g, delta, f2)
     try:  # no phase below is larger than s3 times the largest |t| in these units
         t_max = math.ldexp(max(_tolist(abs(t))), e)
@@ -736,23 +730,20 @@ def sweep_spectrum_values(
 
     k = _vary_index(vary)
     degeneracy_tol = _real("degeneracy_tol", degeneracy_tol, positive=True)
-    fast = isinstance(values, np.ndarray) and values.dtype.kind in "fiu"  # no element needs a check of its type
-    grid = np.asarray(values, dtype=float if fast else object)
+    grid = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     if grid.ndim != 1:
         raise InvalidParameterError(f"sweep values must be a 1-d sequence, got shape {grid.shape}")
-    if not fast:
-        grid = np.array(_checked_values(base, k, grid), dtype=float)
-    columns = [grid if i == k else np.full(len(grid), base[i]) for i in range(4)]
-    _check_rows(*columns)
-    if len(grid) == 0:
+    n = len(grid)
+    rows = _checked_rows([grid if i == k else base[i] for i in range(4)], n)
+    grid = rows[k]
+    if n == 0:
         return SweepTable(grid, (grid,) * 6, grid, grid.astype(bool))
     if constraint is not None:
-        columns = [np.asarray(c, dtype=float) for c in constraint(*columns)]
-        if len(columns) != 4 or any(c.shape not in ((), grid.shape) for c in columns):
+        columns = list(constraint(*rows))
+        if len(columns) != 4 or any(np.shape(c) not in ((), (n,)) for c in columns):
             raise InvalidParameterError(_CONSTRAINT_COLUMNS)
-        columns = [np.broadcast_to(c, grid.shape) for c in columns]
-        _check_rows(*columns)
-    return SweepTable(grid, *_sweep_fields(columns, degeneracy_tol))
+        rows = _checked_rows(columns, n)
+    return SweepTable(grid, *_sweep_fields(rows, degeneracy_tol))
 
 
 def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -767,8 +758,7 @@ def _sweep_points(base, vary, values, constraint=None, degeneracy_tol=DEFAULT_DE
         if any(len(point) != 4 or any(isinstance(v, (list, tuple)) or getattr(v, "shape", ()) != () for v in point)
                for point in points):
             raise InvalidParameterError(_CONSTRAINT_COLUMNS)
-        for point in points:
-            SystemParams(*point)  # raises the first failing point's error
+        points = [SystemParams(*point)[:4] for point in points]  # the first point it refuses raises
     rows = []
     for value, point in zip(values, points):
         freqs, delta_err, undefined = _sweep_fields(point, degeneracy_tol)
@@ -808,6 +798,8 @@ def _grid(lo, hi, n, linspace):
         raise InvalidParameterError(f"sweep needs an integer n, got {n!r}")
     if n < 2:
         raise InvalidParameterError(f"sweep needs n >= 2 grid points, got {n}")
+    if n > sys.maxsize:
+        raise InvalidParameterError(f"sweep needs n <= {sys.maxsize} grid points")
     if not (_is_real(lo) and _is_real(hi)):
         raise InvalidParameterError(f"sweep range must be finite real numbers, got [{lo!r}, {hi!r}]")
     lo, hi = float(lo), float(hi)

@@ -904,6 +904,11 @@ _USAGE_ERRORS = {
     "comb-flag-with-derived-flag": (["spectrum", "--comb", "A", "--g", "0.5", "--f1", "1"],
                                     "--comb derives delta, f1, f2; drop those flags"),
     "evolve-n-1": (["evolve", "--preset", "qubit", "--n", "1"], "--n must be at least 2"),
+    "sweep-without-lo": (["sweep", "--vary", "g", "--hi", "1", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"],
+                         "sweep requires --lo, --hi and --n"),
+    "sweep-without-hi": (["sweep", "--vary", "g", "--lo", "0", "--n", "3", "--delta", "0", "--f1", "1", "--f2", "1"],
+                         "sweep requires --lo, --hi and --n"),
+    "sweep-without-n": (_SWEEP_ARGV, "sweep requires --lo, --hi and --n"),
 }
 
 
@@ -1018,6 +1023,23 @@ def _mostly(usual, rare):
     return st.integers(0, 9).flatmap(lambda k: usual if k < 7 else rare)
 
 
+def _run_in_contract(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``, which exits 0, or 2 with one error line and no output."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        error_lines = [line for line in err.split("\n") if ": error: " in line]
+        assert len(error_lines) == 1 and err.endswith(error_lines[0] + "\n")
+        assert not err.startswith("trichain: error:") or err.count("\n") == 1
+    return code, out, err
+
+
 def _csv_is_rectangular(text):
     header, *rows, last = text.split("\n")
     return last == "" and len(rows) > 0 and all(row.count(",") == header.count(",") for row in rows)
@@ -1046,18 +1068,12 @@ def test_every_argv_exits_0_or_2_with_parsable_output(tmp_path, capsys, monkeypa
                 content = data.draw(_file(action.dest, actions, paths), label=action.dest + " file")
                 with open(value, "wb") as stream:
                     stream.write(content if isinstance(content, bytes) else content.encode("utf-8"))
-    capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
-    out, err = capsys.readouterr()
-    assert code in (0, 2)
+    if name == "sweep":  # also with each of its required flags dropped in turn
+        for k in range(1, len(argv), 2):
+            if argv[k] in ("--lo", "--hi", "--n"):
+                _run_in_contract(argv[:k] + argv[k + 2:], capsys)
+    code, out, err = _run_in_contract(argv, capsys)
     if code == 2:
-        assert out == ""
-        error_lines = [line for line in err.split("\n") if ": error: " in line]
-        assert len(error_lines) == 1 and err.endswith(error_lines[0] + "\n")
-        assert not err.startswith("trichain: error:") or err.count("\n") == 1
         return
     assert err == ""
     if name == "figures":

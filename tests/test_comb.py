@@ -344,14 +344,17 @@ class TestScaleComb:
 
     @settings(max_examples=200, deadline=None)
     @given(g=st.floats(min_value=0.05, max_value=1.0), branch=st.sampled_from("AB"),
-           k=st.integers(min_value=-200, max_value=200))
-    def test_power_of_two_scaling_is_exact(self, g, branch, k):
+           k=st.integers(min_value=-200, max_value=200), j=st.integers(min_value=-200, max_value=200))
+    def test_power_of_two_scaling_is_exact(self, g, branch, k, j):
         # The spectrum scales by 2^k and the residuals (c4 - 5k^2, c2 - 4k^4,
-        # c0) by 2^2k, 2^4k and 2^6k, bit for bit.
+        # c0) by 2^2k, 2^4k and 2^6k, bit for bit; a scaled comb scales on
+        # from its own spacing.
         sol = solve_comb_params(g, branch)
         unit, scaled = scale_comb(sol, 1.0), scale_comb(sol, math.ldexp(1.0, k))
         assert scaled.spectrum == tuple(math.ldexp(w, k) for w in unit.spectrum)
         assert scaled.residuals == tuple(math.ldexp(r, n * k) for r, n in zip(unit.residuals, (2, 4, 6)))
+        twice = scale_comb(scale_comb(sol, math.ldexp(1.0, j)), math.ldexp(1.0, k))
+        assert repr(twice) == repr(scale_comb(sol, math.ldexp(1.0, j + k)))  # NaN where a residual overflows
 
     def test_subnormal_kappa_is_accepted(self):
         # 1e-7 times this spacing rounds to 0: no absolute tolerance may be

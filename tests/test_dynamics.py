@@ -29,7 +29,6 @@ from trichain import (
     identify_energy_branch,
     initial_state,
     inverse_laplace_s2,
-    plateau_width,
     propagator,
     schedule_from_json,
     solve_comb_params,
@@ -495,37 +494,3 @@ class TestEnergies:
         assert lines[0] == "t,E_s1,E_s2,E_s3,E_a1,E_a2,E_a3"
         assert len(lines) == 3
         assert len(lines[1].split(",")) == 7
-
-
-class TestPlateauWidth:
-    def test_positive_width_at_the_transfer_point(self):
-        sol = qubit_solution()
-        times = np.linspace(0.0, 2.0 * math.pi, 4001)
-        traj = evolve_spectral(sol.params, initial_state(2), times)
-        width = plateau_width(traj, math.pi, 1e-3)
-        assert width > 0.0
-
-    def test_zero_threshold_gives_zero_width_off_exact_zeros(self):
-        sol = qubit_solution()
-        times = np.linspace(0.0, 2.0 * math.pi, 4001)
-        traj = evolve_spectral(sol.params, initial_state(2), times)
-        assert plateau_width(traj, math.pi, 0.0) == 0.0
-
-    def test_flat_zero_trajectory_spans_the_window(self):
-        params = SystemParams(g=0.0, delta=0.0, f1=0.0, f2=0.0)
-        times = np.linspace(0.0, 1.0, 201)
-        traj = evolve_spectral(params, initial_state(1), times)
-        assert plateau_width(traj, 0.5, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_center_outside_window_rejected(self):
-        traj = evolve_spectral(RABI, initial_state(2), np.linspace(0.0, 1.0, 101))
-        with pytest.raises(DomainError):
-            plateau_width(traj, 2.0, 1e-3)
-
-    @pytest.mark.parametrize("center, threshold", [
-        (math.nan, 0.5), (True, 0.5), ("0.5", 0.5), (0.5, math.nan), (0.5, "1e-3"),
-    ], ids=["nan_center", "bool_center", "string_center", "nan_threshold", "string_threshold"])
-    def test_center_or_threshold_that_is_not_a_real_rejected(self, center, threshold):
-        traj = evolve_spectral(RABI, initial_state(2), np.linspace(0.0, 1.0, 101))
-        with pytest.raises(DomainError):
-            plateau_width(traj, center, threshold)

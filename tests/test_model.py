@@ -1,6 +1,8 @@
 import math
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from trichain import (
     CharPoly,
+    ConsistencyError,
     DomainError,
     InvalidParameterError,
     Schedule,
@@ -30,7 +33,6 @@ from trichain import (
     inverse_laplace_s2,
     params_from_config,
     params_to_config,
-    plateau_width,
     propagator,
     s2_response,
     scale_comb,
@@ -153,11 +155,23 @@ def test_invalid_params_rejected(kwargs):
         SystemParams(**kwargs)
 
 
+def _constant_f1(value):
+    """A sweep constraint that sets f1 to ``value`` at every point: a column
+    of it on arrays, the value itself on floats."""
+    def constraint(g, delta, f1, f2):
+        if not isinstance(g, np.ndarray):
+            return g, delta, value, f2
+        column = np.empty(g.shape, dtype=object)
+        column.fill(value)
+        return g, delta, column, f2
+    return constraint
+
+
 # Every scalar entry point applies one rule (``model._real``): a finite real
 # number, numpy scalars included, that is not a bool; a positive knob also
 # refuses 0 and the negative numbers.  Each entry is (call, error, positive).
+# A sweep constraint's columns obey it too, on the batched and the per-point route.
 _BASE = SystemParams(g=0.0, delta=0.0, f1=1.0, f2=1.0)
-_TRAJECTORY = evolve_spectral(_BASE, initial_state(2), np.linspace(0.0, 2.0, 201))
 _SCALAR_ENTRY_POINTS = {
     "SystemParams": (lambda v: SystemParams(g=v, delta=0.0, f1=1.0, f2=1.0), InvalidParameterError, False),
     "_params_from_values": (
@@ -177,12 +191,14 @@ _SCALAR_ENTRY_POINTS = {
                          InvalidParameterError, True),
     "evolve_rk4 norm_tol": (lambda v: evolve_rk4(_BASE, initial_state(2), dt=0.1, t_end=1.0, norm_tol=v),
                             InvalidParameterError, True),
-    "plateau_width center": (lambda v: plateau_width(_TRAJECTORY, v, 0.5), DomainError, False),
-    "plateau_width threshold": (lambda v: plateau_width(_TRAJECTORY, 1.0, v), DomainError, False),
     "eigenfrequencies": (lambda v: eigenfrequencies(_BASE, degeneracy_tol=v), InvalidParameterError, True),
     "sweep_spectrum_values": (lambda v: sweep_spectrum_values(_BASE, "g", [0.5], degeneracy_tol=v),
                               InvalidParameterError, True),
     "_sweep_points": (lambda v: _sweep_points(_BASE, "g", [0.5], degeneracy_tol=v), InvalidParameterError, True),
+    "sweep_spectrum_values constraint": (lambda v: sweep_spectrum_values(_BASE, "g", [0.5, 0.7], _constant_f1(v)),
+                                         InvalidParameterError, False),
+    "_sweep_points constraint": (lambda v: _sweep_points(_BASE, "g", [0.5, 0.7], _constant_f1(v)),
+                                 InvalidParameterError, False),
     # cubics with three real roots <= 0 at v = 0.5 and v = 1
     "frequencies_from_charpoly c4": (lambda v: frequencies_from_charpoly(CharPoly(v, 0.0, 0.0)), DomainError, False),
     "frequencies_from_charpoly c2": (lambda v: frequencies_from_charpoly(CharPoly(3.0, v, 0.0)), DomainError, False),
@@ -200,18 +216,23 @@ def _outcome(call, value):
 
 
 @pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
-@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5)], ids=["int64", "float32"])
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), np.float16(0.5), Fraction(1, 2), -0.0, 5e-324],
+                         ids=["int64", "float32", "float16", "Fraction", "-0.0", "subnormal"])
 def test_numpy_scalars_are_real_numbers(site, value):
     call, _, _ = _SCALAR_ENTRY_POINTS[site]
     np.testing.assert_equal(_outcome(call, value), _outcome(call, float(value)))
 
 
 @pytest.mark.parametrize("site", sorted(_SCALAR_ENTRY_POINTS))
-@pytest.mark.parametrize("value", [True, "1", float("nan"), 10**400, np.array([0.5])],
-                         ids=["bool", "str", "nan", "huge int", "1-element array"])
+@pytest.mark.parametrize("value", [True, "1", float("nan"), 10**400, np.array([0.5]), Decimal("0.5"), 0.5 + 0j,
+                                   math.inf, -math.inf],
+                         ids=["bool", "str", "nan", "huge int", "1-element array", "Decimal", "complex", "inf",
+                              "-inf"])
 def test_bools_strings_nan_and_huge_ints_are_refused(site, value):
     call, error, _ = _SCALAR_ENTRY_POINTS[site]
-    with pytest.raises(error, match="finite real number, got "):
+    # An array for one point's f1 is a column, which the per-point route refuses by its shape.
+    column = site == "_sweep_points constraint" and isinstance(value, np.ndarray)
+    with pytest.raises(error, match="must return four columns" if column else "finite real number, got "):
         call(value)
 
 
@@ -221,6 +242,43 @@ def test_positive_knobs_refuse_zero_and_negative_numbers(site, value):
     call, error, _ = _SCALAR_ENTRY_POINTS[site]
     with pytest.raises(error, match=re.escape(f"must be a positive finite real number, got {value!r}")):
         call(value)
+
+
+_UNUSUAL = [True, "1", math.nan, 10**400, np.array([0.5]), Decimal("0.5"), 0.5 + 0j, np.float16(0.5),
+            np.float32(0.5), np.int64(1), Fraction(1, 2), -0.0, 5e-324, math.inf, -math.inf, 0.0, 0.5, 1.5, -0.25]
+# The sweep values and a constraint's columns are drawn from these.  Not the
+# array, a shape that the routes read apart: the batched route takes
+# [array([0.5])] as a 2-d grid, and at one grid point a column of length 1 as
+# of the grid's length, while the per-point route sees one point at a time.
+_SCALARS = [x for x in _UNUSUAL if not isinstance(x, np.ndarray)]
+
+
+def _sweep_bits(sweep, vary, values, constraint):
+    """The bits of a sweep's rows, or the class and message of its error."""
+    try:
+        rows = sweep(_BASE, vary, values, constraint)
+    except TrichainError as exc:
+        return type(exc), str(exc)
+    return [(*map(float.hex, (row.param, *row.frequencies, row.delta_err or 0.0)), row.degenerate) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(site=st.sampled_from(sorted(_SCALAR_ENTRY_POINTS)), value=st.sampled_from(_UNUSUAL),
+       vary=st.sampled_from(["g", "delta", "f1", "f2"]), values=st.lists(st.sampled_from(_SCALARS), max_size=3),
+       columns=st.lists(st.none() | st.sampled_from(_SCALARS), min_size=4, max_size=4))
+def test_unusual_scalars_give_a_value_or_an_input_error_and_both_sweep_routes_agree(site, value, vary, values,
+                                                                                    columns):
+    def constraint(*point):  # each column passes through, or is one scalar at every point
+        return [c if scalar is None else scalar for c, scalar in zip(point, columns)]
+
+    try:
+        _SCALAR_ENTRY_POINTS[site][0](value)
+    except TrichainError as exc:
+        assert not isinstance(exc, ConsistencyError), exc
+    batched, per_point = (_sweep_bits(sweep, vary, values, constraint)
+                          for sweep in (sweep_spectrum_values, _sweep_points))
+    assert batched == per_point
+    assert not isinstance(batched, tuple) or batched[0] is not ConsistencyError
 
 
 # An entry point refuses another record, or a plain tuple, outright.
@@ -275,6 +333,11 @@ _REFUSED = {
     "sweep lo str": (lambda: sweep_spectrum(_BASE, "g", "0", 1, 3), "sweep range must be finite real numbers"),
     "sweep n float": (lambda: sweep_spectrum(_BASE, "g", 0, 1, 3.0), "sweep needs an integer n, got 3.0"),
     "sweep n bool": (lambda: sweep_spectrum(_BASE, "g", 0, 1, True), "sweep needs an integer n, got True"),
+    "sweep n huge": (lambda: sweep_spectrum(_BASE, "g", 0, 1, 10**400), f"sweep needs n <= {sys.maxsize} grid"),
+    "CharPoly.eval str": (lambda: CharPoly(1.0, 2.0, 3.0).eval("1"), "^p must be a finite number, got '1'$"),
+    "CharPoly.eval Decimal": (lambda: CharPoly(1.0, 2.0, 3.0).eval(Decimal(1)), "got Decimal\\('1'\\)"),
+    "CharPoly.eval huge int": (lambda: CharPoly(1.0, 2.0, 3.0).eval(10**400), "p must be a finite number, got 1000"),
+    "CharPoly.eval nan": (lambda: CharPoly(1.0, 2.0, 3.0).eval(complex(0.0, math.nan)), "got nanj"),
     "degeneracy_tol True": (lambda: eigenfrequencies(_BASE, degeneracy_tol=True), "degeneracy_tol must be"),
     "times str": (lambda: evolve_spectral(_BASE, initial_state(2), ["0", "1.5"]), "times must be finite real"),
     "times bool": (lambda: evolve_spectral(_BASE, initial_state(2), [0.0, True]), "got True"),
@@ -301,6 +364,8 @@ def test_number_arrays_and_numbers_of_any_real_type_are_accepted():
     assert sweep_spectrum_values(_BASE, "g", np.array([0, 1])) == sweep_spectrum_values(_BASE, "g", [0.0, 1.0])
     assert sweep_spectrum_values(_BASE, "g", [0, np.float32(0.5)]) == sweep_spectrum_values(_BASE, "g", [0.0, 0.5])
     assert sweep_spectrum(_BASE, "g", 0, 1, np.int64(3)) == sweep_spectrum(_BASE, "g", 0.0, 1.0, 3)
+    assert CharPoly(1.0, 2.0, 3.0).eval(2) == CharPoly(1.0, 2.0, 3.0).eval(2.0) == 91.0
+    assert CharPoly(1.0, 2.0, 3.0).eval(np.complex128(1j)) == (1 + 0j)
     expected = evolve_spectral(_BASE, initial_state(2), [0.0, 1.0]).states
     assert (evolve_spectral(_BASE, [0, 1, 0, 0, 0, np.complex64(0)], [0, 1]).states == expected).all()
 

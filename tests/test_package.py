@@ -33,7 +33,7 @@ PUBLIC = {
     ],
     "dynamics": [
         "Trajectory", "Schedule", "Segment", "evolve_spectral", "evolve_rk4", "evolve_schedule", "propagator",
-        "schedule_from_json", "energies", "energies_to_csv", "plateau_width",
+        "schedule_from_json", "energies", "energies_to_csv",
     ],
 }
 DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names}

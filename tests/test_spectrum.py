@@ -491,15 +491,18 @@ class TestClosedFormCubic:
                 frequencies_from_charpoly(CharPoly(1.0, 0.25, bad))
 
     def test_vanishing_or_tiny_c4(self):
-        # The three roots, all <= 0, sum to -c4.
+        # The three roots, all <= 0, sum to -c4.  A cubic the caller built is
+        # input: one without three real roots <= 0 is a DomainError.
         assert bits(frequencies_from_charpoly(CharPoly(0.0, 0.0, 0.0))) == bits([0.0] * 6)
         for c2, c0 in [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1e-300, 0.0)]:
-            with pytest.raises(ConsistencyError):
+            with pytest.raises(DomainError, match="no three real roots <= 0"):
                 frequencies_from_charpoly(CharPoly(0.0, c2, c0))
-        with pytest.raises(ConsistencyError):
-            frequencies_from_charpoly(CharPoly(-1.0, 0.0, 0.0))
-        with pytest.raises(ConsistencyError):  # c2 overflows when divided by c4^2
-            frequencies_from_charpoly(CharPoly(1e-200, 1.0, 0.0))
+        for cp in (CharPoly(-1.0, 0.0, 0.0), CharPoly(-1, 0, 0), CharPoly(0.5, 0.25, 0.0)):
+            with pytest.raises(DomainError, match="no three real roots <= 0"):
+                frequencies_from_charpoly(cp)
+        for cp in (CharPoly(1e-200, 1.0, 0.0), CharPoly(5e-324, 0.25, 0.0)):  # c2 overflows when divided by c4^2
+            with pytest.raises(DomainError, match="far above its bound"):
+                frequencies_from_charpoly(cp)
 
     roots = st.floats(min_value=0.0, max_value=2.0)
 
@@ -519,7 +522,7 @@ class TestClosedFormCubic:
         else:
             a, b, c = -positive[0], -positive[1], positive[2]
             coefficients = (-(a + b + c), a * b + a * c + b * c, -a * b * c)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DomainError):
             frequencies_from_charpoly(CharPoly(*(math.ldexp(x, 2 * n * k) for n, x in enumerate(coefficients, 1))))
 
     def test_complex_pairs_near_the_real_axis_are_refused(self):
@@ -534,7 +537,7 @@ class TestClosedFormCubic:
             cp = CharPoly(r - 2.0 * x, x * x + y * y - 2.0 * x * r, r * (x * x + y * y))
             try:
                 accepted.append((cp, frequencies_from_charpoly(cp)))
-            except ConsistencyError:
+            except DomainError:
                 pass
         assert accepted == []
 
